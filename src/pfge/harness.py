@@ -11,6 +11,7 @@ import csv
 import json
 import re
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -29,13 +30,17 @@ from .data import (
     load_csv,
     load_idx,
 )
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError
 from .metrics import PredictionBatch, accuracy, ece, nll, reliability
-from .nn import init_model, loss_and_grad
+# ``loss_and_grad`` and ``sgd_step`` are not called here, but stay importable
+# from this module for callers (and perfbench's tracer) that look them up here.
+from .nn import init_model, loss_and_grad  # noqa: F401
 from .rng import STREAM_CURVE, stream_rng
-from .training import (
+from .schedule import lr_at, validate_budget
+from .training import (  # noqa: F401
     EnsembleSet,
     MomentumState,
+    _drive,
     ensemble_predict,
     run_fge,
     run_pfge,
@@ -104,23 +109,14 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     settings = cfg.pretrain
     e = iterations_per_epoch(len(train_std), cfg.batch_size)
     total = settings["epochs"] * e
-    w = init_model(cfg.model_spec, cfg.seed)
-    state = MomentumState.initial(w, settings["momentum"], settings["weight_decay"])
-    stream = iter(batches(train_std, cfg.batch_size, cfg.seed))
-    for i in range(1, total + 1):
-        lr = settings["lr"] * _pretrain_lr_factor((i - 1) / total)
-        loss, grad = loss_and_grad(w, next(stream), settings["l2_coeff"])
-        if not np.isfinite(loss.total):
-            raise NumericError(f"non-finite loss at iteration {i}")
-        try:
-            w, state = sgd_step(w, grad, lr, state)
-        except NumericError as exc:
-            raise NumericError(f"{exc} (iteration {i})") from None
-    train_preds = np.argmax(
-        ensemble_predict(EnsembleSet((w,), (total,)), train_std.inputs)[0], axis=1
-    )
+    w0 = init_model(cfg.model_spec, cfg.seed)
+    opt = MomentumState.initial(w0, settings["momentum"], settings["weight_decay"])
+    final, _ = _drive(w0, opt, batches(train_std, cfg.batch_size, cfg.seed), total,
+                      lambda i: settings["lr"] * _pretrain_lr_factor((i - 1) / total),
+                      l2_coeff=settings["l2_coeff"])
+    train_preds = np.argmax(ensemble_predict(final, train_std.inputs)[0], axis=1)
     ckpt = Checkpoint(
-        weights=w,
+        weights=final.members[0],
         standardization={"mean": mean.tolist(), "std": std.tolist()},
         meta={
             "role": "w0",
@@ -186,8 +182,9 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
     else:
         # Plain cyclical-LR SGD baseline: same trajectory as the snapshot
         # collectors, but only the final iterate survives as a single model.
-        full, trace = run_fge(w0.weights, sched, budget.total_iters, stream, opt, l2_coeff=l2)
-        ensemble = EnsembleSet((full.members[-1],), (full.recorded_at[-1],))
+        validate_budget(sched, budget)
+        ensemble, trace = _drive(w0.weights, opt, stream, budget.total_iters,
+                                 partial(lr_at, sched), l2_coeff=l2)
 
     run_dir = cfg.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)

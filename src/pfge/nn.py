@@ -124,23 +124,54 @@ def init_model(spec: LayerSpec, seed: int) -> ModelWeights:
     return ModelWeights(spec, np.concatenate(chunks))
 
 
-def unpack(w: ModelWeights) -> list:
-    """Split the flat vector into per-layer (W, b) views."""
+def layer_views(spec: LayerSpec, flat: np.ndarray) -> list:
+    """Split a flat vector laid out for ``spec`` into per-layer (W, b) views."""
     layers = []
     offset = 0
-    for fan_in, fan_out in zip(w.spec.sizes[:-1], w.spec.sizes[1:]):
-        W = w.values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+    for fan_in, fan_out in zip(spec.sizes[:-1], spec.sizes[1:]):
+        W = flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
         offset += fan_in * fan_out
-        b = w.values[offset : offset + fan_out]
+        b = flat[offset : offset + fan_out]
         offset += fan_out
         layers.append((W, b))
     return layers
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+def unpack(w: ModelWeights) -> list:
+    """Split the flat vector into per-layer (W, b) views."""
+    return layer_views(w.spec, w.values)
+
+
+def _forward(layers, x: np.ndarray, activation: str, acts=None) -> np.ndarray:
+    """Logits of ``x``; each hidden layer's output is appended to ``acts`` if given."""
+    h = x
+    for W, b in layers[:-1]:
+        h = h @ W
+        h += b
+        if activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        else:
+            np.tanh(h, out=h)
+        if acts is not None:
+            acts.append(h)
+    W, b = layers[-1]
+    logits = h @ W
+    logits += b
+    return logits
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Stable mean cross-entropy, plus ``exp_shifted`` and ``row_sums`` such
+    that ``softmax(logits) == exp_shifted / row_sums[:, None]``."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp_shifted = np.exp(shifted)
+    row_sums = exp_shifted.sum(axis=1)
+    picked = shifted[np.arange(len(labels)), labels]
+    return float(np.mean(np.log(row_sums) - picked)), exp_shifted, row_sums
+
+
+def _l2_penalty(layers, l2_coeff: float) -> float:
+    return 0.5 * l2_coeff * sum(float(np.sum(W**2)) for W, _ in layers) if l2_coeff > 0.0 else 0.0
 
 
 def forward(w: ModelWeights, inputs: np.ndarray) -> np.ndarray:
@@ -150,12 +181,7 @@ def forward(w: ModelWeights, inputs: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"inputs of shape {x.shape} do not match input width {w.spec.sizes[0]}"
         )
-    layers = unpack(w)
-    h = x
-    for W, b in layers[:-1]:
-        h = _activate(h @ W + b, w.spec.activation)
-    W, b = layers[-1]
-    return h @ W + b
+    return _forward(unpack(w), x, w.spec.activation)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -173,78 +199,61 @@ def loss_and_grad(w: ModelWeights, batch: Batch, l2_coeff: float = 0.0):
     biases are excluded. Returns ``(LossValue, grad)`` with ``grad`` a flat
     vector matching the weight layout.
     """
+    grad = np.empty(w.spec.param_count)
+    return loss_and_grad_into(w.spec, w.values, batch, l2_coeff, grad), grad
+
+
+def loss_and_grad_into(spec: LayerSpec, values: np.ndarray, batch: Batch,
+                       l2_coeff: float, grad: np.ndarray) -> LossValue:
+    """``loss_and_grad`` on a raw flat weight vector, writing the gradient
+    into the preallocated flat vector ``grad`` in place. Returns the loss."""
     if len(batch) == 0:
         raise InvalidArgumentError("empty batch")
     if l2_coeff < 0:
         raise InvalidArgumentError("l2_coeff must be nonnegative")
     x, labels = batch.inputs, batch.labels
-    if x.shape[1] != w.spec.sizes[0]:
+    if x.shape[1] != spec.sizes[0]:
         raise ShapeError(
-            f"batch width {x.shape[1]} does not match input width {w.spec.sizes[0]}"
+            f"batch width {x.shape[1]} does not match input width {spec.sizes[0]}"
         )
-    n_classes = w.spec.n_classes
+    n_classes = spec.n_classes
     if labels.min() < 0 or labels.max() >= n_classes:
         raise InvalidArgumentError(
             f"labels must lie in [0, {n_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
 
-    layers = unpack(w)
+    layers = layer_views(spec, values)
     n = x.shape[0]
-
-    # Forward pass, keeping post-activation values for the backward pass.
     acts = [x]
-    h = x
-    for W, b in layers[:-1]:
-        h = _activate(h @ W + b, w.spec.activation)
-        acts.append(h)
-    W_out, b_out = layers[-1]
-    logits = h @ W_out + b_out
+    logits = _forward(layers, x, spec.activation, acts)
+    data_loss, delta, row_sums = _cross_entropy(logits, labels)
 
-    # Stable log-softmax cross-entropy.
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    data_loss = float(np.mean(log_norm - shifted[np.arange(n), labels]))
-
-    probs = softmax(logits)
-    delta = probs
+    # Softmax minus the one-hot labels, over the batch size.
+    delta /= row_sums[:, None]
     delta[np.arange(n), labels] -= 1.0
     delta /= n
 
-    grads = [None] * len(layers)
-    for idx in range(len(layers) - 1, -1, -1):
+    for idx, (dW, db) in reversed(list(enumerate(layer_views(spec, grad)))):
         W, _ = layers[idx]
-        a_in = acts[idx]
-        dW = a_in.T @ delta
-        db = delta.sum(axis=0)
+        np.matmul(acts[idx].T, delta, out=dW)
+        np.sum(delta, axis=0, out=db)
         if l2_coeff > 0.0:
-            dW = dW + l2_coeff * W
-        grads[idx] = (dW, db)
+            dW += l2_coeff * W
         if idx > 0:
             delta = delta @ W.T
-            if w.spec.activation == "relu":
-                delta = delta * (acts[idx] > 0.0)
+            if spec.activation == "relu":
+                delta *= acts[idx] > 0.0
             else:
-                delta = delta * (1.0 - acts[idx] ** 2)
-
-    grad = np.concatenate([np.concatenate([dW.ravel(), db]) for dW, db in grads])
-    l2_penalty = 0.0
-    if l2_coeff > 0.0:
-        l2_penalty = 0.5 * l2_coeff * sum(float(np.sum(W**2)) for W, _ in layers)
-    return LossValue(data_loss, l2_penalty), grad
+                delta *= 1.0 - acts[idx] ** 2
+    return LossValue(data_loss, _l2_penalty(layers, l2_coeff))
 
 
 def mean_loss(w: ModelWeights, inputs: np.ndarray, labels: np.ndarray, l2_coeff: float = 0.0) -> LossValue:
     """Loss over a full input matrix without computing gradients."""
     labels = np.asarray(labels, dtype=np.int64)
-    logits = forward(w, inputs)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    data_loss = float(np.mean(log_norm - shifted[np.arange(len(labels)), labels]))
-    l2_penalty = 0.0
-    if l2_coeff > 0.0:
-        l2_penalty = 0.5 * l2_coeff * sum(float(np.sum(W**2)) for W, _ in unpack(w))
-    return LossValue(data_loss, l2_penalty)
+    data_loss = _cross_entropy(forward(w, inputs), labels)[0]
+    return LossValue(data_loss, _l2_penalty(unpack(w), l2_coeff))
 
 
 def linear_combine(a: float, w_a: ModelWeights, b: float, w_b: ModelWeights) -> ModelWeights:

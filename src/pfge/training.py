@@ -1,16 +1,19 @@
-"""SGD stepping and the three snapshot-ensemble training drivers.
+"""One cyclical-SGD training driver and the collection rules of the algorithms.
 
-All three drivers run the same loop: at iteration ``i`` (1-based) the
-learning rate comes from the cyclical schedule, one mini-batch gradient step
-is taken, and then the driver-specific collection rule fires at the
-bottom-of-cycle instants ``i % c == 0``:
+SWA, FGE and PFGE follow one trajectory: at iteration ``i`` (1-based) the
+learning rate comes from a schedule, one heavy-ball SGD step is taken, and at
+the bottom-of-cycle instants ``i % c == 0`` a collection rule decides what to
+keep. ``_drive`` runs that loop (also for the harness's pretraining and sgd
+baseline) with weights, velocity, gradient and average in preallocated
+buffers updated in place, in the floating-point order of ``sgd_step`` and
+``running_average_update``. The rules:
 
-* ``run_swa``    folds the iterate into a running weight average and returns
-  that single averaged model;
-* ``run_fge``    stores the raw iterate itself as an ensemble member;
-* ``run_pfge``   runs consecutive weight-averaging procedures, each seeded
-  from the previous one's average, and stores one averaged model per
-  recording period of ``P`` iterations.
+* ``"average"`` folds each cycle-end iterate into a running average seeded
+  from ``w0``; at the end of every recording period of ``P`` iterations the
+  average becomes a member and re-seeds both the weights and the next
+  period's average (``run_pfge``; ``run_swa`` is the one-period case);
+* ``"iterates"`` keeps each raw cycle-end iterate (``run_fge``);
+* ``"last"`` keeps only the final iterate.
 
 Drivers are deterministic given (initial weights, schedule, batch stream,
 optimizer state): rerunning with the same inputs reproduces every iterate
@@ -18,12 +21,15 @@ bit-for-bit.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError, ShapeError
-from .nn import Batch, LossValue, ModelWeights, forward, loss_and_grad, softmax
+# ``loss_and_grad`` is not called here, but stays importable from this module
+# for callers (and perfbench's tracer) that look it up under this name.
+from .nn import Batch, ModelWeights, forward, loss_and_grad, loss_and_grad_into, softmax  # noqa: F401
 from .schedule import BudgetSpec, LrSchedule, lr_at, validate_budget
 
 LossGradFn = Callable[[ModelWeights, Batch], tuple]
@@ -102,6 +108,38 @@ class RunTrace:
     cycle_end_weights: tuple
 
 
+# Elements per block of the in-place update: the four operands' blocks stay
+# in a core's L2 cache instead of streaming whole vectors six times.
+_BLOCK = 1 << 15
+
+
+def _sgd_update(w, velocity, grad, alpha, momentum, weight_decay, scratch) -> bool:
+    """In place: ``velocity <- momentum*velocity + (grad + weight_decay*w)``,
+    then ``w <- w - alpha*velocity``, block by block; ``scratch`` holds at
+    least ``min(w.size, _BLOCK)`` elements. Returns whether every updated
+    weight is finite, checked while each block is still in cache."""
+    finite = True
+    for lo in range(0, w.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        w_b, v_b = w[blk], velocity[blk]
+        s_b = scratch[: w_b.size]
+        np.multiply(w_b, weight_decay, out=s_b)
+        s_b += grad[blk]
+        v_b *= momentum
+        v_b += s_b
+        np.multiply(v_b, alpha, out=s_b)
+        w_b -= s_b
+        finite = finite and bool(np.isfinite(w_b).all())
+    return finite
+
+
+def _fold(avg: np.ndarray, n_models: int, w: np.ndarray) -> None:
+    """In place: ``avg <- (avg * n_models + w) / (n_models + 1)``."""
+    avg *= n_models
+    avg += w
+    avg /= n_models + 1
+
+
 def sgd_step(w: ModelWeights, grad: np.ndarray, alpha: float, state: MomentumState):
     """One heavy-ball SGD update.
 
@@ -115,10 +153,11 @@ def sgd_step(w: ModelWeights, grad: np.ndarray, alpha: float, state: MomentumSta
             f"gradient/velocity shape {grad.shape}/{state.velocity.shape} does not "
             f"match weights {w.values.shape}"
         )
+    values, velocity = w.values.copy(), state.velocity.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        velocity = state.momentum * state.velocity + (grad + state.weight_decay * w.values)
-        values = w.values - alpha * velocity
-    if not np.all(np.isfinite(values)):
+        finite = _sgd_update(values, velocity, grad, alpha, state.momentum,
+                             state.weight_decay, np.empty(min(values.size, _BLOCK)))
+    if not finite:
         raise NumericError("non-finite weights after SGD update")
     return (
         ModelWeights(w.spec, values),
@@ -132,51 +171,72 @@ def running_average_update(w_avg: ModelWeights, n_models: int, w: ModelWeights) 
         raise ShapeError("spec mismatch in running average")
     if n_models < 1:
         raise InvalidArgumentError(f"n_models must be >= 1, got {n_models}")
-    return ModelWeights(w.spec, (w_avg.values * n_models + w.values) / (n_models + 1))
+    avg = w_avg.values.copy()
+    _fold(avg, n_models, w.values)
+    return ModelWeights(w.spec, avg)
 
 
-def _default_loss_grad(l2_coeff: float) -> LossGradFn:
-    return lambda w, batch: loss_and_grad(w, batch, l2_coeff)
+def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iters: int,
+           lr: Callable[[int], float], keep: str = "last", cycle_len: Optional[int] = None,
+           period: Optional[int] = None, loss_grad_fn: Optional[LossGradFn] = None,
+           l2_coeff: float = 0.0):
+    """Run ``n_iters`` SGD steps from ``w0`` with step size ``lr(i)``.
 
-
-class _Loop:
-    """Shared per-iteration bookkeeping for the three drivers."""
-
-    def __init__(self, n_iters: int):
-        self.lrs = np.empty(n_iters)
-        self.losses = np.empty(n_iters)
-        self.cycle_end_iters = []
-        self.cycle_end_weights = []
-
-    def log(self, i: int, alpha: float, loss: LossValue):
-        if not np.isfinite(loss.total):
-            raise NumericError(f"non-finite loss at iteration {i}")
-        self.lrs[i - 1] = alpha
-        self.losses[i - 1] = loss.total
-
-    def snapshot(self, i: int, w: ModelWeights):
-        self.cycle_end_iters.append(i)
-        self.cycle_end_weights.append(w.values)
-
-    def trace(self) -> RunTrace:
-        n = self.lrs.size
-        return RunTrace(
-            iterations=np.arange(1, n + 1),
-            lrs=self.lrs,
-            losses=self.losses,
-            cycle_end_iters=tuple(self.cycle_end_iters),
-            cycle_end_weights=tuple(self.cycle_end_weights),
-        )
-
-
-def _step(w, state, batch, sched, i, loss_grad_fn, loop):
-    alpha = lr_at(sched, i)
-    loss, grad = loss_grad_fn(w, batch)
-    loop.log(i, alpha, loss)
-    try:
-        return sgd_step(w, grad, alpha, state)
-    except NumericError as exc:
-        raise NumericError(f"{exc} (iteration {i})") from None
+    Every multiple of ``cycle_len`` is a cycle end: the iterate goes into the
+    trace and the collection rule ``keep`` fires, ``"average"`` closing a
+    recording period at every multiple of ``period``. Without
+    ``loss_grad_fn`` the gradient is written into a preallocated buffer; a
+    supplied ``loss_grad_fn(weights, batch)`` gets a frozen copy of the
+    weights. Numpy warnings are off in the loop: a non-finite loss or weight
+    raises ``NumericError`` naming the iteration. Returns ``(EnsembleSet, trace)``.
+    """
+    spec = w0.spec
+    w, velocity = w0.values.copy(), opt.velocity.copy()
+    if velocity.shape != w.shape:
+        raise ShapeError(f"velocity shape {velocity.shape} != weights {w.shape}")
+    avg = w0.values.copy() if keep == "average" else None
+    n_models = 1
+    grad, scratch = np.empty_like(w), np.empty(min(w.size, _BLOCK))
+    lrs, losses = np.empty(n_iters), np.empty(n_iters)
+    snapshot_iters, snapshots, members = [], [], []
+    batch_iter = iter(stream)
+    with np.errstate(all="ignore"):
+        for i in range(1, n_iters + 1):
+            alpha = lr(i)
+            batch = next(batch_iter)
+            if loss_grad_fn is None:
+                loss = loss_and_grad_into(spec, w, batch, l2_coeff, grad)
+                step_grad = grad
+            else:
+                loss, step_grad = loss_grad_fn(ModelWeights(spec, w), batch)
+                step_grad = np.asarray(step_grad, dtype=np.float64)
+                if step_grad.shape != w.shape:
+                    raise ShapeError(f"gradient shape {step_grad.shape} != weights {w.shape}")
+            if not np.isfinite(loss.total):
+                raise NumericError(f"non-finite loss at iteration {i}")
+            lrs[i - 1] = alpha
+            losses[i - 1] = loss.total
+            if not _sgd_update(w, velocity, step_grad, alpha, opt.momentum,
+                               opt.weight_decay, scratch):
+                raise NumericError(f"non-finite weights after SGD update (iteration {i})")
+            if cycle_len is None or i % cycle_len:
+                continue
+            snapshot_iters.append(i)
+            snapshots.append(w.copy())
+            if keep == "iterates":
+                members.append((ModelWeights(spec, w), i))
+            elif keep == "average":
+                _fold(avg, n_models, w)
+                n_models += 1
+                if i % period == 0:
+                    members.append((ModelWeights(spec, avg), i))
+                    w[...] = avg
+                    n_models = 1
+    if keep == "last":
+        members.append((ModelWeights(spec, w), n_iters))
+    trace = RunTrace(np.arange(1, n_iters + 1), lrs, losses, tuple(snapshot_iters),
+                     tuple(snapshots))
+    return EnsembleSet(*zip(*members)), trace
 
 
 def run_swa(
@@ -195,17 +255,9 @@ def run_swa(
     and the ``n_iters / c`` cycle-end iterates. Returns ``(w_avg, trace)``.
     """
     validate_budget(sched, BudgetSpec(n_iters))
-    loss_grad_fn = loss_grad_fn or _default_loss_grad(l2_coeff)
-    c = sched.cycle_len
-    loop = _Loop(n_iters)
-    w, state, avg = w0, opt, w0
-    batch_iter = iter(stream)
-    for i in range(1, n_iters + 1):
-        w, state = _step(w, state, next(batch_iter), sched, i, loss_grad_fn, loop)
-        if i % c == 0:
-            loop.snapshot(i, w)
-            avg = running_average_update(avg, i // c, w)
-    return avg, loop.trace()
+    ensemble, trace = _drive(w0, opt, stream, n_iters, partial(lr_at, sched), "average",
+                             sched.cycle_len, n_iters, loss_grad_fn, l2_coeff)
+    return ensemble.members[0], trace
 
 
 def run_fge(
@@ -223,19 +275,8 @@ def run_fge(
     recorded at iterations ``c, 2c, ..., n_iters``.
     """
     validate_budget(sched, BudgetSpec(n_iters))
-    loss_grad_fn = loss_grad_fn or _default_loss_grad(l2_coeff)
-    c = sched.cycle_len
-    loop = _Loop(n_iters)
-    w, state = w0, opt
-    members, recorded_at = [], []
-    batch_iter = iter(stream)
-    for i in range(1, n_iters + 1):
-        w, state = _step(w, state, next(batch_iter), sched, i, loss_grad_fn, loop)
-        if i % c == 0:
-            loop.snapshot(i, w)
-            members.append(w)
-            recorded_at.append(i)
-    return EnsembleSet(tuple(members), tuple(recorded_at)), loop.trace()
+    return _drive(w0, opt, stream, n_iters, partial(lr_at, sched), "iterates",
+                  sched.cycle_len, None, loss_grad_fn, l2_coeff)
 
 
 def run_pfge(
@@ -251,33 +292,14 @@ def run_pfge(
     """Train consecutive weight-averaging procedures and ensemble their outputs.
 
     Each recording period of ``record_period`` iterations runs one averaging
-    procedure (re-indexed by ``j``, the offset into the current period); at
-    the period's end the current average becomes an ensemble member and also
-    re-initializes the weights for the next period. The momentum state
-    carries across period boundaries untouched. Returns ``(EnsembleSet,
-    trace)`` with exactly ``n_iters / record_period`` members.
+    procedure; at the period's end the current average becomes an ensemble
+    member and also re-initializes the weights for the next period. The
+    momentum state carries across period boundaries untouched. Returns
+    ``(EnsembleSet, trace)`` with exactly ``n_iters / record_period`` members.
     """
     validate_budget(sched, BudgetSpec(n_iters, record_period))
-    loss_grad_fn = loss_grad_fn or _default_loss_grad(l2_coeff)
-    c = sched.cycle_len
-    P = record_period
-    loop = _Loop(n_iters)
-    w, state, avg = w0, opt, w0
-    n_recorded = 0
-    members, recorded_at = [], []
-    batch_iter = iter(stream)
-    for i in range(1, n_iters + 1):
-        w, state = _step(w, state, next(batch_iter), sched, i, loss_grad_fn, loop)
-        j = i - n_recorded * P
-        if j % c == 0:
-            loop.snapshot(i, w)
-            avg = running_average_update(avg, j // c, w)
-        if i % P == 0:
-            members.append(avg)
-            recorded_at.append(i)
-            w = avg
-            n_recorded = i // P
-    return EnsembleSet(tuple(members), tuple(recorded_at)), loop.trace()
+    return _drive(w0, opt, stream, n_iters, partial(lr_at, sched), "average",
+                  sched.cycle_len, record_period, loss_grad_fn, l2_coeff)
 
 
 def ensemble_predict(ensemble: EnsembleSet, inputs: np.ndarray, last_k: Optional[int] = None):
