@@ -129,8 +129,12 @@ def load_csv(path) -> Dataset:
             labels.append(label)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
+    inputs = np.asarray(rows)
+    finite_rows = np.isfinite(inputs).all(axis=1)
+    if not finite_rows.all():
+        raise DataFormatError(f"{path}:{np.argmin(finite_rows) + 2}: non-finite feature cell")
     labels = np.asarray(labels, dtype=np.int64)
-    return Dataset(np.asarray(rows), labels, classes=int(labels.max()) + 1, name=str(path))
+    return Dataset(inputs, labels, classes=int(labels.max()) + 1, name=str(path))
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -146,10 +150,12 @@ _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
-def _read_exact(fh, count: int, path, what: str) -> bytes:
+def _read_exact(fh, count: int, path, what: str, last: bool = False) -> bytes:
     data = fh.read(count)
     if len(data) != count:
         raise DataFormatError(f"{path}: truncated file while reading {what}")
+    if last and fh.read(1):
+        raise DataFormatError(f"{path}: trailing bytes after the {what}")
     return data
 
 
@@ -169,7 +175,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         n_images, n_rows, n_cols = struct.unpack(
             ">III", _read_exact(fh, 12, images_path, "dimensions")
         )
-        pixels = _read_exact(fh, n_images * n_rows * n_cols, images_path, "pixel data")
+        pixels = _read_exact(fh, n_images * n_rows * n_cols, images_path, "pixel data", True)
     with open(labels_path, "rb") as fh:
         (magic,) = struct.unpack(">I", _read_exact(fh, 4, labels_path, "magic"))
         if magic != _IDX_LABEL_MAGIC:
@@ -177,11 +183,13 @@ def load_idx(images_path, labels_path) -> Dataset:
                 f"{labels_path}: bad label magic 0x{magic:08x}, expected 0x{_IDX_LABEL_MAGIC:08x}"
             )
         (n_labels,) = struct.unpack(">I", _read_exact(fh, 4, labels_path, "count"))
-        label_bytes = _read_exact(fh, n_labels, labels_path, "label data")
+        label_bytes = _read_exact(fh, n_labels, labels_path, "label data", True)
     if n_images != n_labels:
         raise DataFormatError(
             f"image count {n_images} does not match label count {n_labels}"
         )
+    if n_images * n_rows * n_cols == 0:
+        raise DataFormatError(f"{images_path}: no pixel data ({n_images}x{n_rows}x{n_cols})")
     inputs = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64) / 255.0
     inputs = inputs.reshape(n_images, n_rows * n_cols)
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)

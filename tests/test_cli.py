@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -66,6 +67,33 @@ class TestExitCodes:
              "test_path": str(tmp_path / "b.csv")}
         )
         assert main(["pretrain", str(config_path), f"dataset={override}"]) == 3
+
+    @staticmethod
+    def idx_override(tmp_path, n_items, trailing=b""):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, n_items, 1, 2)
+                           + bytes(2 * n_items) + trailing)
+        labels.write_bytes(struct.pack(">II", 0x801, n_items) + bytes(n_items))
+        paths = {"train_images": str(images), "train_labels": str(labels),
+                 "test_images": str(images), "test_labels": str(labels)}
+        return "dataset=" + json.dumps({"kind": "idx", **paths})
+
+    def test_empty_idx_pair_is_3(self, config_path, tmp_path, capsys):
+        assert main(["pretrain", str(config_path), self.idx_override(tmp_path, 0)]) == 3
+        assert "images.idx" in capsys.readouterr().err
+
+    def test_idx_trailing_bytes_is_3(self, config_path, tmp_path, capsys):
+        override = self.idx_override(tmp_path, 4, trailing=b"\x00")
+        assert main(["pretrain", str(config_path), override]) == 3
+        assert "images.idx" in capsys.readouterr().err
+
+    def test_nan_csv_feature_is_3(self, config_path, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("f0,f1,label\n0.5,1.0,0\n0.25,nan,1\n")
+        override = json.dumps({"kind": "csv", "train_path": str(train),
+                               "test_path": str(train)})
+        assert main(["pretrain", str(config_path), f"dataset={override}"]) == 3
+        assert "train.csv:3" in capsys.readouterr().err
 
     def test_numeric_blowup_is_4(self, config_path):
         assert main(["pretrain", str(config_path)]) == 0
