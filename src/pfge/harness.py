@@ -109,9 +109,9 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     settings = cfg.pretrain
     e = iterations_per_epoch(len(train_std), cfg.batch_size)
     total = settings["epochs"] * e
-    w0 = init_model(cfg.model_spec, cfg.seed)
-    opt = MomentumState.initial(w0, settings["momentum"], settings["weight_decay"])
-    final, _ = _drive(w0, opt, batches(train_std, cfg.batch_size, cfg.seed), total,
+    w_init = init_model(cfg.model_spec, cfg.seed)
+    opt = MomentumState.initial(w_init, settings["momentum"], settings["weight_decay"])
+    final, _ = _drive(w_init, opt, batches(train_std, cfg.batch_size, cfg.seed), total,
                       lambda i: settings["lr"] * _pretrain_lr_factor((i - 1) / total),
                       l2_coeff=settings["l2_coeff"])
     train_preds = np.argmax(ensemble_predict(final, train_std.inputs)[0], axis=1)

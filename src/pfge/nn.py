@@ -124,7 +124,7 @@ def init_model(spec: LayerSpec, seed: int) -> ModelWeights:
     return ModelWeights(spec, np.concatenate(chunks))
 
 
-def layer_views(spec: LayerSpec, flat: np.ndarray) -> list:
+def _layer_views(spec: LayerSpec, flat: np.ndarray) -> list:
     """Split a flat vector laid out for ``spec`` into per-layer (W, b) views."""
     layers = []
     offset = 0
@@ -139,7 +139,7 @@ def layer_views(spec: LayerSpec, flat: np.ndarray) -> list:
 
 def unpack(w: ModelWeights) -> list:
     """Split the flat vector into per-layer (W, b) views."""
-    return layer_views(w.spec, w.values)
+    return _layer_views(w.spec, w.values)
 
 
 def _forward(layers, x: np.ndarray, activation: str, acts=None) -> np.ndarray:
@@ -223,7 +223,7 @@ def loss_and_grad_into(spec: LayerSpec, values: np.ndarray, batch: Batch,
             f"[{labels.min()}, {labels.max()}]"
         )
 
-    layers = layer_views(spec, values)
+    layers = _layer_views(spec, values)
     n = x.shape[0]
     acts = [x]
     logits = _forward(layers, x, spec.activation, acts)
@@ -234,7 +234,7 @@ def loss_and_grad_into(spec: LayerSpec, values: np.ndarray, batch: Batch,
     delta[np.arange(n), labels] -= 1.0
     delta /= n
 
-    for idx, (dW, db) in reversed(list(enumerate(layer_views(spec, grad)))):
+    for idx, (dW, db) in reversed(list(enumerate(_layer_views(spec, grad)))):
         W, _ = layers[idx]
         np.matmul(acts[idx].T, delta, out=dW)
         np.sum(delta, axis=0, out=db)

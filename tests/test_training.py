@@ -83,6 +83,27 @@ class TestSgdStep:
         with pytest.raises(NumericError):
             sgd_step(w, np.array([1e308, 0.0]), 1e10, plain_state(w))
 
+    def test_blocked_update_matches_reference_bitwise(self):
+        # 105350 parameters span several in-place update blocks.
+        spec = LayerSpec((300, 350))
+        rng = np.random.default_rng(8)
+        w = ModelWeights(spec, rng.normal(size=spec.param_count))
+        grad = rng.normal(size=spec.param_count)
+        state = MomentumState(rng.normal(size=spec.param_count), 0.9, 5e-4)
+        out, new_state = sgd_step(w, grad, 0.037, state)
+        velocity = 0.9 * state.velocity + (grad + 5e-4 * w.values)
+        assert new_state.velocity.tobytes() == velocity.tobytes()
+        assert out.values.tobytes() == (w.values - 0.037 * velocity).tobytes()
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_nonfinite_in_any_block_rejected(self, where):
+        spec = LayerSpec((300, 350))
+        w = ModelWeights(spec, np.zeros(spec.param_count))
+        grad = np.zeros(spec.param_count)
+        grad[where] = np.inf
+        with pytest.raises(NumericError):
+            sgd_step(w, grad, 0.1, plain_state(w))
+
 
 class TestRunningAverage:
     def test_mean_of_equal_values(self):
@@ -176,6 +197,17 @@ class TestRunSwa:
             run_swa(w0, sched, 2, dummy_stream(), plain_state(w0), loss_grad_fn=bad)
 
 
+    def test_nonfinite_weights_name_iteration(self):
+        w0 = tiny_weights(1.0)
+
+        def huge(w, batch):
+            return LossValue(0.0, 0.0), np.array([1e308, 0.0])
+
+        with pytest.raises(NumericError, match=r"weights .*\(iteration 1\)"):
+            run_swa(w0, LrSchedule(1e10, 1.0, 2), 2, dummy_stream(), plain_state(w0),
+                    loss_grad_fn=huge)
+
+
 class TestRunFge:
     def test_member_count(self):
         w0 = init_model(LayerSpec((2, 4, 2)), 2)
@@ -192,6 +224,16 @@ class TestRunFge:
                               loss_grad_fn=zero_loss_grad)
         for member in ensemble.members:
             assert np.array_equal(member.values, w0.values)
+
+    def test_wrong_gradient_shape_rejected(self):
+        w0 = tiny_weights(0.0)
+
+        def wrong_shape(w, batch):
+            return LossValue(0.0, 0.0), np.zeros(3)
+
+        with pytest.raises(ShapeError):
+            run_fge(w0, LrSchedule(1.0, 0.5, 2), 2, dummy_stream(), plain_state(w0),
+                    loss_grad_fn=wrong_shape)
 
     def test_members_match_trace_bitwise(self):
         ds = gen_two_spirals(16, noise_sd=0.1, seed=4)
