@@ -171,7 +171,9 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def _l2_penalty(layers, l2_coeff: float) -> float:
-    return 0.5 * l2_coeff * sum(float(np.sum(W**2)) for W, _ in layers) if l2_coeff > 0.0 else 0.0
+    if l2_coeff > 0.0:
+        return 0.5 * l2_coeff * sum(float(np.sum(W**2)) for W, _ in layers)
+    return 0.0
 
 
 def forward(w: ModelWeights, inputs: np.ndarray) -> np.ndarray:

@@ -27,9 +27,10 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError, ShapeError
-# ``loss_and_grad`` is not called here, but stays importable from this module
-# for callers (and perfbench's tracer) that look it up under this name.
-from .nn import Batch, ModelWeights, forward, loss_and_grad, loss_and_grad_into, softmax  # noqa: F401
+from .nn import Batch, ModelWeights, forward, loss_and_grad_into, softmax
+# Not called here, but importable from this module for callers (and
+# perfbench's tracer) that look it up under this name.
+from .nn import loss_and_grad  # noqa: F401
 from .schedule import BudgetSpec, LrSchedule, lr_at, validate_budget
 
 LossGradFn = Callable[[ModelWeights, Batch], tuple]

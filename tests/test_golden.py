@@ -116,22 +116,18 @@ class TestSuppliedLossGrad:
         sched = LrSchedule(0.1, 0.005, 5)
         return ds, w0, sched
 
-    @staticmethod
-    def supplied(w, b):
-        return loss_and_grad(w, b)
-
     def test_swa(self, setup):
         ds, w0, sched = setup
         default, _ = run_swa(w0, sched, 20, batches(ds, 10, 3), MomentumState.initial(w0))
         user, _ = run_swa(w0, sched, 20, batches(ds, 10, 3), MomentumState.initial(w0),
-                          loss_grad_fn=self.supplied)
+                          loss_grad_fn=lambda w, b: loss_and_grad(w, b))
         assert default.values.tobytes() == user.values.tobytes()
 
     def test_fge(self, setup):
         ds, w0, sched = setup
         default, _ = run_fge(w0, sched, 20, batches(ds, 10, 3), MomentumState.initial(w0))
         user, _ = run_fge(w0, sched, 20, batches(ds, 10, 3), MomentumState.initial(w0),
-                          loss_grad_fn=self.supplied)
+                          loss_grad_fn=lambda w, b: loss_and_grad(w, b))
         assert [m.values.tobytes() for m in default.members] == [
             m.values.tobytes() for m in user.members
         ]
@@ -141,7 +137,8 @@ class TestSuppliedLossGrad:
         default, dtrace = run_pfge(w0, sched, 20, 10, batches(ds, 10, 3),
                                    MomentumState.initial(w0))
         user, utrace = run_pfge(w0, sched, 20, 10, batches(ds, 10, 3),
-                                MomentumState.initial(w0), loss_grad_fn=self.supplied)
+                                MomentumState.initial(w0),
+                                loss_grad_fn=lambda w, b: loss_and_grad(w, b))
         assert [m.values.tobytes() for m in default.members] == [
             m.values.tobytes() for m in user.members
         ]
