@@ -27,7 +27,6 @@ from pfge import (
     init_model,
     initial_curve,
     loss_and_grad,
-    mc_value,
     profile_curve,
     run_pfge,
     sgd_step,
@@ -73,14 +72,17 @@ curve = train_curve(w_a, w_b, k=2, iters=200,
                     stream=batches(train, BATCH, seed=SEED), lr=0.01, seed=SEED)
 
 GRID = 61
+# One grid sweep per curve: the profile gives the mc value, the CSV and the plot.
+profiles = {}
 for name, c in (("straight segment", straight), ("trained curve", curve)):
-    profile = profile_curve(c, GRID, train, test)
-    mc, t_star = mc_value(c, GRID, train)
+    short = name.split()[0]
+    profile = profiles[short] = profile_curve(c, GRID, train, test)
+    mc, t_star = profile.mc
     print(f"{name}: mc = {mc:+.6f} at t* = {t_star:.3f}; "
           f"train loss mean {profile.train_loss_summary['mean']:.4f} "
           f"(max {profile.train_loss_summary['max']:.4f}), "
           f"test error mean {profile.test_error_summary['mean']:.4f}")
-    path = OUT / f"profile_{name.split()[0]}.csv"
+    path = OUT / f"profile_{short}.csv"
     profile.write_csv(path)
     print(f"  profile -> {path}")
 
@@ -91,8 +93,7 @@ try:
     import matplotlib.pyplot as plt
 
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(9, 3.2))
-    for name, c in (("straight", straight), ("trained", curve)):
-        profile = profile_curve(c, GRID, train, test)
+    for name, profile in profiles.items():
         ax1.plot(profile.grid, profile.train_loss, label=name)
         ax2.plot(profile.grid, profile.test_error, label=name)
     ax1.set_xlabel("t")

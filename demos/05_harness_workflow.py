@@ -66,7 +66,7 @@ print(f"\nreloaded {first.name}: {ckpt.spec.param_count} parameters, "
       f"digest verified")
 
 # Phase 3: evaluate the stored members (optionally only the last k).
-_, test = harness.build_datasets(cfg)
+test = harness.load_split(cfg, "test")
 record = harness.evaluate([load_checkpoint(p) for p in harness.member_checkpoint_paths(cfg.run_dir)],
                           test, None, cfg.ece_bins)
 print(f"\nensemble evaluation: accuracy {record['metrics']['accuracy']:.4f}, "

@@ -63,7 +63,7 @@ def _cmd_evaluate(cfg) -> int:
     if not paths:
         raise ConfigurationError(f"no member checkpoints found in {cfg.run_dir}")
     members = [load_checkpoint(p) for p in paths]
-    _, test = harness.build_datasets(cfg)
+    test = harness.load_split(cfg, "test")
     record = harness.evaluate(
         members,
         test,

@@ -11,7 +11,10 @@ The mode-connectivity value of a trained curve is
 ``0.5 * (L(w) + L(w')) - L(gamma(t*))`` where ``t*`` maximizes the absolute
 deviation of the curve loss from the endpoint average. The value is signed:
 negative means the curve rises above the endpoint average at its most
-deviant point.
+deviant point. It is read off the train-loss series of a grid sweep:
+``CurveProfile.mc`` takes it from the profile already computed for the plot
+and CSV, so the harness sweeps the grid once per curve, and ``mc_value``
+runs its own sweep for callers without a profile.
 """
 
 import csv
@@ -62,6 +65,14 @@ class CurveProfile:
     test_error: np.ndarray
     train_loss_summary: dict
     test_error_summary: dict
+
+    @property
+    def mc(self):
+        """Signed ``(mc, t_star)`` of ``train_loss`` on this grid, equal to
+        what ``mc_value`` computes on the same curve, grid and loss."""
+        if len(self.grid) < 3:
+            raise InvalidArgumentError(f"grid_size must be >= 3, got {len(self.grid)}")
+        return _mc_gap(self.grid, self.train_loss)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -214,6 +225,12 @@ def mc_value(
         loss_fn = lambda w: mean_loss(w, train.inputs, train.labels, l2_coeff).total
     grid = np.linspace(0.0, 1.0, grid_size)
     losses = np.array([loss_fn(curve_point(curve, float(t))) for t in grid])
+    return _mc_gap(grid, losses)
+
+
+def _mc_gap(grid: np.ndarray, losses: np.ndarray):
+    """Signed gap ``0.5 * (L(0) + L(1)) - L(t*)`` and ``t*`` of a loss series
+    on ``grid``; ``t*`` maximizes the absolute deviation, ties to the smallest t."""
     endpoint_avg = 0.5 * (losses[0] + losses[-1])
     deviation = np.abs(endpoint_avg - losses)
     star = int(np.argmax(deviation))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, iterations_per_epoch, validate_against_schema
-from .connectivity import initial_curve, mc_value, profile_curve, train_curve
+from .connectivity import initial_curve, mc_value, profile_curve, train_curve  # noqa: F401
 from .data import (
     Dataset,
     apply_standardization,
@@ -30,10 +30,11 @@ from .data import (
     load_csv,
     load_idx,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidArgumentError
 from .metrics import PredictionBatch, accuracy, ece, nll, reliability
-# ``loss_and_grad`` and ``sgd_step`` are not called here, but stay importable
-# from this module for callers (and perfbench's tracer) that look them up here.
+# ``loss_and_grad``, ``sgd_step`` and ``mc_value`` are not called here, but stay
+# importable from this module for callers (and perfbench's tracer) that look
+# them up here.
 from .nn import init_model, loss_and_grad  # noqa: F401
 from .rng import STREAM_CURVE, stream_rng
 from .schedule import lr_at, validate_budget
@@ -58,33 +59,42 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def build_datasets(cfg: ExperimentConfig):
-    """Materialize the (train, test) pair named by the config, unstandardized."""
+def load_split(cfg: ExperimentConfig, split: str) -> Dataset:
+    """Materialize one split (``"train"`` or ``"test"``) named by the config,
+    unstandardized, and check it against the model's input width and class
+    count, so a mismatched file fails before any training."""
+    if split not in ("train", "test"):
+        raise InvalidArgumentError(f"split must be 'train' or 'test', got {split!r}")
     ds = cfg.dataset
     kind = ds["kind"]
+    # Generated splits differ only in size and seed: ``n_per_class``/``seed``
+    # for train, ``test_n_per_class``/``test_seed`` for test.
+    tag = "" if split == "train" else "test_"
     if kind == "two_spirals":
-        train = gen_two_spirals(ds["n_per_class"], ds["noise_sd"], ds["seed"])
-        test = gen_two_spirals(ds["test_n_per_class"], ds["noise_sd"], ds["test_seed"])
+        data = gen_two_spirals(ds[f"{tag}n_per_class"], ds["noise_sd"], ds[f"{tag}seed"])
     elif kind == "blobs":
-        train = gen_blobs(ds["centers"], ds["n_per_class"], ds["sd"], ds["seed"])
-        test = gen_blobs(ds["centers"], ds["test_n_per_class"], ds["sd"], ds["test_seed"])
+        data = gen_blobs(ds["centers"], ds[f"{tag}n_per_class"], ds["sd"], ds[f"{tag}seed"])
     elif kind == "csv":
-        train = load_csv(ds["train_path"])
-        test = load_csv(ds["test_path"])
+        data = load_csv(ds[f"{split}_path"])
     else:
-        train = load_idx(ds["train_images"], ds["train_labels"])
-        test = load_idx(ds["test_images"], ds["test_labels"])
-    if train.n_features != cfg.model_spec.sizes[0]:
+        data = load_idx(ds[f"{split}_images"], ds[f"{split}_labels"])
+    spec = cfg.model_spec
+    if data.n_features != spec.sizes[0]:
         raise ConfigurationError(
-            f"dataset has {train.n_features} features but the model expects "
-            f"{cfg.model_spec.sizes[0]} inputs"
+            f"{split} split {data.name}: dataset has {data.n_features} features but "
+            f"the model expects {spec.sizes[0]} inputs"
         )
-    if train.classes > cfg.model_spec.n_classes:
+    if data.classes > spec.n_classes:
         raise ConfigurationError(
-            f"dataset has {train.classes} classes but the model has "
-            f"{cfg.model_spec.n_classes} outputs"
+            f"{split} split {data.name}: dataset has {data.classes} classes but the "
+            f"model has {spec.n_classes} outputs"
         )
-    return train, test
+    return data
+
+
+def build_datasets(cfg: ExperimentConfig):
+    """Materialize the (train, test) pair named by the config, unstandardized."""
+    return load_split(cfg, "train"), load_split(cfg, "test")
 
 
 def _pretrain_lr_factor(progress: float) -> float:
@@ -103,7 +113,7 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     Feature standardization statistics are computed on the training split
     here and stored in the checkpoint; every later phase reuses them.
     """
-    train, _ = build_datasets(cfg)
+    train = load_split(cfg, "train")
     mean, std = feature_stats(train)
     train_std = apply_standardization(train, mean, std)
     settings = cfg.pretrain
@@ -170,6 +180,18 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
     l2 = opt_cfg["l2_coeff"]
 
     algo = cfg.algorithm
+    validate_budget(sched, budget)
+    if algo == "fge":
+        n_members = budget.total_iters // sched.cycle_len
+    elif algo == "pfge":
+        n_members = budget.total_iters // budget.record_period
+    else:
+        n_members = 1
+    last_k = cfg.last_k
+    if last_k is not None and last_k > n_members:
+        raise ConfigurationError(
+            f"last_k must be in [1, {n_members}] for {algo} with this budget, got {last_k}"
+        )
     if algo == "swa":
         w_avg, trace = run_swa(w0.weights, sched, budget.total_iters, stream, opt, l2_coeff=l2)
         ensemble = EnsembleSet((w_avg,), (budget.total_iters,))
@@ -182,7 +204,6 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
     else:
         # Plain cyclical-LR SGD baseline: same trajectory as the snapshot
         # collectors, but only the final iterate survives as a single model.
-        validate_budget(sched, budget)
         ensemble, trace = _drive(w0.weights, opt, stream, budget.total_iters,
                                  partial(lr_at, sched), l2_coeff=l2)
 
@@ -209,17 +230,21 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
         )
         member_files.append(name)
 
+    # One test-split forward per member feeds the member metrics, the series
+    # and the final ensemble of the last ``last_k`` members. The running sums
+    # keep ensemble_predict's order ``p_a + p_{a+1} + ...`` then ``/ n``, so
+    # every number matches a fresh ensemble_predict bit for bit.
     ece_bins = cfg.ece_bins
+    first = n_members - (last_k or n_members)
     member_metrics = []
     series = []
-    prob_sum = None
-    for idx, member in enumerate(ensemble.members):
-        single = EnsembleSet((member,), (ensemble.recorded_at[idx],))
-        probs, _ = ensemble_predict(single, test.inputs)
+    prob_sum = tail_sum = None
+    for idx, (member, recorded_at) in enumerate(zip(ensemble.members, ensemble.recorded_at)):
+        probs, _ = ensemble_predict(EnsembleSet((member,), (recorded_at,)), test.inputs)
         member_metrics.append(
             {
                 "index": idx,
-                "recorded_at": ensemble.recorded_at[idx],
+                "recorded_at": recorded_at,
                 "checkpoint": member_files[idx],
                 "metrics": _metrics_record(probs, test.labels, ece_bins),
             }
@@ -231,8 +256,10 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
                 "metrics": _metrics_record(prob_sum / (idx + 1), test.labels, ece_bins),
             }
         )
+        if 0 < first <= idx:
+            tail_sum = probs if tail_sum is None else tail_sum + probs
 
-    full_probs, _ = ensemble_predict(ensemble, test.inputs, cfg.last_k)
+    full_probs = (prob_sum if first == 0 else tail_sum) / (n_members - first)
     bins = reliability(PredictionBatch(full_probs, test.labels), ece_bins)
     bins.write_csv(run_dir / "reliability.csv")
     _write_series_csv(run_dir / "ensemble_series.csv", series)
@@ -253,7 +280,7 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
         "members": member_metrics,
         "ensemble_series": series,
         "ensemble": {
-            "last_k": cfg.last_k,
+            "last_k": last_k,
             "metrics": _metrics_record(full_probs, test.labels, ece_bins),
         },
         "config": cfg.document,
@@ -374,7 +401,7 @@ def connectivity_run(cfg: ExperimentConfig, member_a=None, member_b=None) -> dic
         )
     grid_size = settings["grid_size"]
     profile = profile_curve(curve, grid_size, train, test, cfg.optimizer["l2_coeff"])
-    mc, t_star = mc_value(curve, grid_size, train, l2_coeff=cfg.optimizer["l2_coeff"])
+    mc, t_star = profile.mc
 
     outdir = cfg.run_dir / "connectivity"
     outdir.mkdir(parents=True, exist_ok=True)

@@ -109,6 +109,51 @@ class TestExitCodes:
         assert main(["run", str(config_path), "budget.record_epochs=3",
                      "schedule.cycle_epochs=2"]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        ["algorithm=fge", "budget.total_epochs=3", "last_k=9"],
+        ["algorithm=pfge", "last_k=3"],
+        ["algorithm=swa", "last_k=2"],
+        ["algorithm=sgd", "last_k=2"],
+    ])
+    def test_last_k_beyond_members_fails_before_training(self, config_path, tmp_path,
+                                                         capsys, overrides):
+        assert main(["pretrain", str(config_path)]) == 0
+        assert main(["run", str(config_path), *overrides]) == 2
+        assert "last_k" in capsys.readouterr().err
+        assert not list((tmp_path / "runs").glob("*/member-*.ckpt"))
+
+    @staticmethod
+    def write_csv(tmp_path, name, labels, n_features=2):
+        rows = [",".join([f"{0.1 * (i + j):.2f}" for j in range(n_features)] + [str(label)])
+                for i, label in enumerate(labels)]
+        header = ",".join([f"f{j}" for j in range(n_features)] + ["label"])
+        (tmp_path / name).write_text("\n".join([header, *rows]) + "\n")
+        return str(tmp_path / name)
+
+    def csv_dataset(self, tmp_path, test_labels, test_features=2):
+        train = self.write_csv(tmp_path, "train.csv", [0, 1] * 12)
+        test = self.write_csv(tmp_path, "test.csv", test_labels, test_features)
+        return "dataset=" + json.dumps({"kind": "csv", "train_path": train, "test_path": test})
+
+    @pytest.mark.parametrize("test_labels,test_features", [([0, 1, 2] * 4, 2), ([0, 1] * 4, 3)])
+    def test_run_checks_test_split_before_training(self, config_path, tmp_path, capsys,
+                                                   test_labels, test_features):
+        dataset = self.csv_dataset(tmp_path, test_labels, test_features)
+        assert main(["pretrain", str(config_path), dataset]) == 0
+        assert main(["run", str(config_path), dataset]) == 2
+        err = capsys.readouterr().err
+        assert "test.csv" in err and "test split" in err
+        assert not list((tmp_path / "runs").glob("*/member-*.ckpt"))
+
+    def test_evaluate_checks_test_split(self, config_path, tmp_path, capsys):
+        good = self.csv_dataset(tmp_path, [0, 1] * 4)
+        assert main(["pretrain", str(config_path), good]) == 0
+        assert main(["run", str(config_path), good]) == 0
+        bad = self.csv_dataset(tmp_path, [0, 1, 2] * 4)
+        capsys.readouterr()
+        assert main(["evaluate", str(config_path), bad]) == 2
+        assert "test.csv" in capsys.readouterr().err
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, config_path):
