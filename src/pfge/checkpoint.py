@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigurationError, DataFormatError
 from .nn import LayerSpec, ModelWeights
 
 FORMAT_VERSION = 1
@@ -65,7 +65,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Load and validate a checkpoint pair; raises DataFormatError on any
-    inconsistency (missing sidecar, digest mismatch, wrong payload length)."""
+    inconsistency (missing or malformed sidecar, digest mismatch, wrong
+    payload length)."""
     path = Path(path)
     sidecar = header_path(path)
     if not path.exists():
@@ -73,9 +74,11 @@ def load_checkpoint(path) -> Checkpoint:
     if not sidecar.exists():
         raise DataFormatError(f"checkpoint header not found: {sidecar}")
     try:
-        header = json.loads(sidecar.read_text())
-    except json.JSONDecodeError as exc:
+        header = json.loads(sidecar.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{sidecar}: invalid JSON header: {exc}") from None
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{sidecar}: header must be a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise DataFormatError(
             f"{sidecar}: unsupported format version {header.get('format_version')!r}"
@@ -83,7 +86,13 @@ def load_checkpoint(path) -> Checkpoint:
     payload = path.read_bytes()
     if _digest(payload) != header.get("digest"):
         raise DataFormatError(f"{path}: payload digest does not match header")
-    spec = LayerSpec(tuple(header["layer_sizes"]), header["activation"])
+    sizes = header.get("layer_sizes")
+    if not (isinstance(sizes, list) and all(type(size) is int for size in sizes)):
+        raise DataFormatError(f"{sidecar}: layer_sizes must be a list of integers, got {sizes!r}")
+    try:
+        spec = LayerSpec(tuple(sizes), header.get("activation"))
+    except ConfigurationError as exc:
+        raise DataFormatError(f"{sidecar}: {exc}") from None
     values = np.frombuffer(payload, dtype="<f8")
     if values.size != spec.param_count:
         raise DataFormatError(

@@ -219,7 +219,9 @@ def apply_overrides(doc: dict, overrides) -> dict:
 def load_config(path, overrides=()) -> ExperimentConfig:
     """Read a JSON config file, apply overrides, validate, fill defaults."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):

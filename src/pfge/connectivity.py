@@ -102,13 +102,19 @@ def curve_point(curve: CurveSpec, t: float) -> ModelWeights:
     if t == 1.0:
         return curve.controls[-1]
     coeffs = bernstein(curve.k, t)
-    anchor = curve.controls[0].values
-    # Difference form anchored at the first control: constant curves stay
-    # exactly constant instead of accumulating coefficient roundoff.
-    values = anchor.copy()
-    for coeff, control in zip(coeffs[1:], curve.controls[1:]):
-        values += coeff * (control.values - anchor)
+    values = _bezier_sum(curve.controls[0].values, coeffs[1:],
+                         [c.values for c in curve.controls[1:]])
     return ModelWeights(curve.spec, values)
+
+
+def _bezier_sum(anchor: np.ndarray, coeffs, controls) -> np.ndarray:
+    """``anchor + sum_j coeffs[j] * (controls[j] - anchor)``, summed in control
+    order. The difference form anchored at the first control keeps constant
+    curves exactly constant instead of accumulating coefficient roundoff."""
+    values = anchor.copy()
+    for coeff, control in zip(coeffs, controls):
+        values += coeff * (control - anchor)
+    return values
 
 
 def initial_curve(w: ModelWeights, w_end: ModelWeights, k: int) -> CurveSpec:
@@ -153,11 +159,7 @@ def train_curve(
         t = float(rng.uniform())
         batch = next(batch_iter)
         coeffs = bernstein(k, t)
-        # Same difference-form accumulation order as curve_point.
-        point = w.values.copy()
-        for coeff, control in zip(coeffs[1:-1], interior):
-            point += coeff * (control - w.values)
-        point += coeffs[-1] * (w_end.values - w.values)
+        point = _bezier_sum(w.values, coeffs[1:], [*interior, w_end.values])
         loss, grad = loss_grad_fn(ModelWeights(w.spec, point), batch)
         if not np.isfinite(loss.total):
             raise NumericError(f"non-finite curve loss at iteration {i}")

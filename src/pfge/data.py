@@ -98,35 +98,40 @@ def load_csv(path) -> Dataset:
     Row order is preserved. Labels must be nonnegative integers; the class
     count is inferred as ``max(label) + 1``.
     """
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        n_features = len(header) - 1
-        expected = [f"f{i}" for i in range(n_features)] + ["label"]
-        if n_features < 1 or header != expected:
-            raise DataFormatError(
-                f"{path}: header must be f0,...,f{{D-1}},label, got {header}"
-            )
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError(f"{path}: empty file") from None
+            n_features = len(header) - 1
+            expected = [f"f{i}" for i in range(n_features)] + ["label"]
+            if n_features < 1 or header != expected:
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                    f"{path}: header must be f0,...,f{{D-1}},label, got {header}"
                 )
-            try:
-                rows.append([float(cell) for cell in row[:-1]])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric feature cell") from None
-            try:
-                label = int(row[-1])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-integer label {row[-1]!r}") from None
-            if label < 0:
-                raise DataFormatError(f"{path}:{lineno}: negative label {label}")
-            labels.append(label)
+            rows, labels = [], []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                    )
+                try:
+                    rows.append([float(cell) for cell in row[:-1]])
+                except ValueError:
+                    raise DataFormatError(f"{path}:{lineno}: non-numeric feature cell") from None
+                try:
+                    label = int(row[-1])
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: non-integer label {row[-1]!r}"
+                    ) from None
+                if label < 0:
+                    raise DataFormatError(f"{path}:{lineno}: negative label {label}")
+                labels.append(label)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     inputs = np.asarray(rows)

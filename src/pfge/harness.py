@@ -1,6 +1,10 @@
 """Experiment orchestration: pretraining, algorithm runs, evaluation,
 connectivity analysis, and report emission.
 
+Every verb gets its data from ``load_split``, one split at a time, checked
+against the model and standardized there with the checkpoint's statistics, so
+no verb holds a raw split next to its standardized copy.
+
 Directory layout per run: ``{output_dir}/{run_id}/member-{idx}.ckpt`` plus
 ``report.json`` and CSV side-files. All JSON is written with sorted keys so
 that repeated runs with one (config, seed) pair produce byte-identical
@@ -30,11 +34,11 @@ from .data import (
     load_csv,
     load_idx,
 )
-from .errors import ConfigurationError, InvalidArgumentError
-from .metrics import PredictionBatch, accuracy, ece, nll, reliability
-# ``loss_and_grad``, ``sgd_step`` and ``mc_value`` are not called here, but stay
-# importable from this module for callers (and perfbench's tracer) that look
-# them up here.
+from .errors import ConfigurationError, DataFormatError, InvalidArgumentError
+# ``ece``, ``loss_and_grad``, ``sgd_step`` and ``mc_value`` are not called here,
+# but stay importable from this module for callers (and perfbench's tracer)
+# that look them up here.
+from .metrics import PredictionBatch, accuracy, ece, nll, reliability  # noqa: F401
 from .nn import init_model, loss_and_grad  # noqa: F401
 from .rng import STREAM_CURVE, stream_rng
 from .schedule import lr_at, validate_budget
@@ -59,10 +63,12 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_split(cfg: ExperimentConfig, split: str) -> Dataset:
-    """Materialize one split (``"train"`` or ``"test"``) named by the config,
-    unstandardized, and check it against the model's input width and class
-    count, so a mismatched file fails before any training."""
+def load_split(cfg: ExperimentConfig, split: str,
+               standardization: Optional[dict] = None) -> Dataset:
+    """Materialize one split (``"train"`` or ``"test"``) named by the config
+    and check it against the model's input width and class count, so a
+    mismatched file fails before any training. Given a checkpoint's
+    ``standardization`` statistics, return only the standardized split."""
     if split not in ("train", "test"):
         raise InvalidArgumentError(f"split must be 'train' or 'test', got {split!r}")
     ds = cfg.dataset
@@ -89,12 +95,9 @@ def load_split(cfg: ExperimentConfig, split: str) -> Dataset:
             f"{split} split {data.name}: dataset has {data.classes} classes but the "
             f"model has {spec.n_classes} outputs"
         )
-    return data
-
-
-def build_datasets(cfg: ExperimentConfig):
-    """Materialize the (train, test) pair named by the config, unstandardized."""
-    return load_split(cfg, "train"), load_split(cfg, "test")
+    if standardization is None:
+        return data
+    return apply_standardization(data, standardization["mean"], standardization["std"])
 
 
 def _pretrain_lr_factor(progress: float) -> float:
@@ -115,16 +118,16 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     """
     train = load_split(cfg, "train")
     mean, std = feature_stats(train)
-    train_std = apply_standardization(train, mean, std)
+    train = apply_standardization(train, mean, std)
     settings = cfg.pretrain
-    e = iterations_per_epoch(len(train_std), cfg.batch_size)
+    e = iterations_per_epoch(len(train), cfg.batch_size)
     total = settings["epochs"] * e
     w_init = init_model(cfg.model_spec, cfg.seed)
     opt = MomentumState.initial(w_init, settings["momentum"], settings["weight_decay"])
-    final, _ = _drive(w_init, opt, batches(train_std, cfg.batch_size, cfg.seed), total,
+    final, _ = _drive(w_init, opt, batches(train, cfg.batch_size, cfg.seed), total,
                       lambda i: settings["lr"] * _pretrain_lr_factor((i - 1) / total),
                       l2_coeff=settings["l2_coeff"])
-    train_preds = np.argmax(ensemble_predict(final, train_std.inputs)[0], axis=1)
+    train_preds = np.argmax(ensemble_predict(final, train.inputs)[0], axis=1)
     ckpt = Checkpoint(
         weights=final.members[0],
         standardization={"mean": mean.tolist(), "std": std.tolist()},
@@ -132,7 +135,7 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
             "role": "w0",
             "seed": cfg.seed,
             "epochs": settings["epochs"],
-            "final_train_accuracy": float(np.mean(train_preds == train_std.labels)),
+            "final_train_accuracy": float(np.mean(train_preds == train.labels)),
             "created_at": _now(),
         },
     )
@@ -140,22 +143,20 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     return ckpt
 
 
-def _standardized_datasets(cfg: ExperimentConfig, standardization: Optional[dict]):
-    train, test = build_datasets(cfg)
-    if standardization is None:
-        return train, test
-    mean, std = standardization["mean"], standardization["std"]
-    return apply_standardization(train, mean, std), apply_standardization(test, mean, std)
-
-
-def _metrics_record(probs: np.ndarray, labels: np.ndarray, ece_bins: int) -> dict:
+def _metrics_record(probs: np.ndarray, labels: np.ndarray, ece_bins: int,
+                    reliability_csv=None) -> dict:
+    """Accuracy, NLL and ECE of ``probs``; the reliability bins behind the ECE
+    are written to ``reliability_csv`` when one is given."""
     p = PredictionBatch(probs, labels)
+    bins = reliability(p, ece_bins)
+    if reliability_csv is not None:
+        bins.write_csv(reliability_csv)
     raw_nll = nll(p)
     return {
         "accuracy": accuracy(p),
         "nll": raw_nll,
         "nll_pct": 100.0 * raw_nll,
-        "ece": ece(p, ece_bins),
+        "ece": bins.ece_value(),
     }
 
 
@@ -170,7 +171,8 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
             f"starting checkpoint architecture {w0.spec.sizes} does not match "
             f"config model {cfg.model_spec.sizes}"
         )
-    train, test = _standardized_datasets(cfg, w0.standardization)
+    train = load_split(cfg, "train", w0.standardization)
+    test = load_split(cfg, "test", w0.standardization)
     e = iterations_per_epoch(len(train), cfg.batch_size)
     sched = cfg.resolve_schedule(e)
     budget = cfg.resolve_budget(e)
@@ -260,8 +262,7 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
             tail_sum = probs if tail_sum is None else tail_sum + probs
 
     full_probs = (prob_sum if first == 0 else tail_sum) / (n_members - first)
-    bins = reliability(PredictionBatch(full_probs, test.labels), ece_bins)
-    bins.write_csv(run_dir / "reliability.csv")
+    full_metrics = _metrics_record(full_probs, test.labels, ece_bins, run_dir / "reliability.csv")
     _write_series_csv(run_dir / "ensemble_series.csv", series)
 
     report = {
@@ -281,7 +282,7 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
         "ensemble_series": series,
         "ensemble": {
             "last_k": last_k,
-            "metrics": _metrics_record(full_probs, test.labels, ece_bins),
+            "metrics": full_metrics,
         },
         "config": cfg.document,
         "timing": {"started_at": started, "finished_at": _now()},
@@ -332,13 +333,7 @@ def evaluate(members, dataset: Dataset, last_k: Optional[int], ece_bins: int,
     """
     if not members:
         raise ConfigurationError("no member checkpoints to evaluate")
-    spec = members[0].spec
-    stats = members[0].standardization
-    for ckpt in members[1:]:
-        if ckpt.spec != spec:
-            raise ConfigurationError("member checkpoints have mismatched architectures")
-        if ckpt.standardization != stats:
-            raise ConfigurationError("member checkpoints have mismatched standardization")
+    stats = _shared_standardization(members, "member checkpoints")
     if stats is not None:
         dataset = apply_standardization(dataset, stats["mean"], stats["std"])
     ensemble = EnsembleSet(
@@ -348,13 +343,23 @@ def evaluate(members, dataset: Dataset, last_k: Optional[int], ece_bins: int,
     record = {
         "n_members": len(members),
         "last_k": last_k,
-        "metrics": _metrics_record(probs, dataset.labels, ece_bins),
+        "metrics": _metrics_record(probs, dataset.labels, ece_bins, reliability_csv),
     }
     if reliability_csv is not None:
-        bins = reliability(PredictionBatch(probs, dataset.labels), ece_bins)
-        bins.write_csv(reliability_csv)
         record["reliability_csv"] = str(reliability_csv)
     return record
+
+
+def _shared_standardization(checkpoints, what: str) -> Optional[dict]:
+    """The standardization statistics ``checkpoints`` share, after checking
+    that they share one architecture too; ``what`` names them in errors."""
+    first = checkpoints[0]
+    for ckpt in checkpoints[1:]:
+        if ckpt.spec != first.spec:
+            raise ConfigurationError(f"{what} have mismatched architectures")
+        if ckpt.standardization != first.standardization:
+            raise ConfigurationError(f"{what} have mismatched standardization")
+    return first.standardization
 
 
 def _select_pair(cfg: ExperimentConfig):
@@ -378,11 +383,9 @@ def connectivity_run(cfg: ExperimentConfig, member_a=None, member_b=None) -> dic
         member_a, member_b = _select_pair(cfg)
     ckpt_a = load_checkpoint(member_a)
     ckpt_b = load_checkpoint(member_b)
-    if ckpt_a.spec != ckpt_b.spec:
-        raise ConfigurationError("curve endpoints have mismatched architectures")
-    if ckpt_a.standardization != ckpt_b.standardization:
-        raise ConfigurationError("curve endpoints have mismatched standardization")
-    train, test = _standardized_datasets(cfg, ckpt_a.standardization)
+    stats = _shared_standardization([ckpt_a, ckpt_b], "curve endpoints")
+    train = load_split(cfg, "train", stats)
+    test = load_split(cfg, "test", stats)
     k = settings["k"]
     iters = settings["iters"]
     if iters == 0:
@@ -411,7 +414,7 @@ def connectivity_run(cfg: ExperimentConfig, member_a=None, member_b=None) -> dic
             outdir / f"curve-control-{j}.ckpt",
             Checkpoint(
                 weights=control,
-                standardization=ckpt_a.standardization,
+                standardization=stats,
                 meta={"role": "curve-control", "index": j, "created_at": _now()},
             ),
         )
@@ -435,7 +438,13 @@ def connectivity_run(cfg: ExperimentConfig, member_a=None, member_b=None) -> dic
 
 def load_report(run_dir) -> dict:
     path = Path(run_dir) / "report.json"
-    return json.loads(path.read_text())
+    try:
+        report = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"{path}: unreadable report: {exc}") from None
+    if not isinstance(report, dict):
+        raise DataFormatError(f"{path}: report must be a JSON object")
+    return report
 
 
 def format_report(report: dict) -> str:

@@ -317,7 +317,7 @@ class TestCriterion10CurveBetweenSnapshots:
 
         ckpt_a = load_checkpoint(record["member_a"])
         ckpt_b = load_checkpoint(record["member_b"])
-        train, _ = harness.build_datasets(cfg)
+        train = harness.load_split(cfg, "train")
         stats = ckpt_a.standardization
         train_std = apply_standardization(train, stats["mean"], stats["std"])
         direct_a = mean_loss(ckpt_a.weights, train_std.inputs, train_std.labels).total

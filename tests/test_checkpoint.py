@@ -1,21 +1,29 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfge.checkpoint import Checkpoint, header_path, load_checkpoint, save_checkpoint
 from pfge.errors import DataFormatError
 from pfge.nn import LayerSpec, init_model
 
 
-@pytest.fixture
-def sample_checkpoint():
+def make_sample():
     w = init_model(LayerSpec((2, 5, 3), activation="tanh"), seed=42)
     return Checkpoint(
         weights=w,
         standardization={"mean": [0.1, -0.2], "std": [1.5, 0.9]},
         meta={"role": "w0", "seed": 42, "created_at": "2026-01-01T00:00:00+00:00"},
     )
+
+
+@pytest.fixture
+def sample_checkpoint():
+    return make_sample()
 
 
 class TestRoundTrip:
@@ -85,3 +93,44 @@ class TestValidation:
         header_path(path).write_text(json.dumps(header))
         with pytest.raises(DataFormatError, match="version"):
             load_checkpoint(path)
+
+
+class TestOneByteChanges:
+    """Any one-byte change to a saved checkpoint is caught or changes nothing
+    the weights depend on. The header's ``meta`` and ``standardization`` are
+    not covered by the digest, so a change there loads."""
+
+    @staticmethod
+    def change_one_byte(path, data, xor_only):
+        blob = bytearray(path.read_bytes())
+        pos = data.draw(st.integers(0, len(blob) - 1), label="position")
+        if xor_only:
+            blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        else:
+            blob[pos] = data.draw(st.integers(0, 255), label="byte")
+        path.write_bytes(bytes(blob))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_payload_change_rejected(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w0.ckpt"
+            save_checkpoint(path, make_sample())
+            self.change_one_byte(path, data, xor_only=True)
+            with pytest.raises(DataFormatError):
+                load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_header_change_rejected_or_weights_identical(self, data):
+        expected = make_sample().weights
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w0.ckpt"
+            save_checkpoint(path, make_sample())
+            self.change_one_byte(header_path(path), data, xor_only=False)
+            try:
+                loaded = load_checkpoint(path)
+            except DataFormatError:
+                return
+        assert loaded.spec == expected.spec
+        assert loaded.weights.values.tobytes() == expected.values.tobytes()

@@ -95,6 +95,43 @@ class TestExitCodes:
         assert main(["pretrain", str(config_path), f"dataset={override}"]) == 3
         assert "train.csv:3" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_2(self, config_path, capsys):
+        config_path.write_bytes(config_path.read_bytes().replace(b'"seed"', b'"s\xffed"'))
+        assert main(["pretrain", str(config_path)]) == 2
+        assert "cfg.json" in capsys.readouterr().err
+
+    def test_non_utf8_csv_is_3(self, config_path, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_bytes(b"f0,f1,label\n0.5,1.0,0\n0.25,0.\xff,1\n")
+        override = json.dumps({"kind": "csv", "train_path": str(train),
+                               "test_path": str(train)})
+        assert main(["pretrain", str(config_path), f"dataset={override}"]) == 3
+        assert "train.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw: raw.replace(b'"role"', b'"r\xffle"'),
+        lambda raw: b"[1, 2]",
+        lambda raw: json.dumps({k: v for k, v in json.loads(raw).items()
+                                if k != "layer_sizes"}).encode(),
+        lambda raw: json.dumps({**json.loads(raw), "layer_sizes": "2,8,2"}).encode(),
+        lambda raw: json.dumps({**json.loads(raw), "activation": "gelu"}).encode(),
+    ], ids=["not-utf8", "not-an-object", "no-layer-sizes", "garbled-layer-sizes",
+            "bad-activation"])
+    def test_malformed_checkpoint_sidecar_is_3(self, config_path, tmp_path, capsys, corrupt):
+        assert main(["pretrain", str(config_path)]) == 0
+        sidecar = tmp_path / "runs" / "w0.ckpt.json"
+        sidecar.write_bytes(corrupt(sidecar.read_bytes()))
+        assert main(["run", str(config_path)]) == 3
+        assert "w0.ckpt.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_malformed_report_is_3(self, config_path, tmp_path, capsys, text):
+        report = tmp_path / "runs" / "pfge-seed5" / "report.json"
+        report.parent.mkdir(parents=True)
+        report.write_text(text)
+        assert main(["report", str(config_path)]) == 3
+        assert "report.json" in capsys.readouterr().err
+
     def test_numeric_blowup_is_4(self, config_path):
         assert main(["pretrain", str(config_path)]) == 0
         code = main(["run", str(config_path), "schedule.alpha1=1e154", "schedule.alpha2=1.0"])

@@ -1,8 +1,10 @@
-"""Each verb evaluates each thing once and loads only the splits it uses, and
-the shared passes give exactly the numbers the one-off helpers give."""
+"""Each verb evaluates each thing once and loads only the splits it uses, one
+at a time, and the shared passes give exactly the numbers the one-off helpers
+give."""
 
 import json
 
+import numpy as np
 import pytest
 
 from pfge import connectivity, harness, training
@@ -68,6 +70,43 @@ def test_each_verb_loads_only_its_splits(csv_doc, monkeypatch):
         loads.clear()
         assert main([verb, str(path)]) == 0
         assert [args[0] for args in loads] == expected, verb
+
+
+def test_each_split_is_standardized_before_the_next_loads(csv_doc, monkeypatch):
+    doc, _ = csv_doc
+    cfg = config_from_dict(doc)
+    w0 = harness.pretrain(cfg)
+    events = []
+
+    def recorder(kind, original):
+        def recorded(*args):
+            events.append((kind, str(args[0] if kind == "load" else args[0].name)))
+            return original(*args)
+        return recorded
+
+    monkeypatch.setattr(harness, "load_csv", recorder("load", harness.load_csv))
+    monkeypatch.setattr(harness, "apply_standardization",
+                        recorder("standardize", harness.apply_standardization))
+    train_path, test_path = doc["dataset"]["train_path"], doc["dataset"]["test_path"]
+    expected = [("load", train_path), ("standardize", train_path),
+                ("load", test_path), ("standardize", test_path)]
+    harness.run(cfg, w0)
+    assert events == expected
+    events.clear()
+    harness.connectivity_run(cfg)
+    assert events == expected
+
+
+def test_load_split_standardizes_like_apply_standardization(csv_doc):
+    doc, _ = csv_doc
+    cfg = config_from_dict(doc)
+    stats = harness.pretrain(cfg).standardization
+    for split in ("train", "test"):
+        got = harness.load_split(cfg, split, stats)
+        want = apply_standardization(harness.load_split(cfg, split), stats["mean"], stats["std"])
+        assert np.array_equal(got.inputs, want.inputs)
+        assert np.array_equal(got.labels, want.labels)
+        assert (got.classes, got.name) == (want.classes, want.name)
 
 
 def test_run_forwards_each_member_once(csv_doc, monkeypatch):
@@ -136,7 +175,7 @@ def test_connectivity_mc_equals_mc_value(csv_doc):
 def test_profile_mc_equals_mc_value(csv_doc):
     doc, _ = csv_doc
     cfg = config_from_dict(doc)
-    train, test = harness.build_datasets(cfg)
+    train, test = harness.load_split(cfg, "train"), harness.load_split(cfg, "test")
     w_a, w_b = init_model(cfg.model_spec, 1), init_model(cfg.model_spec, 2)
     curve = train_curve(w_a, w_b, 3, 20, batches(train, 8, 3), 0.05, 3)
     for grid_size in (3, 11):

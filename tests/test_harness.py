@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pfge import harness
-from pfge.checkpoint import load_checkpoint
+from pfge.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from pfge.config import config_from_dict, validate_against_schema
 from pfge.errors import ConfigurationError, InvalidArgumentError
 from pfge.metrics import PredictionBatch, accuracy, nll
@@ -101,7 +101,7 @@ class TestRun:
         assert len(report["ensemble_series"]) == len(ensemble)
 
         # Offline recomputation: first m members, fresh prediction pass.
-        _, test = harness.build_datasets(cfg)
+        test = harness.load_split(cfg, "test")
         stats = w0.standardization
         from pfge.data import apply_standardization
 
@@ -157,7 +157,7 @@ class TestEvaluate:
         cfg, w0 = pretrained
         harness.run(cfg, w0)
         members = [load_checkpoint(p) for p in harness.member_checkpoint_paths(cfg.run_dir)]
-        _, test = harness.build_datasets(cfg)
+        test = harness.load_split(cfg, "test")
         record = harness.evaluate(members[:1], test, None, cfg.ece_bins)
 
         from pfge.data import apply_standardization
@@ -176,7 +176,7 @@ class TestEvaluate:
         cfg, w0 = pretrained
         harness.run(cfg, w0)
         member = load_checkpoint(harness.member_checkpoint_paths(cfg.run_dir)[0])
-        _, test = harness.build_datasets(cfg)
+        test = harness.load_split(cfg, "test")
         single = harness.evaluate([member], test, None, cfg.ece_bins)
         doubled = harness.evaluate([member, member], test, None, cfg.ece_bins)
         for key in ("accuracy", "nll", "ece"):
@@ -186,7 +186,7 @@ class TestEvaluate:
         cfg, w0 = pretrained
         harness.run(cfg, w0)
         members = [load_checkpoint(p) for p in harness.member_checkpoint_paths(cfg.run_dir)]
-        _, test = harness.build_datasets(cfg)
+        test = harness.load_split(cfg, "test")
         with pytest.raises(InvalidArgumentError):
             harness.evaluate(members, test, len(members) + 1, cfg.ece_bins)
 
@@ -197,8 +197,19 @@ class TestEvaluate:
         from pfge.checkpoint import Checkpoint
 
         other = Checkpoint(init_model(LayerSpec((2, 6, 2)), 0), member.standardization, {})
-        _, test = harness.build_datasets(cfg)
+        test = harness.load_split(cfg, "test")
         with pytest.raises(ConfigurationError, match="architecture"):
+            harness.evaluate([member, other], test, None, cfg.ece_bins)
+
+    def test_mismatched_standardization_rejected(self, pretrained):
+        cfg, w0 = pretrained
+        harness.run(cfg, w0)
+        member = load_checkpoint(harness.member_checkpoint_paths(cfg.run_dir)[0])
+        stats = {"mean": [0.0, 0.0], "std": [1.0, 1.0]}
+        other = Checkpoint(member.weights, stats, {})
+        test = harness.load_split(cfg, "test")
+        with pytest.raises(ConfigurationError,
+                           match="member checkpoints have mismatched standardization"):
             harness.evaluate([member, other], test, None, cfg.ece_bins)
 
 
@@ -227,6 +238,21 @@ class TestConnectivityRun:
         second = harness.connectivity_run(cfg_small)
         assert abs(first["mc"] - second["mc"]) < 1e-12
         assert first["t_star"] == second["t_star"]
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda m: Checkpoint(init_model(LayerSpec((2, 6, 2)), 0), m.standardization, {}),
+         "curve endpoints have mismatched architectures"),
+        (lambda m: Checkpoint(m.weights, {"mean": [0.0, 0.0], "std": [1.0, 1.0]}, {}),
+         "curve endpoints have mismatched standardization"),
+    ])
+    def test_mismatched_endpoints_rejected(self, pretrained, change, message):
+        cfg, w0 = pretrained
+        harness.run(cfg, w0)
+        path = harness.member_checkpoint_paths(cfg.run_dir)[0]
+        other = cfg.output_dir / "other.ckpt"
+        save_checkpoint(other, change(load_checkpoint(path)))
+        with pytest.raises(ConfigurationError, match=message):
+            harness.connectivity_run(cfg, path, other)
 
     def test_random_pair_is_adjacent_and_seeded(self, pretrained):
         cfg, w0 = pretrained
