@@ -8,6 +8,7 @@ a SHA-256 digest of the payload that is verified on load.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -98,8 +99,28 @@ def load_checkpoint(path) -> Checkpoint:
         raise DataFormatError(
             f"{path}: payload holds {values.size} values, spec needs {spec.param_count}"
         )
+    stats = header.get("standardization")
+    _check_standardization(stats, spec.sizes[0], sidecar)
     return Checkpoint(
         weights=ModelWeights(spec, values),
-        standardization=header.get("standardization"),
+        standardization=stats,
         meta=header.get("meta", {}),
     )
+
+
+def _check_standardization(stats, n_inputs: int, sidecar: Path) -> None:
+    """Accept ``None`` or ``{"mean": [...], "std": [...]}`` holding
+    ``n_inputs`` finite numbers each, with every deviation positive."""
+    if stats is None:
+        return
+    if not isinstance(stats, dict):
+        raise DataFormatError(f"{sidecar}: standardization must be null or an object")
+    for key in ("mean", "std"):
+        values = stats.get(key)
+        if not (isinstance(values, list) and len(values) == n_inputs
+                and all(type(v) in (int, float) and math.isfinite(v) for v in values)):
+            raise DataFormatError(
+                f"{sidecar}: standardization {key} must be a list of {n_inputs} finite numbers"
+            )
+    if not all(v > 0 for v in stats["std"]):
+        raise DataFormatError(f"{sidecar}: standardization std must be positive")

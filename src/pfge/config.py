@@ -31,13 +31,17 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-def validate_against_schema(doc: dict, schema_name: str) -> None:
-    schema = _load_schema(schema_name)
-    validator = jsonschema.Draft7Validator(schema)
+def _schema_violation(doc, schema_name: str) -> Optional[str]:
+    """Where and how ``doc`` first breaks the named schema, or None."""
+    validator = jsonschema.Draft7Validator(_load_schema(schema_name))
     errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
-    if errors:
-        first = errors[0]
-        raise ConfigurationError(f"config invalid at {first.json_path}: {first.message}")
+    return f"at {errors[0].json_path}: {errors[0].message}" if errors else None
+
+
+def validate_against_schema(doc: dict, schema_name: str) -> None:
+    violation = _schema_violation(doc, schema_name)
+    if violation:
+        raise ConfigurationError(f"config invalid {violation}")
 
 
 @dataclass(frozen=True)

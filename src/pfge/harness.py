@@ -21,8 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, iterations_per_epoch, validate_against_schema
+from .checkpoint import Checkpoint, header_path, load_checkpoint, save_checkpoint
+from .config import (
+    ExperimentConfig,
+    _schema_violation,
+    iterations_per_epoch,
+    validate_against_schema,
+)
 from .connectivity import initial_curve, mc_value, profile_curve, train_curve  # noqa: F401
 from .data import (
     Dataset,
@@ -35,16 +40,17 @@ from .data import (
     load_idx,
 )
 from .errors import ConfigurationError, DataFormatError, InvalidArgumentError
-# ``ece``, ``loss_and_grad``, ``sgd_step`` and ``mc_value`` are not called here,
-# but stay importable from this module for callers (and perfbench's tracer)
-# that look them up here.
+# ``ece``, ``loss_and_grad``, ``sgd_step``, ``mc_value``, ``run_swa``,
+# ``run_fge`` and ``run_pfge`` are not called here, but stay importable from
+# this module for callers (and perfbench's tracer) that look them up here.
 from .metrics import PredictionBatch, accuracy, ece, nll, reliability  # noqa: F401
 from .nn import init_model, loss_and_grad  # noqa: F401
 from .rng import STREAM_CURVE, stream_rng
-from .schedule import lr_at, validate_budget
+from .schedule import lr_at
 from .training import (  # noqa: F401
     EnsembleSet,
     MomentumState,
+    _collection_rule,
     _drive,
     ensemble_predict,
     run_fge,
@@ -161,7 +167,7 @@ def _metrics_record(probs: np.ndarray, labels: np.ndarray, ece_bins: int,
 
 
 def run(cfg: ExperimentConfig, w0: Checkpoint):
-    """Dispatch to the configured trainer, persist members, write the report.
+    """Train the configured algorithm, persist members, write the report.
 
     Returns ``(EnsembleSet, report dict)``.
     """
@@ -178,36 +184,17 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
     budget = cfg.resolve_budget(e)
     opt_cfg = cfg.optimizer
     opt = MomentumState.initial(w0.weights, opt_cfg["momentum"], opt_cfg["weight_decay"])
-    stream = batches(train, cfg.batch_size, cfg.seed)
-    l2 = opt_cfg["l2_coeff"]
 
     algo = cfg.algorithm
-    validate_budget(sched, budget)
-    if algo == "fge":
-        n_members = budget.total_iters // sched.cycle_len
-    elif algo == "pfge":
-        n_members = budget.total_iters // budget.record_period
-    else:
-        n_members = 1
+    keep, cycle_len, period, n_members = _collection_rule(algo, sched, budget)
     last_k = cfg.last_k
     if last_k is not None and last_k > n_members:
         raise ConfigurationError(
             f"last_k must be in [1, {n_members}] for {algo} with this budget, got {last_k}"
         )
-    if algo == "swa":
-        w_avg, trace = run_swa(w0.weights, sched, budget.total_iters, stream, opt, l2_coeff=l2)
-        ensemble = EnsembleSet((w_avg,), (budget.total_iters,))
-    elif algo == "fge":
-        ensemble, trace = run_fge(w0.weights, sched, budget.total_iters, stream, opt, l2_coeff=l2)
-    elif algo == "pfge":
-        ensemble, trace = run_pfge(
-            w0.weights, sched, budget.total_iters, budget.record_period, stream, opt, l2_coeff=l2
-        )
-    else:
-        # Plain cyclical-LR SGD baseline: same trajectory as the snapshot
-        # collectors, but only the final iterate survives as a single model.
-        ensemble, trace = _drive(w0.weights, opt, stream, budget.total_iters,
-                                 partial(lr_at, sched), l2_coeff=l2)
+    ensemble, _ = _drive(w0.weights, opt, batches(train, cfg.batch_size, cfg.seed),
+                         budget.total_iters, partial(lr_at, sched), keep, cycle_len, period,
+                         l2_coeff=opt_cfg["l2_coeff"])
 
     run_dir = cfg.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -231,6 +218,12 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
             ),
         )
         member_files.append(name)
+    # A rerun with fewer members must not leave the previous run's extra
+    # members behind for ``evaluate`` and ``connectivity`` to pick up.
+    for path in member_checkpoint_paths(run_dir):
+        if path.name not in member_files:
+            path.unlink()
+            header_path(path).unlink(missing_ok=True)
 
     # One test-split forward per member feeds the member metrics, the series
     # and the final ensemble of the last ``last_k`` members. The running sums
@@ -379,7 +372,11 @@ def connectivity_run(cfg: ExperimentConfig, member_a=None, member_b=None) -> dic
     """Train a curve between two members, profile it, and compute the
     mode-connectivity gap. Artifacts land in ``{run_dir}/connectivity/``."""
     settings = cfg.connectivity
-    if member_a is None or member_b is None:
+    if (member_a is None) != (member_b is None):
+        raise ConfigurationError(
+            "connectivity: give both member_a and member_b, or neither to pick a pair"
+        )
+    if member_a is None:
         member_a, member_b = _select_pair(cfg)
     ckpt_a = load_checkpoint(member_a)
     ckpt_b = load_checkpoint(member_b)
@@ -442,8 +439,9 @@ def load_report(run_dir) -> dict:
         report = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: unreadable report: {exc}") from None
-    if not isinstance(report, dict):
-        raise DataFormatError(f"{path}: report must be a JSON object")
+    violation = _schema_violation(report, "report.schema.json")
+    if violation:
+        raise DataFormatError(f"{path}: report does not match its schema {violation}")
     return report
 
 

@@ -3,17 +3,23 @@
 SWA, FGE and PFGE follow one trajectory: at iteration ``i`` (1-based) the
 learning rate comes from a schedule, one heavy-ball SGD step is taken, and at
 the bottom-of-cycle instants ``i % c == 0`` a collection rule decides what to
-keep. ``_drive`` runs that loop (also for the harness's pretraining and sgd
-baseline) with weights, velocity, gradient and average in preallocated
-buffers updated in place, in the floating-point order of ``sgd_step`` and
-``running_average_update``. The rules:
+keep. ``_drive`` runs that loop (also for the harness's pretraining) with
+weights, velocity, gradient and average in preallocated buffers updated in
+place, in the floating-point order of ``sgd_step`` and
+``running_average_update``. ``_collection_rule`` maps each algorithm, for a
+budget of ``n`` iterations, cycle length ``c`` and recording period ``P``, onto
+the rule's arguments to ``_drive``::
 
-* ``"average"`` folds each cycle-end iterate into a running average seeded
-  from ``w0``; at the end of every recording period of ``P`` iterations the
-  average becomes a member and re-seeds both the weights and the next
-  period's average (``run_pfge``; ``run_swa`` is the one-period case);
-* ``"iterates"`` keeps each raw cycle-end iterate (``run_fge``);
-* ``"last"`` keeps only the final iterate.
+    algorithm  keep        cycle_len  period  members
+    sgd        "last"      -          -       1
+    swa        "average"   c          n       1
+    fge        "iterates"  c          -       n / c
+    pfge       "average"   c          P       n / P
+
+``"average"`` folds each cycle-end iterate into a running average seeded from
+``w0``; at the end of every recording period the average becomes a member and
+re-seeds both the weights and the next period's average. ``"iterates"`` keeps
+each raw cycle-end iterate and ``"last"`` only the final one.
 
 Drivers are deterministic given (initial weights, schedule, batch stream,
 optimizer state): rerunning with the same inputs reproduces every iterate
@@ -94,19 +100,14 @@ class EnsembleSet:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-iteration log plus the raw bottom-of-cycle iterates.
-
-    ``cycle_end_weights[k]`` is the weight vector immediately after the SGD
-    update of iteration ``cycle_end_iters[k]``, before any averaging or
-    re-initialization touched it. This is enough to replay every collection
-    decision a driver made.
-    """
+    """Per-iteration learning rate and loss, plus the bottom-of-cycle
+    iterations at which the collection rule fired. It holds no weights: the
+    members are the only iterates a driver keeps."""
 
     iterations: np.ndarray
     lrs: np.ndarray
     losses: np.ndarray
     cycle_end_iters: tuple
-    cycle_end_weights: tuple
 
 
 # Elements per block of the in-place update: the four operands' blocks stay
@@ -183,8 +184,8 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
            l2_coeff: float = 0.0):
     """Run ``n_iters`` SGD steps from ``w0`` with step size ``lr(i)``.
 
-    Every multiple of ``cycle_len`` is a cycle end: the iterate goes into the
-    trace and the collection rule ``keep`` fires, ``"average"`` closing a
+    Every multiple of ``cycle_len`` is a cycle end: the trace records it and
+    the collection rule ``keep`` fires, ``"average"`` closing a
     recording period at every multiple of ``period``. Without
     ``loss_grad_fn`` the gradient is written into a preallocated buffer; a
     supplied ``loss_grad_fn(weights, batch)`` gets a frozen copy of the
@@ -199,7 +200,7 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
     n_models = 1
     grad, scratch = np.empty_like(w), np.empty(min(w.size, _BLOCK))
     lrs, losses = np.empty(n_iters), np.empty(n_iters)
-    snapshot_iters, snapshots, members = [], [], []
+    cycle_end_iters, members = [], []
     batch_iter = iter(stream)
     with np.errstate(all="ignore"):
         for i in range(1, n_iters + 1):
@@ -222,8 +223,7 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
                 raise NumericError(f"non-finite weights after SGD update (iteration {i})")
             if cycle_len is None or i % cycle_len:
                 continue
-            snapshot_iters.append(i)
-            snapshots.append(w.copy())
+            cycle_end_iters.append(i)
             if keep == "iterates":
                 members.append((ModelWeights(spec, w), i))
             elif keep == "average":
@@ -235,9 +235,22 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
                     n_models = 1
     if keep == "last":
         members.append((ModelWeights(spec, w), n_iters))
-    trace = RunTrace(np.arange(1, n_iters + 1), lrs, losses, tuple(snapshot_iters),
-                     tuple(snapshots))
+    trace = RunTrace(np.arange(1, n_iters + 1), lrs, losses, tuple(cycle_end_iters))
     return EnsembleSet(*zip(*members)), trace
+
+
+def _collection_rule(algorithm: str, sched: LrSchedule, budget: BudgetSpec):
+    """Check ``budget`` against ``sched`` and return ``algorithm``'s
+    ``(keep, cycle_len, period, n_members)``, as tabled in the module
+    docstring."""
+    validate_budget(sched, budget)
+    n, c = budget.total_iters, sched.cycle_len
+    if algorithm == "sgd":
+        return "last", None, None, 1
+    if algorithm == "fge":
+        return "iterates", c, None, n // c
+    period = n if algorithm == "swa" else budget.record_period
+    return "average", c, period, n // period
 
 
 def run_swa(
@@ -255,9 +268,9 @@ def run_swa(
     bottom-of-cycle instant, so the result is the arithmetic mean of ``w0``
     and the ``n_iters / c`` cycle-end iterates. Returns ``(w_avg, trace)``.
     """
-    validate_budget(sched, BudgetSpec(n_iters))
-    ensemble, trace = _drive(w0, opt, stream, n_iters, partial(lr_at, sched), "average",
-                             sched.cycle_len, n_iters, loss_grad_fn, l2_coeff)
+    keep, cycle_len, period, _ = _collection_rule("swa", sched, BudgetSpec(n_iters))
+    ensemble, trace = _drive(w0, opt, stream, n_iters, partial(lr_at, sched), keep,
+                             cycle_len, period, loss_grad_fn, l2_coeff)
     return ensemble.members[0], trace
 
 
@@ -275,9 +288,9 @@ def run_fge(
     Returns ``(EnsembleSet, trace)`` with exactly ``n_iters / c`` members,
     recorded at iterations ``c, 2c, ..., n_iters``.
     """
-    validate_budget(sched, BudgetSpec(n_iters))
-    return _drive(w0, opt, stream, n_iters, partial(lr_at, sched), "iterates",
-                  sched.cycle_len, None, loss_grad_fn, l2_coeff)
+    keep, cycle_len, period, _ = _collection_rule("fge", sched, BudgetSpec(n_iters))
+    return _drive(w0, opt, stream, n_iters, partial(lr_at, sched), keep, cycle_len, period,
+                  loss_grad_fn, l2_coeff)
 
 
 def run_pfge(
@@ -298,9 +311,10 @@ def run_pfge(
     momentum state carries across period boundaries untouched. Returns
     ``(EnsembleSet, trace)`` with exactly ``n_iters / record_period`` members.
     """
-    validate_budget(sched, BudgetSpec(n_iters, record_period))
-    return _drive(w0, opt, stream, n_iters, partial(lr_at, sched), "average",
-                  sched.cycle_len, record_period, loss_grad_fn, l2_coeff)
+    keep, cycle_len, period, _ = _collection_rule(
+        "pfge", sched, BudgetSpec(n_iters, record_period))
+    return _drive(w0, opt, stream, n_iters, partial(lr_at, sched), keep, cycle_len, period,
+                  loss_grad_fn, l2_coeff)
 
 
 def ensemble_predict(ensemble: EnsembleSet, inputs: np.ndarray, last_k: Optional[int] = None):

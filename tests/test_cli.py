@@ -50,6 +50,19 @@ class TestVerbs:
         assert report["algorithm"] == "swa"
         assert len(report["members"]) == 1
 
+    def test_rerun_with_fewer_members_removes_stale_ones(self, config_path, tmp_path, capsys):
+        assert main(["pretrain", str(config_path)]) == 0
+        fge = ["algorithm=fge", "run_id=fge"]
+        assert main(["run", str(config_path), *fge, "budget.total_epochs=4"]) == 0
+        run_dir = tmp_path / "runs" / "fge"
+        assert (run_dir / "member-3.ckpt").exists()
+        assert main(["run", str(config_path), *fge, "budget.total_epochs=2"]) == 0
+        assert sorted(p.name for p in run_dir.glob("member-*")) == [
+            "member-0.ckpt", "member-0.ckpt.json", "member-1.ckpt", "member-1.ckpt.json"]
+        capsys.readouterr()
+        assert main(["evaluate", str(config_path), *fge]) == 0
+        assert json.loads(capsys.readouterr().out)["n_members"] == 2
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, config_path):
@@ -115,8 +128,18 @@ class TestExitCodes:
                                 if k != "layer_sizes"}).encode(),
         lambda raw: json.dumps({**json.loads(raw), "layer_sizes": "2,8,2"}).encode(),
         lambda raw: json.dumps({**json.loads(raw), "activation": "gelu"}).encode(),
+        lambda raw: json.dumps({**json.loads(raw), "standardization": "x"}).encode(),
+        lambda raw: json.dumps({**json.loads(raw), "standardization": {"mean": [0, 0]}}).encode(),
+        lambda raw: json.dumps({**json.loads(raw), "standardization": {
+            "mean": ["a", "b"], "std": [1.0, 1.0]}}).encode(),
+        lambda raw: json.dumps({**json.loads(raw), "standardization": {
+            "mean": [0.5], "std": [1.0, 1.0]}}).encode(),
+        lambda raw: json.dumps({**json.loads(raw), "standardization": {
+            "mean": [0.0, 0.0], "std": [1.0, 0.0]}}).encode(),
     ], ids=["not-utf8", "not-an-object", "no-layer-sizes", "garbled-layer-sizes",
-            "bad-activation"])
+            "bad-activation", "standardization-not-an-object", "standardization-without-std",
+            "standardization-mean-not-numbers", "standardization-mean-too-short",
+            "standardization-zero-std"])
     def test_malformed_checkpoint_sidecar_is_3(self, config_path, tmp_path, capsys, corrupt):
         assert main(["pretrain", str(config_path)]) == 0
         sidecar = tmp_path / "runs" / "w0.ckpt.json"
@@ -131,6 +154,29 @@ class TestExitCodes:
         report.write_text(text)
         assert main(["report", str(config_path)]) == 3
         assert "report.json" in capsys.readouterr().err
+
+    def test_report_off_schema_is_3(self, config_path, tmp_path, capsys):
+        assert main(["pretrain", str(config_path)]) == 0
+        assert main(["run", str(config_path)]) == 0
+        report = tmp_path / "runs" / "pfge-seed5" / "report.json"
+        doc = json.loads(report.read_text())
+        del doc["resolved"]
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "report.json" in err and "resolved" in err and "config invalid" not in err
+
+    def test_connectivity_with_one_endpoint_is_2(self, config_path, tmp_path, capsys):
+        assert main(["pretrain", str(config_path)]) == 0
+        fge = ["algorithm=fge", "run_id=fge"]
+        assert main(["run", str(config_path), *fge]) == 0
+        member_0 = tmp_path / "runs" / "fge" / "member-0.ckpt"
+        code = main(["connectivity", str(config_path), *fge, f"connectivity.member_a={member_0}",
+                     "connectivity.iters=0", "connectivity.grid_size=3"])
+        assert code == 2
+        assert "member_b" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "fge" / "connectivity").exists()
 
     def test_numeric_blowup_is_4(self, config_path):
         assert main(["pretrain", str(config_path)]) == 0

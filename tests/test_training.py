@@ -6,10 +6,11 @@ import pytest
 from pfge.data import gen_two_spirals, batches
 from pfge.errors import ConfigurationError, InvalidArgumentError, NumericError, ShapeError
 from pfge.nn import Batch, LayerSpec, LossValue, ModelWeights, forward, init_model, softmax
-from pfge.schedule import LrSchedule, lr_at
+from pfge.schedule import BudgetSpec, LrSchedule, lr_at
 from pfge.training import (
     EnsembleSet,
     MomentumState,
+    _collection_rule,
     ensemble_predict,
     run_fge,
     run_pfge,
@@ -144,6 +145,21 @@ def scripted_targets_fn(sched, cycle_targets):
     return fn
 
 
+class TestCollectionRule:
+    @pytest.mark.parametrize("algorithm,rule", [
+        ("sgd", ("last", None, None, 1)),
+        ("swa", ("average", 2, 12, 1)),
+        ("fge", ("iterates", 2, None, 6)),
+        ("pfge", ("average", 2, 4, 3)),
+    ])
+    def test_rule_per_algorithm(self, algorithm, rule):
+        assert _collection_rule(algorithm, LrSchedule(1.0, 0.5, 2), BudgetSpec(12, 4)) == rule
+
+    def test_budget_checked(self):
+        with pytest.raises(ConfigurationError, match="record_period"):
+            _collection_rule("pfge", LrSchedule(1.0, 0.5, 3), BudgetSpec(12, 4))
+
+
 class TestRunSwa:
     def test_zero_gradient_returns_start(self):
         w0 = init_model(LayerSpec((2, 3, 2)), 3)
@@ -166,16 +182,17 @@ class TestRunSwa:
         # Mean of {0, 2, 4} per coordinate.
         assert np.allclose(avg.values, 2.0, atol=1e-9)
         assert trace.cycle_end_iters == (2, 4)
-        assert np.allclose(trace.cycle_end_weights[0], 2.0, atol=1e-9)
-        assert np.allclose(trace.cycle_end_weights[1], 4.0, atol=1e-9)
 
     def test_trace_replay_mean(self):
         ds = gen_two_spirals(20, noise_sd=0.1, seed=1)
         w0 = init_model(LayerSpec((2, 8, 2)), 1)
         sched = LrSchedule(0.1, 0.005, 5)
-        stream = batches(ds, 10, seed=1)
-        avg, trace = run_swa(w0, sched, 30, stream, MomentumState.initial(w0), l2_coeff=1e-4)
-        stacked = np.vstack([w0.values, *trace.cycle_end_weights])
+        avg, _ = run_swa(w0, sched, 30, batches(ds, 10, seed=1), MomentumState.initial(w0),
+                         l2_coeff=1e-4)
+        # fge walks the same trajectory and keeps its cycle-end iterates.
+        iterates, _ = run_fge(w0, sched, 30, batches(ds, 10, seed=1), MomentumState.initial(w0),
+                              l2_coeff=1e-4)
+        stacked = np.vstack([w0.values, *(m.values for m in iterates.members)])
         expected = stacked.mean(axis=0)
         rel = np.abs(avg.values - expected) / np.maximum(np.abs(expected), 1e-12)
         assert np.max(rel) < 1e-10
@@ -241,8 +258,6 @@ class TestRunFge:
         sched = LrSchedule(0.08, 0.004, 4)
         ensemble, trace = run_fge(w0, sched, 16, batches(ds, 8, seed=4), MomentumState.initial(w0))
         assert trace.cycle_end_iters == ensemble.recorded_at
-        for member, snapshot in zip(ensemble.members, trace.cycle_end_weights):
-            assert np.array_equal(member.values, snapshot)
 
 
 class TestRunPfge:
@@ -275,21 +290,40 @@ class TestRunPfge:
         assert np.array_equal(ensemble.members[0].values, swa_avg.values)
 
     def test_period_members_are_period_means(self):
+        # At zero momentum the scripted gradient lands every cycle end on its
+        # target whatever the period start, so each member is the mean of the
+        # previous member (w0 first) and its period's targets.
+        w0 = tiny_weights(1.0)
+        sched = LrSchedule(1.0, 0.5, 2)
+        n, period = 12, 4
+        targets = [np.array([2.0, -3.0]), np.array([4.0, 5.0]), np.array([-1.0, 6.0]),
+                   np.array([3.0, 1.0]), np.array([7.0, -2.0]), np.array([0.5, 8.0])]
+        fn = scripted_targets_fn(sched, targets)
+        ensemble, trace = run_pfge(w0, sched, n, period, dummy_stream(), plain_state(w0),
+                                   loss_grad_fn=fn)
+        assert trace.cycle_end_iters == (2, 4, 6, 8, 10, 12)
+        assert ensemble.recorded_at == (4, 8, 12)
+        period_start = w0.values
+        for k, member in enumerate(ensemble.members):
+            expected = np.mean(np.vstack([period_start, *targets[2 * k:2 * k + 2]]), axis=0)
+            rel = np.abs(member.values - expected) / np.maximum(np.abs(expected), 1e-12)
+            assert np.max(rel) < 1e-10
+            period_start = member.values
+
+    def test_first_period_member_is_mean_of_fge_members(self):
         ds = gen_two_spirals(20, noise_sd=0.1, seed=9)
         w0 = init_model(LayerSpec((2, 6, 2)), 9)
         sched = LrSchedule(0.08, 0.004, 2)
         n, period = 24, 8
-        ensemble, trace = run_pfge(w0, sched, n, period, batches(ds, 10, seed=9),
-                                   MomentumState.initial(w0))
-        snapshots = dict(zip(trace.cycle_end_iters, trace.cycle_end_weights))
-        period_start = w0.values
-        for member, end in zip(ensemble.members, ensemble.recorded_at):
-            in_period = [snapshots[i] for i in range(end - period + 1, end + 1) if i in snapshots]
-            assert len(in_period) == period // sched.cycle_len
-            expected = np.mean(np.vstack([period_start, *in_period]), axis=0)
-            rel = np.abs(member.values - expected) / np.maximum(np.abs(expected), 1e-12)
-            assert np.max(rel) < 1e-10
-            period_start = member.values
+        ensemble, _ = run_pfge(w0, sched, n, period, batches(ds, 10, seed=9),
+                               MomentumState.initial(w0))
+        # The first period is the first ``period`` iterations of fge's trajectory.
+        iterates, _ = run_fge(w0, sched, period, batches(ds, 10, seed=9),
+                              MomentumState.initial(w0))
+        assert len(iterates) == period // sched.cycle_len
+        expected = np.mean(np.vstack([w0.values, *(m.values for m in iterates.members)]), axis=0)
+        rel = np.abs(ensemble.members[0].values - expected) / np.maximum(np.abs(expected), 1e-12)
+        assert np.max(rel) < 1e-10
 
     def test_determinism_bitwise(self):
         ds = gen_two_spirals(12, noise_sd=0.1, seed=2)
