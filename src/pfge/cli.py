@@ -69,9 +69,9 @@ def _cmd_evaluate(cfg) -> int:
         test,
         cfg.last_k,
         cfg.ece_bins,
-        reliability_csv=cfg.run_dir / "evaluation_reliability.csv",
+        reliability_csv=cfg.run_dir / harness.EVALUATION_RELIABILITY_CSV,
     )
-    (cfg.run_dir / "evaluation.json").write_text(
+    (cfg.run_dir / harness.EVALUATION_JSON).write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n"
     )
     print(json.dumps(record, indent=2, sort_keys=True))

@@ -4,6 +4,7 @@ import csv
 import math
 import struct
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -22,8 +23,23 @@ class Dataset:
     name: str = "dataset"
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        # A private copy, so the caller's later writes never reach the dataset.
+        self._adopt(np.array(self.inputs, dtype=np.float64, order="C"),
+                    np.array(self.labels, dtype=np.int64, order="C"))
+
+    @classmethod
+    def _take(cls, inputs: np.ndarray, labels: np.ndarray, classes: int, name: str):
+        """Wrap fresh ``inputs`` and ``labels`` that no caller writes to
+        afterwards, with the public constructor's checks but, where they
+        already are float64 and int64, without its copy."""
+        ds = cls.__new__(cls)
+        object.__setattr__(ds, "classes", classes)
+        object.__setattr__(ds, "name", name)
+        ds._adopt(np.asarray(inputs, dtype=np.float64), np.asarray(labels, dtype=np.int64))
+        return ds
+
+    def _adopt(self, inputs: np.ndarray, labels: np.ndarray) -> None:
+        """Check ``inputs`` and ``labels``, then freeze them as the dataset's own."""
         if inputs.ndim != 2 or inputs.shape[0] < 1:
             raise InvalidArgumentError(f"inputs must be a nonempty 2-D array, got {inputs.shape}")
         if labels.shape != (inputs.shape[0],):
@@ -36,8 +52,6 @@ class Dataset:
             raise InvalidArgumentError(
                 f"labels must lie in [0, {self.classes})"
             )
-        inputs = inputs.copy()
-        labels = labels.copy()
         inputs.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
@@ -71,7 +85,7 @@ def gen_two_spirals(n_per_class: int, noise_sd: float, seed: int) -> Dataset:
         rng = stream_rng(seed, STREAM_DATA)
         points = points + rng.normal(0.0, noise_sd, size=points.shape)
     labels = np.repeat([0, 1], n_per_class)
-    return Dataset(points, labels, classes=2, name="two_spirals")
+    return Dataset._take(points, labels, classes=2, name="two_spirals")
 
 
 def gen_blobs(centers, n_per_class: int, sd: float, seed: int) -> Dataset:
@@ -89,7 +103,7 @@ def gen_blobs(centers, n_per_class: int, sd: float, seed: int) -> Dataset:
         noise = rng.normal(0.0, 1.0, size=(n_per_class, centers.shape[1]))
         chunks.append(center + sd * noise)
     labels = np.repeat(np.arange(len(centers)), n_per_class)
-    return Dataset(np.vstack(chunks), labels, classes=len(centers), name="blobs")
+    return Dataset._take(np.vstack(chunks), labels, classes=len(centers), name="blobs")
 
 
 def load_csv(path) -> Dataset:
@@ -97,7 +111,55 @@ def load_csv(path) -> Dataset:
 
     Row order is preserved. Labels must be nonnegative integers; the class
     count is inferred as ``max(label) + 1``.
+
+    A body of plain numeric ASCII is parsed in C by ``_load_plain_csv``; any
+    other file, and any plain one that fails a check, goes through
+    ``_load_csv_checked``, which accepts it or names the offending line.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    ds = _load_plain_csv(raw, path)
+    return ds if ds is not None else _load_csv_checked(path)
+
+
+# The only bytes a plain CSV body may hold. On such cells ``np.loadtxt`` and
+# ``float()`` both hand the text to CPython's ``PyOS_string_to_double``, so
+# they accept the same cells and round them to the same doubles, and
+# ``bytes.splitlines`` ends lines where ``csv.reader`` ends rows.
+_PLAIN_BODY_BYTES = b"0123456789+-.eE,\r\n"
+
+
+def _load_plain_csv(raw: bytes, path) -> Optional[Dataset]:
+    """Parse ``raw`` with one ``np.loadtxt`` call if its body is plain
+    numeric ASCII and passes every check ``_load_csv_checked`` makes; return
+    None otherwise, so that parser can accept or reject it."""
+    lines = raw.splitlines()
+    if len(lines) < 2:
+        return None
+    header, body = lines[0], lines[1:]
+    n_features = header.count(b",")
+    expected = ",".join([f"f{i}" for i in range(n_features)] + ["label"]).encode()
+    if (n_features < 1 or header != expected
+            or raw[len(header):].translate(None, _PLAIN_BODY_BYTES) or not all(body)):
+        return None
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        labels = np.fromiter((int(line[line.rfind(b",") + 1:]) for line in body),
+                             dtype=np.int64, count=len(body))
+    except (ValueError, OverflowError):
+        return None
+    if table.shape != (len(body), n_features + 1) or labels.min() < 0:
+        return None
+    inputs = table[:, :-1].copy()
+    if not np.isfinite(inputs).all():
+        return None
+    return Dataset._take(inputs, labels, int(labels.max()) + 1, str(path))
+
+
+def _load_csv_checked(path) -> Dataset:
+    """The validating CSV parser: ``csv.reader`` rows, ``float()`` features,
+    ``int()`` labels, and a ``DataFormatError`` naming the line of the first
+    bad row."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -195,10 +257,11 @@ def load_idx(images_path, labels_path) -> Dataset:
         )
     if n_images * n_rows * n_cols == 0:
         raise DataFormatError(f"{images_path}: no pixel data ({n_images}x{n_rows}x{n_cols})")
-    inputs = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64) / 255.0
-    inputs = inputs.reshape(n_images, n_rows * n_cols)
+    inputs = np.frombuffer(pixels, dtype=np.uint8).reshape(n_images, n_rows * n_cols)
+    inputs = inputs.astype(np.float64)
+    inputs /= 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
-    return Dataset(inputs, labels, classes=int(labels.max()) + 1, name=str(images_path))
+    return Dataset._take(inputs, labels, int(labels.max()) + 1, str(images_path))
 
 
 def feature_stats(ds: Dataset):
@@ -211,9 +274,12 @@ def feature_stats(ds: Dataset):
 
 
 def apply_standardization(ds: Dataset, mean, std) -> Dataset:
+    """``ds`` with features ``(x - mean) / std``, computed into one fresh array."""
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
-    return Dataset((ds.inputs - mean) / std, ds.labels, ds.classes, ds.name)
+    inputs = ds.inputs - mean
+    inputs /= std
+    return Dataset._take(inputs, ds.labels, ds.classes, ds.name)
 
 
 class BatchStream:

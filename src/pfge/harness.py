@@ -14,6 +14,7 @@ artifacts apart from creation timestamps.
 import csv
 import json
 import re
+import shutil
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -58,6 +59,13 @@ from .training import (  # noqa: F401
     run_swa,
     sgd_step,
 )
+
+
+# What ``evaluate`` (the CLI verb) and ``connectivity_run`` write into a run
+# directory. Both describe that run's members, so ``run`` deletes them.
+EVALUATION_JSON = "evaluation.json"
+EVALUATION_RELIABILITY_CSV = "evaluation_reliability.csv"
+CONNECTIVITY_DIR = "connectivity"
 
 
 def _now() -> str:
@@ -218,12 +226,14 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
             ),
         )
         member_files.append(name)
-    # A rerun with fewer members must not leave the previous run's extra
-    # members behind for ``evaluate`` and ``connectivity`` to pick up.
-    for path in member_checkpoint_paths(run_dir):
-        if path.name not in member_files:
-            path.unlink()
-            header_path(path).unlink(missing_ok=True)
+    # Neither the previous run's extra members, for ``evaluate`` and
+    # ``connectivity`` to pick up, nor those verbs' outputs, which describe
+    # members this run has replaced, may outlive a rerun.
+    _remove_stale_checkpoints(run_dir, "member", len(member_files))
+    for name in (EVALUATION_JSON, EVALUATION_RELIABILITY_CSV):
+        (run_dir / name).unlink(missing_ok=True)
+    if (run_dir / CONNECTIVITY_DIR).is_dir():
+        shutil.rmtree(run_dir / CONNECTIVITY_DIR)
 
     # One test-split forward per member feeds the member metrics, the series
     # and the final ensemble of the last ``last_k`` members. The running sums
@@ -306,15 +316,31 @@ def _write_series_csv(path: Path, series) -> None:
             )
 
 
-def member_checkpoint_paths(run_dir) -> list:
-    """Member checkpoints in a run directory, ordered by index."""
-    run_dir = Path(run_dir)
+def _indexed_checkpoints(directory, prefix: str) -> list:
+    """Every ``{prefix}-{index}.ckpt`` in ``directory``, ordered by index."""
     found = []
-    for path in run_dir.glob("member-*.ckpt"):
-        match = re.fullmatch(r"member-(\d+)\.ckpt", path.name)
+    for path in Path(directory).glob(f"{prefix}-*.ckpt"):
+        match = re.fullmatch(rf"{prefix}-(\d+)\.ckpt", path.name)
         if match:
             found.append((int(match.group(1)), path))
     return [path for _, path in sorted(found)]
+
+
+def _remove_stale_checkpoints(directory, prefix: str, count: int) -> None:
+    """Delete, with its sidecar, every ``{prefix}-*.ckpt`` in ``directory``
+    but the ``count`` just written, ``{prefix}-0.ckpt`` to
+    ``{prefix}-{count - 1}.ckpt``, so a rerun that writes fewer leaves none
+    of the previous run's behind."""
+    written = {f"{prefix}-{j}.ckpt" for j in range(count)}
+    for path in _indexed_checkpoints(directory, prefix):
+        if path.name not in written:
+            path.unlink()
+            header_path(path).unlink(missing_ok=True)
+
+
+def member_checkpoint_paths(run_dir) -> list:
+    """Member checkpoints in a run directory, ordered by index."""
+    return _indexed_checkpoints(run_dir, "member")
 
 
 def evaluate(members, dataset: Dataset, last_k: Optional[int], ece_bins: int,
@@ -403,7 +429,7 @@ def connectivity_run(cfg: ExperimentConfig, member_a=None, member_b=None) -> dic
     profile = profile_curve(curve, grid_size, train, test, cfg.optimizer["l2_coeff"])
     mc, t_star = profile.mc
 
-    outdir = cfg.run_dir / "connectivity"
+    outdir = cfg.run_dir / CONNECTIVITY_DIR
     outdir.mkdir(parents=True, exist_ok=True)
     profile.write_csv(outdir / "curve_profile.csv")
     for j, control in enumerate(curve.controls):
@@ -415,6 +441,7 @@ def connectivity_run(cfg: ExperimentConfig, member_a=None, member_b=None) -> dic
                 meta={"role": "curve-control", "index": j, "created_at": _now()},
             ),
         )
+    _remove_stale_checkpoints(outdir, "curve-control", len(curve.controls))
     record = {
         "mc": mc,
         "mc_abs": abs(mc),

@@ -63,6 +63,19 @@ class TestVerbs:
         assert main(["evaluate", str(config_path), *fge]) == 0
         assert json.loads(capsys.readouterr().out)["n_members"] == 2
 
+    def test_rerun_removes_evaluate_and_connectivity_outputs(self, config_path, tmp_path):
+        assert main(["pretrain", str(config_path)]) == 0
+        fge = ["algorithm=fge", "run_id=fge"]
+        assert main(["run", str(config_path), *fge, "budget.total_epochs=4"]) == 0
+        assert main(["evaluate", str(config_path), *fge]) == 0
+        assert main(["connectivity", str(config_path), *fge, "connectivity.iters=2",
+                     "connectivity.grid_size=3"]) == 0
+        run_dir = tmp_path / "runs" / "fge"
+        stale = ["evaluation.json", "evaluation_reliability.csv", "connectivity"]
+        assert all((run_dir / name).exists() for name in stale)
+        assert main(["run", str(config_path), *fge, "budget.total_epochs=2"]) == 0
+        assert not any((run_dir / name).exists() for name in stale)
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, config_path):

@@ -239,6 +239,16 @@ class TestConnectivityRun:
         assert abs(first["mc"] - second["mc"]) < 1e-12
         assert first["t_star"] == second["t_star"]
 
+    def test_smaller_k_removes_stale_controls(self, pretrained):
+        cfg, w0 = pretrained
+        harness.run(cfg, w0)
+        for k in (4, 2):
+            harness.connectivity_run(
+                mini_config(cfg.output_dir, connectivity={"k": k, "iters": 0, "grid_size": 3}))
+        outdir = cfg.run_dir / "connectivity"
+        assert sorted(p.name for p in outdir.glob("curve-control-*")) == [
+            f"curve-control-{j}.ckpt{ext}" for j in range(3) for ext in ("", ".json")]
+
     @pytest.mark.parametrize("change,message", [
         (lambda m: Checkpoint(init_model(LayerSpec((2, 6, 2)), 0), m.standardization, {}),
          "curve endpoints have mismatched architectures"),
