@@ -26,7 +26,10 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigurationError, InvalidArgumentError, NumericError, ShapeError
-from .nn import Batch, ModelWeights, forward, linear_combine, loss_and_grad, mean_loss
+from .nn import Batch, ModelWeights, _GradStep, _Workspace, forward, linear_combine, mean_loss
+# Not called here, but importable from this module for callers (and
+# perfbench's tracer) that look it up under this name.
+from .nn import loss_and_grad  # noqa: F401
 from .rng import STREAM_CURVE, stream_rng
 
 LossFn = Callable[[ModelWeights], float]
@@ -102,19 +105,25 @@ def curve_point(curve: CurveSpec, t: float) -> ModelWeights:
     if t == 1.0:
         return curve.controls[-1]
     coeffs = bernstein(curve.k, t)
-    values = _bezier_sum(curve.controls[0].values, coeffs[1:],
-                         [c.values for c in curve.controls[1:]])
+    anchor = curve.controls[0].values
+    values = _bezier_sum(anchor, coeffs[1:], [c.values for c in curve.controls[1:]],
+                         np.empty_like(anchor), np.empty_like(anchor))
     return ModelWeights(curve.spec, values)
 
 
-def _bezier_sum(anchor: np.ndarray, coeffs, controls) -> np.ndarray:
-    """``anchor + sum_j coeffs[j] * (controls[j] - anchor)``, summed in control
-    order. The difference form anchored at the first control keeps constant
-    curves exactly constant instead of accumulating coefficient roundoff."""
-    values = anchor.copy()
+def _bezier_sum(anchor: np.ndarray, coeffs, controls, out: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """Write ``anchor + sum_j coeffs[j] * (controls[j] - anchor)`` into
+    ``out``, summed in control order, with each term formed in ``scratch``;
+    returns ``out``. The difference form anchored at the first control keeps
+    constant curves exactly constant instead of accumulating coefficient
+    roundoff."""
+    out[...] = anchor
     for coeff, control in zip(coeffs, controls):
-        values += coeff * (control - anchor)
-    return values
+        np.subtract(control, anchor, out=scratch)
+        scratch *= coeff
+        out += scratch
+    return out
 
 
 def initial_curve(w: ModelWeights, w_end: ModelWeights, k: int) -> CurveSpec:
@@ -143,30 +152,46 @@ def train_curve(
     Per iteration: draw ``t`` uniformly (seeded curve stream), take one
     mini-batch, evaluate the loss gradient at ``gamma(t)``, and update each
     interior control ``j`` by plain SGD with the chain-rule factor
-    ``bernstein_j(t)``. Endpoints are never touched.
+    ``bernstein_j(t)``. Endpoints are never touched. The point, gradient and
+    update buffers are allocated once, before the loop; without
+    ``loss_grad_fn`` the gradient comes from a ``_GradStep`` on the point
+    buffer, and a supplied ``loss_grad_fn(weights, batch)`` gets a frozen copy
+    of the point. Numpy warnings are off in the loop: a non-finite point, loss
+    or control raises ``NumericError`` naming the iteration.
     """
     if k < 2:
         raise ConfigurationError(f"curve training needs k >= 2, got k={k}")
     if iters < 1:
         raise InvalidArgumentError(f"iters must be >= 1, got {iters}")
-    if loss_grad_fn is None:
-        loss_grad_fn = lambda weights, batch: loss_and_grad(weights, batch, l2_coeff)
+    spec = w.spec
     start = initial_curve(w, w_end, k)
     interior = [c.values.copy() for c in start.controls[1:-1]]
+    controls = [*interior, w_end.values]
+    point, grad, scratch = (np.empty(spec.param_count) for _ in range(3))
+    step = _GradStep(spec, point, grad, l2_coeff) if loss_grad_fn is None else None
     rng = stream_rng(seed, STREAM_CURVE)
     batch_iter = iter(stream)
-    for i in range(1, iters + 1):
-        t = float(rng.uniform())
-        batch = next(batch_iter)
-        coeffs = bernstein(k, t)
-        point = _bezier_sum(w.values, coeffs[1:], [*interior, w_end.values])
-        loss, grad = loss_grad_fn(ModelWeights(w.spec, point), batch)
-        if not np.isfinite(loss.total):
-            raise NumericError(f"non-finite curve loss at iteration {i}")
-        for j, control in enumerate(interior):
-            control -= lr * coeffs[j + 1] * grad
-        if any(not np.all(np.isfinite(c)) for c in interior):
-            raise NumericError(f"non-finite control point at iteration {i}")
+    with np.errstate(all="ignore"):
+        for i in range(1, iters + 1):
+            t = float(rng.uniform())
+            batch = next(batch_iter)
+            coeffs = bernstein(k, t)
+            _bezier_sum(w.values, coeffs[1:], controls, point, scratch)
+            if not np.isfinite(point).all():
+                raise NumericError(f"non-finite curve point at iteration {i}")
+            if step is not None:
+                data_loss, l2_penalty = step(batch)
+                loss, step_grad = data_loss + l2_penalty, grad
+            else:
+                value, step_grad = loss_grad_fn(ModelWeights(spec, point), batch)
+                loss = value.total
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite curve loss at iteration {i}")
+            for j, control in enumerate(interior):
+                np.multiply(step_grad, lr * coeffs[j + 1], out=scratch)
+                control -= scratch
+                if not np.isfinite(control).all():
+                    raise NumericError(f"non-finite control point at iteration {i}")
     trained = [ModelWeights(w.spec, c) for c in interior]
     return CurveSpec((w, *trained, w_end))
 
@@ -184,10 +209,14 @@ def profile_curve(
     grid = np.linspace(0.0, 1.0, grid_size)
     train_loss = np.empty(grid_size)
     test_error = np.empty(grid_size)
+    # One workspace for both splits: a second would add the smaller split's
+    # activations to peak memory.
+    workspace = _Workspace(curve.spec, max(len(train), len(test)))
     for idx, t in enumerate(grid):
         point = curve_point(curve, float(t))
-        train_loss[idx] = mean_loss(point, train.inputs, train.labels, l2_coeff).total
-        preds = np.argmax(forward(point, test.inputs), axis=1)
+        train_loss[idx] = mean_loss(point, train.inputs, train.labels, l2_coeff,
+                                    workspace=workspace).total
+        preds = np.argmax(forward(point, test.inputs, workspace=workspace), axis=1)
         test_error[idx] = float(np.mean(preds != test.labels))
     return CurveProfile(
         grid=grid,

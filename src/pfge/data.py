@@ -156,6 +156,10 @@ def _load_plain_csv(raw: bytes, path) -> Optional[Dataset]:
     return Dataset._take(inputs, labels, int(labels.max()) + 1, str(path))
 
 
+# The largest label ``_load_csv_checked`` can store as int64.
+_MAX_LABEL = int(np.iinfo(np.int64).max)
+
+
 def _load_csv_checked(path) -> Dataset:
     """The validating CSV parser: ``csv.reader`` rows, ``float()`` features,
     ``int()`` labels, and a ``DataFormatError`` naming the line of the first
@@ -191,6 +195,10 @@ def _load_csv_checked(path) -> Dataset:
                     ) from None
                 if label < 0:
                     raise DataFormatError(f"{path}:{lineno}: negative label {label}")
+                if label > _MAX_LABEL:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: label {label} does not fit in a 64-bit integer"
+                    )
                 labels.append(label)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None

@@ -51,8 +51,10 @@ from .schedule import lr_at
 from .training import (  # noqa: F401
     EnsembleSet,
     MomentumState,
+    _accumulate,
     _collection_rule,
     _drive,
+    _member_probs,
     ensemble_predict,
     run_fge,
     run_pfge,
@@ -244,17 +246,16 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
     member_metrics = []
     series = []
     prob_sum = tail_sum = None
-    for idx, (member, recorded_at) in enumerate(zip(ensemble.members, ensemble.recorded_at)):
-        probs, _ = ensemble_predict(EnsembleSet((member,), (recorded_at,)), test.inputs)
+    for idx, probs in enumerate(_member_probs(ensemble.members, test.inputs)):
         member_metrics.append(
             {
                 "index": idx,
-                "recorded_at": recorded_at,
+                "recorded_at": ensemble.recorded_at[idx],
                 "checkpoint": member_files[idx],
                 "metrics": _metrics_record(probs, test.labels, ece_bins),
             }
         )
-        prob_sum = probs if prob_sum is None else prob_sum + probs
+        prob_sum = _accumulate(prob_sum, probs)
         series.append(
             {
                 "n_members": idx + 1,
@@ -262,7 +263,7 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
             }
         )
         if 0 < first <= idx:
-            tail_sum = probs if tail_sum is None else tail_sum + probs
+            tail_sum = _accumulate(tail_sum, probs)
 
     full_probs = (prob_sum if first == 0 else tail_sum) / (n_members - first)
     full_metrics = _metrics_record(full_probs, test.labels, ece_bins, run_dir / "reliability.csv")

@@ -142,32 +142,52 @@ def unpack(w: ModelWeights) -> list:
     return _layer_views(w.spec, w.values)
 
 
-def _forward(layers, x: np.ndarray, activation: str, acts=None) -> np.ndarray:
-    """Logits of ``x``; each hidden layer's output is appended to ``acts`` if given."""
+class _Workspace:
+    """Forward buffers for up to ``rows`` input rows of ``spec``: two hidden
+    buffers, which the hidden layers write in turn, and one for the logits.
+    A call on fewer rows writes a row prefix of each, which is C-contiguous
+    like a fresh array, so the matmuls are the ones a fresh forward makes."""
+
+    def __init__(self, spec: LayerSpec, rows: int):
+        hidden = spec.sizes[1:-1]
+        self.spec, self.rows = spec, rows
+        self.hidden = [np.empty(rows * max(hidden)) for _ in hidden[:2]]
+        self.logits = np.empty(rows * spec.n_classes)
+
+    def out(self, layer: int, rows: int) -> np.ndarray:
+        """The (rows, width) array that ``layer`` writes its output into."""
+        width = self.spec.sizes[layer + 1]
+        buf = self.logits if layer == self.spec.n_layers - 1 else self.hidden[layer % 2]
+        return buf[: rows * width].reshape(rows, width)
+
+
+def _forward(layers, x: np.ndarray, activation: str, acts=None, workspace=None) -> np.ndarray:
+    """Logits of ``x``; each hidden layer's output is appended to ``acts`` if
+    given, and written into ``workspace`` if given instead of fresh arrays."""
     h = x
-    for W, b in layers[:-1]:
-        h = h @ W
+    last = len(layers) - 1
+    for idx, (W, b) in enumerate(layers):
+        h = h @ W if workspace is None else np.matmul(h, W, out=workspace.out(idx, x.shape[0]))
         h += b
+        if idx == last:
+            return h
         if activation == "relu":
             np.maximum(h, 0.0, out=h)
         else:
             np.tanh(h, out=h)
         if acts is not None:
             acts.append(h)
-    W, b = layers[-1]
-    logits = h @ W
-    logits += b
-    return logits
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Stable mean cross-entropy, plus ``exp_shifted`` and ``row_sums`` such
-    that ``softmax(logits) == exp_shifted / row_sums[:, None]``."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp_shifted = np.exp(shifted)
-    row_sums = exp_shifted.sum(axis=1)
-    picked = shifted[np.arange(len(labels)), labels]
-    return float(np.mean(np.log(row_sums) - picked)), exp_shifted, row_sums
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray):
+    """Stable mean cross-entropy, overwriting ``logits`` with ``exp_shifted``;
+    returns it with ``row_sums`` such that ``softmax(logits) == exp_shifted /
+    row_sums[:, None]``. ``rows`` is ``np.arange(len(labels))``."""
+    logits -= logits.max(axis=1, keepdims=True)
+    picked = logits[rows, labels]
+    np.exp(logits, out=logits)
+    row_sums = logits.sum(axis=1)
+    return float(np.mean(np.log(row_sums) - picked)), logits, row_sums
 
 
 def _l2_penalty(layers, l2_coeff: float) -> float:
@@ -176,22 +196,33 @@ def _l2_penalty(layers, l2_coeff: float) -> float:
     return 0.0
 
 
-def forward(w: ModelWeights, inputs: np.ndarray) -> np.ndarray:
-    """Compute logits, shape (batch, classes)."""
+def forward(w: ModelWeights, inputs: np.ndarray, *, workspace=None) -> np.ndarray:
+    """Compute logits, shape (batch, classes). Given a ``_Workspace`` for
+    ``w.spec``, the logits are a view of its buffer, valid until its next use."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w.spec.sizes[0]:
         raise ShapeError(
             f"inputs of shape {x.shape} do not match input width {w.spec.sizes[0]}"
         )
-    return _forward(unpack(w), x, w.spec.activation)
+    if workspace is not None and (workspace.spec != w.spec or x.shape[0] > workspace.rows):
+        raise InvalidArgumentError(
+            f"a workspace for {workspace.rows} rows of {workspace.spec.sizes} cannot "
+            f"hold {x.shape[0]} rows of {w.spec.sizes}"
+        )
+    return _forward(unpack(w), x, w.spec.activation, workspace=workspace)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting each row's maximum."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_inplace(np.array(logits, dtype=np.float64))
+
+
+def _softmax_inplace(z: np.ndarray) -> np.ndarray:
+    """``softmax`` of ``z`` written over ``z``; returns ``z``."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def loss_and_grad(w: ModelWeights, batch: Batch, l2_coeff: float = 0.0):
@@ -202,59 +233,87 @@ def loss_and_grad(w: ModelWeights, batch: Batch, l2_coeff: float = 0.0):
     vector matching the weight layout.
     """
     grad = np.empty(w.spec.param_count)
-    return loss_and_grad_into(w.spec, w.values, batch, l2_coeff, grad), grad
+    return LossValue(*_GradStep(w.spec, w.values, grad, l2_coeff)(batch)), grad
 
 
-def loss_and_grad_into(spec: LayerSpec, values: np.ndarray, batch: Batch,
-                       l2_coeff: float, grad: np.ndarray) -> LossValue:
-    """``loss_and_grad`` on a raw flat weight vector, writing the gradient
-    into the preallocated flat vector ``grad`` in place. Returns the loss."""
-    if len(batch) == 0:
-        raise InvalidArgumentError("empty batch")
-    if l2_coeff < 0:
-        raise InvalidArgumentError("l2_coeff must be nonnegative")
-    x, labels = batch.inputs, batch.labels
-    if x.shape[1] != spec.sizes[0]:
-        raise ShapeError(
-            f"batch width {x.shape[1]} does not match input width {spec.sizes[0]}"
-        )
-    n_classes = spec.n_classes
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise InvalidArgumentError(
-            f"labels must lie in [0, {n_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
+class _GradStep:
+    """``loss_and_grad`` for a loop whose flat weight vector ``values`` and
+    gradient vector ``grad`` never move: their layer views, and the row
+    index of each batch size, are built once, not per step. Calling it on a
+    batch checks the batch, writes the gradient into ``grad`` and returns
+    ``(data_loss, l2_penalty)`` as floats."""
 
-    layers = _layer_views(spec, values)
+    def __init__(self, spec: LayerSpec, values: np.ndarray, grad: np.ndarray,
+                 l2_coeff: float):
+        self.spec, self.l2_coeff = spec, l2_coeff
+        self.layers, self.grad_layers = _layer_views(spec, values), _layer_views(spec, grad)
+        self.rows = {}
+
+    def __call__(self, batch: Batch):
+        # A driver accepts any stream of batches, so each one is checked: a
+        # negative label would otherwise wrap around silently.
+        spec, l2_coeff = self.spec, self.l2_coeff
+        n = len(batch)
+        if n == 0:
+            raise InvalidArgumentError("empty batch")
+        if l2_coeff < 0:
+            raise InvalidArgumentError("l2_coeff must be nonnegative")
+        x, labels = batch.inputs, batch.labels
+        if x.shape[1] != spec.sizes[0]:
+            raise ShapeError(
+                f"batch width {x.shape[1]} does not match input width {spec.sizes[0]}"
+            )
+        n_classes = spec.n_classes
+        if labels.min() < 0 or labels.max() >= n_classes:
+            raise InvalidArgumentError(
+                f"labels must lie in [0, {n_classes}), got range "
+                f"[{labels.min()}, {labels.max()}]"
+            )
+        rows = self.rows.get(n)
+        if rows is None:
+            rows = self.rows[n] = np.arange(n)
+        return _loss_and_grad_core(self.layers, self.grad_layers, spec.activation, x,
+                                   labels, rows, l2_coeff)
+
+
+def _loss_and_grad_core(layers, grad_layers, activation: str, x: np.ndarray,
+                        labels: np.ndarray, rows: np.ndarray, l2_coeff: float):
+    """Unchecked ``loss_and_grad`` on the (W, b) views ``layers`` of the
+    weights, writing the gradient into their counterparts ``grad_layers``;
+    ``rows`` is ``np.arange(len(labels))``. Returns ``(data_loss, l2_penalty)``."""
     n = x.shape[0]
     acts = [x]
-    logits = _forward(layers, x, spec.activation, acts)
-    data_loss, delta, row_sums = _cross_entropy(logits, labels)
+    logits = _forward(layers, x, activation, acts)
+    data_loss, delta, row_sums = _cross_entropy(logits, labels, rows)
 
     # Softmax minus the one-hot labels, over the batch size.
     delta /= row_sums[:, None]
-    delta[np.arange(n), labels] -= 1.0
+    delta[rows, labels] -= 1.0
     delta /= n
 
-    for idx, (dW, db) in reversed(list(enumerate(_layer_views(spec, grad)))):
+    for idx in range(len(layers) - 1, -1, -1):
         W, _ = layers[idx]
+        dW, db = grad_layers[idx]
         np.matmul(acts[idx].T, delta, out=dW)
         np.sum(delta, axis=0, out=db)
         if l2_coeff > 0.0:
             dW += l2_coeff * W
         if idx > 0:
             delta = delta @ W.T
-            if spec.activation == "relu":
+            if activation == "relu":
                 delta *= acts[idx] > 0.0
             else:
                 delta *= 1.0 - acts[idx] ** 2
-    return LossValue(data_loss, _l2_penalty(layers, l2_coeff))
+    return data_loss, _l2_penalty(layers, l2_coeff)
 
 
-def mean_loss(w: ModelWeights, inputs: np.ndarray, labels: np.ndarray, l2_coeff: float = 0.0) -> LossValue:
-    """Loss over a full input matrix without computing gradients."""
+def mean_loss(w: ModelWeights, inputs: np.ndarray, labels: np.ndarray, l2_coeff: float = 0.0,
+              *, workspace=None) -> LossValue:
+    """Loss over a full input matrix without computing gradients; ``workspace``
+    is passed on to ``forward``."""
     labels = np.asarray(labels, dtype=np.int64)
-    data_loss = _cross_entropy(forward(w, inputs), labels)[0]
+    logits = forward(w, inputs, workspace=workspace)
+    data_loss = _cross_entropy(logits, labels, np.arange(len(labels)))[0]
     return LossValue(data_loss, _l2_penalty(unpack(w), l2_coeff))
 
 

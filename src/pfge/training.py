@@ -26,6 +26,7 @@ optimizer state): rerunning with the same inputs reproduces every iterate
 bit-for-bit.
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional
@@ -33,7 +34,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError, ShapeError
-from .nn import Batch, ModelWeights, forward, loss_and_grad_into, softmax
+from .nn import Batch, ModelWeights, _GradStep, _softmax_inplace, _Workspace, forward
 # Not called here, but importable from this module for callers (and
 # perfbench's tracer) that look it up under this name.
 from .nn import loss_and_grad  # noqa: F401
@@ -187,10 +188,11 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
     Every multiple of ``cycle_len`` is a cycle end: the trace records it and
     the collection rule ``keep`` fires, ``"average"`` closing a
     recording period at every multiple of ``period``. Without
-    ``loss_grad_fn`` the gradient is written into a preallocated buffer; a
-    supplied ``loss_grad_fn(weights, batch)`` gets a frozen copy of the
-    weights. Numpy warnings are off in the loop: a non-finite loss or weight
-    raises ``NumericError`` naming the iteration. Returns ``(EnsembleSet, trace)``.
+    ``loss_grad_fn`` a ``_GradStep`` built once for the run writes the
+    gradient into a preallocated buffer; a supplied
+    ``loss_grad_fn(weights, batch)`` gets a frozen copy of the weights.
+    Numpy warnings are off in the loop: a non-finite loss or weight raises
+    ``NumericError`` naming the iteration. Returns ``(EnsembleSet, trace)``.
     """
     spec = w0.spec
     w, velocity = w0.values.copy(), opt.velocity.copy()
@@ -199,6 +201,7 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
     avg = w0.values.copy() if keep == "average" else None
     n_models = 1
     grad, scratch = np.empty_like(w), np.empty(min(w.size, _BLOCK))
+    step = _GradStep(spec, w, grad, l2_coeff) if loss_grad_fn is None else None
     lrs, losses = np.empty(n_iters), np.empty(n_iters)
     cycle_end_iters, members = [], []
     batch_iter = iter(stream)
@@ -206,18 +209,20 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
         for i in range(1, n_iters + 1):
             alpha = lr(i)
             batch = next(batch_iter)
-            if loss_grad_fn is None:
-                loss = loss_and_grad_into(spec, w, batch, l2_coeff, grad)
+            if step is not None:
+                data_loss, l2_penalty = step(batch)
+                loss = data_loss + l2_penalty
                 step_grad = grad
             else:
-                loss, step_grad = loss_grad_fn(ModelWeights(spec, w), batch)
+                value, step_grad = loss_grad_fn(ModelWeights(spec, w), batch)
+                loss = value.total
                 step_grad = np.asarray(step_grad, dtype=np.float64)
                 if step_grad.shape != w.shape:
                     raise ShapeError(f"gradient shape {step_grad.shape} != weights {w.shape}")
-            if not np.isfinite(loss.total):
+            if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at iteration {i}")
             lrs[i - 1] = alpha
-            losses[i - 1] = loss.total
+            losses[i - 1] = loss
             if not _sgd_update(w, velocity, step_grad, alpha, opt.momentum,
                                opt.weight_decay, scratch):
                 raise NumericError(f"non-finite weights after SGD update (iteration {i})")
@@ -333,8 +338,27 @@ def ensemble_predict(ensemble: EnsembleSet, inputs: np.ndarray, last_k: Optional
     else:
         members = ensemble.members
     total = None
+    for probs in _member_probs(members, inputs):
+        total = _accumulate(total, probs)
+    total /= len(members)
+    return total, np.argmax(total, axis=1)
+
+
+def _member_probs(members, inputs: np.ndarray):
+    """Yield the softmax outputs of each of ``members`` (one spec) on
+    ``inputs``, in order, one forward each. All are written into one
+    workspace, so each yielded array is overwritten by the next member's:
+    copy what must outlive that."""
+    x = np.asarray(inputs, dtype=np.float64)
+    workspace = _Workspace(members[0].spec, x.shape[0] if x.ndim == 2 else 0)
     for member in members:
-        probs = softmax(forward(member, inputs))
-        total = probs if total is None else total + probs
-    avg_probs = total / len(members)
-    return avg_probs, np.argmax(avg_probs, axis=1)
+        yield _softmax_inplace(forward(member, x, workspace=workspace))
+
+
+def _accumulate(total: Optional[np.ndarray], probs: np.ndarray) -> np.ndarray:
+    """``total + probs``, added in place; with no ``total`` yet, a copy of
+    ``probs``, never the workspace buffer ``_member_probs`` yields."""
+    if total is None:
+        return probs.copy()
+    total += probs
+    return total

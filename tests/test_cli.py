@@ -121,6 +121,15 @@ class TestExitCodes:
         assert main(["pretrain", str(config_path), f"dataset={override}"]) == 3
         assert "train.csv:3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["9223372036854775808", "99999999999999999999999"])
+    def test_oversized_csv_label_is_3(self, config_path, tmp_path, capsys, label):
+        train = tmp_path / "train.csv"
+        train.write_text(f"f0,f1,label\n0.5,1.0,0\n0.25,0.75,{label}\n")
+        override = json.dumps({"kind": "csv", "train_path": str(train),
+                               "test_path": str(train)})
+        assert main(["pretrain", str(config_path), f"dataset={override}"]) == 3
+        assert "train.csv:3" in capsys.readouterr().err
+
     def test_non_utf8_config_is_2(self, config_path, capsys):
         config_path.write_bytes(config_path.read_bytes().replace(b'"seed"', b'"s\xffed"'))
         assert main(["pretrain", str(config_path)]) == 2

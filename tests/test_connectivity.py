@@ -13,7 +13,7 @@ from pfge.connectivity import (
     train_curve,
 )
 from pfge.data import gen_two_spirals
-from pfge.errors import ConfigurationError, InvalidArgumentError
+from pfge.errors import ConfigurationError, InvalidArgumentError, NumericError
 from pfge.nn import Batch, LayerSpec, LossValue, ModelWeights, init_model, loss_and_grad, mean_loss
 from pfge.rng import STREAM_CURVE, stream_rng
 
@@ -178,6 +178,57 @@ class TestTrainCurve:
             fd[i] = (plus - minus) / (2 * h)
         rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-5)
         assert np.max(rel) < 1e-4
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("l2_coeff", [0.0, 1e-3])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_matches_allocating_reference_bit_for_bit(self, k, l2_coeff, activation):
+        spec = LayerSpec((2, 6, 5, 2), activation)
+        a, b = init_model(spec, 21), init_model(spec, 22)
+        ds = gen_two_spirals(15, noise_sd=0.1, seed=23)
+        stream = [Batch(ds.inputs[i:i + 8], ds.labels[i:i + 8]) for i in range(0, 30, 8)]
+
+        # The loop before its buffers were hoisted: a fresh point, gradient
+        # and update temporary on every iteration.
+        interior = [c.values.copy() for c in initial_curve(a, b, k).controls[1:-1]]
+        rng = stream_rng(9, STREAM_CURVE)
+        for i in range(12):
+            coeffs = bernstein(k, float(rng.uniform()))
+            point = a.values.copy()
+            for coeff, control in zip(coeffs[1:], [*interior, b.values]):
+                point += coeff * (control - a.values)
+            _, grad = loss_and_grad(ModelWeights(spec, point), stream[i % 4], l2_coeff)
+            for j, control in enumerate(interior):
+                control -= 0.3 * coeffs[j + 1] * grad
+
+        curve = train_curve(a, b, k, 12, itertools.cycle(stream), 0.3, 9, l2_coeff=l2_coeff)
+        assert [c.values.tobytes() for c in curve.controls[1:-1]] == [
+            c.tobytes() for c in interior]
+
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_non_finite_point_is_numeric_error(self, supplied):
+        spec = LayerSpec((2, 4, 2))
+        a, b = ModelWeights(spec, np.full(spec.param_count, 1e308)), ModelWeights(
+            spec, np.full(spec.param_count, -1e308))
+        fn = (lambda w, batch: loss_and_grad(w, batch)) if supplied else None
+        with pytest.raises(NumericError, match="curve point at iteration 1"):
+            train_curve(a, b, k=2, iters=3, stream=spiral_batch_stream(), lr=0.1, seed=0,
+                        loss_grad_fn=fn)
+
+    @pytest.mark.parametrize("loss, grad, match", [
+        (float("nan"), 0.0, "curve loss at iteration 1"),
+        (0.0, 1e308, "control point at iteration 1"),
+    ])
+    def test_non_finite_loss_or_control_is_numeric_error(self, loss, grad, match):
+        a = init_model(LayerSpec((2, 4, 2)), 1)
+        b = init_model(LayerSpec((2, 4, 2)), 2)
+
+        def scripted(w, batch):
+            return LossValue(loss, 0.0), np.full_like(w.values, grad)
+
+        with pytest.raises(NumericError, match=match):
+            train_curve(a, b, k=3, iters=3, stream=spiral_batch_stream(), lr=1e10, seed=0,
+                        loss_grad_fn=scripted)
 
     def test_rejects_small_k(self):
         a, b = tiny(0.0), tiny(1.0)

@@ -1,10 +1,13 @@
-"""Golden SHA-256 digests of seeded checkpoint payloads.
+"""Golden SHA-256 digests of seeded checkpoint payloads and run outputs.
 
 The training loop may be restructured for speed, but every seeded run must
-keep producing the same bytes. These digests were computed with the original
-immutable-dataclass training loop; a change that alters the floating-point
-order of the SGD update, the running average or the gradient shows up here
-as a digest mismatch.
+keep producing the same bytes. The member digests were computed with the
+original immutable-dataclass training loop; a change that alters the
+floating-point order of the SGD update, the running average or the gradient
+shows up here as a digest mismatch. The curve-control, report and CSV
+digests were computed before the evaluation loops reused their forward
+buffers, so a buffer that leaks one member's or grid point's outputs into
+another's shows up too.
 """
 
 import hashlib
@@ -104,6 +107,68 @@ def run_digests(tmp_path, variant: str) -> dict:
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_payload_digests_are_pinned(tmp_path, variant):
     assert run_digests(tmp_path, variant) == GOLDEN[variant]
+
+# Connectivity and report settings per variant: "relu" trains a cubic curve
+# and reports the last two fge members; "tanh-l2" a quadratic curve with the
+# L2 term, over all four members.
+CURVE_VARIANTS = {
+    "relu": {"last_k": 2,
+             "connectivity": {"k": 3, "iters": 30, "lr": 0.05, "grid_size": 7}},
+    "tanh-l2": {"connectivity": {"k": 2, "iters": 30, "lr": 0.05, "grid_size": 7}},
+}
+
+
+def curve_and_report_digests(tmp_path, variant: str) -> dict:
+    """Digests of an fge run's report sections, ``reliability.csv``,
+    ``curve_profile.csv`` and the trained curve-control payloads."""
+    outdir = tmp_path / variant
+    doc = golden_doc(outdir, variant, "fge")
+    doc.update(json.loads(json.dumps(CURVE_VARIANTS[variant])))
+    cfg = config_from_dict(doc)
+    _, report = harness.run(cfg, harness.pretrain(cfg))
+    harness.connectivity_run(cfg)
+    conn_dir = cfg.run_dir / "connectivity"
+    digests = {key: hashlib.sha256(json.dumps(report[key], sort_keys=True).encode()).hexdigest()
+               for key in ("members", "ensemble_series", "ensemble")}
+    digests["reliability.csv"] = payload_digest(cfg.run_dir / "reliability.csv")
+    digests["curve_profile.csv"] = payload_digest(conn_dir / "curve_profile.csv")
+    k = doc["connectivity"]["k"]
+    digests["curve-controls"] = [payload_digest(conn_dir / f"curve-control-{j}.ckpt")
+                                 for j in range(k + 1)]
+    return digests
+
+CURVE_GOLDEN = {
+    "relu": {
+        "members": "1556622bc2c8443bc7bc850449c887355d10ef69fbb452f338ef85e399d487c9",
+        "ensemble_series": "0d4f37e8c597a89a9709f17ca86984e924bb9147ad6326b7fafa7a2680db1a9a",
+        "ensemble": "4cfe121be5dd002c5b0bb61e329df966203c1dcea7448259310d6eda8b764613",
+        "reliability.csv": "272f9a7021dc70deadf0b791ad0bd0c43a89265b48f501f1378580bb5f21f067",
+        "curve_profile.csv": "fce1b4ec3133fc69414f1593533d610bcef29b9611116ae90b40eab2fa1a281a",
+        "curve-controls": [
+            "99d390e91c9cf40d0301f9edf854549bc50cfa2d254cc60b8be8abed47fbcd4a",
+            "cb9d0b8bdadd4475aecc13e6d361f77b493290fb692da988d52ea28249672ec8",
+            "7564d1af17175349061ec27d9050523da5be655388230e3f110c797d463ab269",
+            "7b8a83c6aa51f63d12e3ff540b17d77ccab865302b9ee0930509aa0ed713235c",
+        ],
+    },
+    "tanh-l2": {
+        "members": "be7a39e70425125b78996fe971b3e9ae41c9dc4ff6b96931dbefbd42eb5da16f",
+        "ensemble_series": "253211eb96471c682fcc3d692548026118503b9532afaff26b11de882d2bb6ee",
+        "ensemble": "656c9fa843ddd0d074e0a07ac84eabbc80448fe3c43a35ad6bd5f5056c798775",
+        "reliability.csv": "b69f766902fd1b278ec2878bd737c49664082122f2b56b2c91239df01cfb94bd",
+        "curve_profile.csv": "45485eaaf320ef64ae4b8c9a86f731ac73a0a3cf19640f088338b4beb81055e3",
+        "curve-controls": [
+            "39777306eaf012c8edbfbf1fd015f5c907c29322bbff7ee8681f75dc63a45e50",
+            "759318ee18ee6fae274c7c329aad17876e1504dc37db63287ae59b483c476cef",
+            "6d4e5b30d89f3967b7543d5ca26679b3ff932614f951fdba4dde36014260114e",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(CURVE_VARIANTS))
+def test_curve_and_report_digests_are_pinned(tmp_path, variant):
+    assert curve_and_report_digests(tmp_path, variant) == CURVE_GOLDEN[variant]
 
 
 class TestSuppliedLossGrad:

@@ -5,11 +5,12 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pfge import harness
 from pfge.config import config_from_dict
+from pfge.errors import DataFormatError
 from pfge.data import (
     Dataset,
     _load_csv_checked,
@@ -35,7 +36,8 @@ BAD_FEATURES = st.sampled_from([
     "'1.5'", "#1", "1e999", "-1e999", "nan", "inf", "", ".", "1e", "+", "-", "1.2.3",
     "1e5.5", "0x10", "--1", "é", "1,5",
 ])
-BAD_LABELS = st.sampled_from(["1.0", "-1", "-7", "", "1e0", "x", "nan", "99999999999999999999999"])
+OVERSIZED_LABEL = "99999999999999999999999"
+BAD_LABELS = st.sampled_from(["1.0", "-1", "-7", "", "1e0", "x", "nan", OVERSIZED_LABEL])
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
@@ -92,10 +94,23 @@ def outcome(parse, path):
 class TestCsvFastPath:
     @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(raw=csv_texts())
+    @example(raw=f"f0,label\n1.5,0\n2.5,{OVERSIZED_LABEL}\n".encode())
     def test_agrees_with_validating_parser(self, tmp_path, raw):
         path = tmp_path / "data.csv"
         path.write_bytes(raw)
-        assert outcome(load_csv, path) == outcome(_load_csv_checked, path)
+        got = outcome(load_csv, path)
+        assert got == outcome(_load_csv_checked, path)
+        if OVERSIZED_LABEL.encode() in raw:
+            # Only a label cell can hold it; it fails as a typed, located error.
+            assert got[0] is DataFormatError
+
+    @pytest.mark.parametrize("parse", [load_csv, _load_csv_checked])
+    @pytest.mark.parametrize("label", [OVERSIZED_LABEL, str(2**63)])
+    def test_oversized_label_is_a_data_format_error(self, tmp_path, parse, label):
+        path = tmp_path / "data.csv"
+        path.write_text(f"f0,label\n1.5,0\n2.5,{label}\n")
+        with pytest.raises(DataFormatError, match=r"data\.csv:3: label"):
+            parse(path)
 
     @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(

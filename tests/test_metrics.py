@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfge.errors import InvalidArgumentError
 from pfge.metrics import PredictionBatch, accuracy, ece, nll, reliability
@@ -165,3 +167,26 @@ class TestInvariances:
         assert accuracy(p) == accuracy(q)
         assert nll(p) == pytest.approx(nll(q), abs=1e-14)
         assert ece(p, 15) == pytest.approx(ece(q, 15), abs=1e-14)
+
+
+@st.composite
+def prediction_batches(draw):
+    """Rows of positive weights normalized to probabilities, with labels."""
+    classes = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 50))
+    weights = np.array(draw(st.lists(
+        st.lists(st.floats(1e-3, 1e3), min_size=classes, max_size=classes),
+        min_size=n, max_size=n)))
+    labels = np.array(draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n)))
+    return PredictionBatch(weights / weights.sum(axis=1, keepdims=True), labels)
+
+
+class TestReliabilityProperties:
+    @given(p=prediction_batches(), bins=st.integers(1, 20))
+    def test_counts_sum_to_n_and_ece_is_bounded(self, p, bins):
+        result = reliability(p, bins)
+        assert result.counts.sum() == len(p)
+        assert result.n_samples == len(p)
+        value = result.ece_value()
+        assert 0.0 <= value <= 1.0
+        assert value == ece(p, bins)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfge.errors import ConfigurationError, InvalidArgumentError, ShapeError
 from pfge.nn import (
     Batch,
     LayerSpec,
     ModelWeights,
+    _softmax_inplace,
+    _Workspace,
     forward,
     init_model,
     linear_combine,
@@ -14,6 +18,7 @@ from pfge.nn import (
     softmax,
     unpack,
 )
+from pfge.training import EnsembleSet, ensemble_predict
 
 
 def finite_difference_gradient(w, batch, l2_coeff, h=1e-5):
@@ -254,3 +259,57 @@ class TestLinearCombine:
     def test_spec_mismatch(self):
         with pytest.raises(ShapeError):
             linear_combine(1.0, init_model(LayerSpec((2, 3)), 0), 1.0, init_model(LayerSpec((3, 2)), 0))
+
+
+class TestWorkspace:
+    """Forwards written into one reused workspace give the fresh-allocation
+    bits, and nothing a caller keeps from one weight set changes when the
+    workspace serves the next."""
+
+    @given(data=st.data(), n_hidden=st.integers(1, 3),
+           activation=st.sampled_from(["relu", "tanh"]), capacity=st.integers(1, 12))
+    def test_reuse_matches_fresh_allocation(self, data, n_hidden, activation, capacity):
+        widths = data.draw(st.lists(st.integers(1, 6), min_size=n_hidden + 2,
+                                    max_size=n_hidden + 2))
+        spec = LayerSpec(tuple(widths), activation)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        x = rng.normal(scale=2.0, size=(capacity, spec.sizes[0]))
+        y = rng.integers(0, spec.n_classes, size=capacity)
+        members = [init_model(spec, data.draw(st.integers(0, 2**16))) for _ in range(3)]
+        workspace = _Workspace(spec, capacity)
+        kept = []
+        for w in members:
+            rows = data.draw(st.integers(1, capacity))
+            x_r, y_r = x[:rows], y[:rows]
+            fresh = forward(w, x_r)
+            got = forward(w, x_r, workspace=workspace)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == fresh.tobytes()
+            probs = _softmax_inplace(forward(w, x_r, workspace=workspace))
+            assert probs.tobytes() == softmax(fresh).tobytes()
+            loss = mean_loss(w, x_r, y_r, 1e-3, workspace=workspace)
+            assert loss == mean_loss(w, x_r, y_r, 1e-3)
+            kept.append((w, rows, loss, np.argmax(probs, axis=1)))
+        for w, rows, loss, preds in kept:
+            assert loss == mean_loss(w, x[:rows], y[:rows], 1e-3)
+            assert np.array_equal(preds, np.argmax(forward(w, x[:rows]), axis=1))
+
+    @given(data=st.data(), capacity=st.integers(1, 12))
+    def test_ensemble_average_matches_fresh_softmaxes(self, data, capacity):
+        spec = LayerSpec((3, 5, 4, 3), data.draw(st.sampled_from(["relu", "tanh"])))
+        x = np.random.default_rng(capacity).normal(size=(capacity, 3))
+        members = tuple(init_model(spec, seed) for seed in range(data.draw(st.integers(1, 4))))
+        total = None
+        for w in members:
+            probs = softmax(forward(w, x))
+            total = probs if total is None else total + probs
+        got, labels = ensemble_predict(EnsembleSet(members, tuple(range(1, len(members) + 1))), x)
+        assert got.tobytes() == (total / len(members)).tobytes()
+        assert np.array_equal(labels, np.argmax(got, axis=1))
+
+    def test_rejects_a_workspace_that_does_not_fit(self):
+        w = init_model(LayerSpec((2, 4, 2)), 0)
+        with pytest.raises(InvalidArgumentError, match="workspace"):
+            forward(w, np.zeros((5, 2)), workspace=_Workspace(w.spec, 4))
+        with pytest.raises(InvalidArgumentError, match="workspace"):
+            forward(w, np.zeros((3, 2)), workspace=_Workspace(LayerSpec((2, 5, 2)), 4))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from pfge.errors import ConfigurationError, InvalidArgumentError
 from pfge.schedule import BudgetSpec, LrSchedule, lr_at, validate_budget
@@ -79,3 +81,31 @@ class TestValidateBudget:
         sched = LrSchedule(0.05, 0.0005, 4)
         budget = BudgetSpec(total_iters=12)
         assert validate_budget(sched, budget) is budget
+
+
+class TestProperties:
+    @given(alpha1=st.floats(1e-12, 1e3), alpha2=st.floats(1e-12, 1e3),
+           cycle_len=st.integers(2, 60), i=st.integers(1, 10_000))
+    def test_lr_hits_floor_exactly_at_cycle_ends(self, alpha1, alpha2, cycle_len, i):
+        assume(alpha1 > alpha2)
+        rate = lr_at(LrSchedule(alpha1, alpha2, cycle_len), i)
+        if i % cycle_len == 0:
+            assert rate == alpha2
+        else:
+            assert alpha2 <= rate < alpha1
+
+    @given(cycle_len=st.integers(2, 12), period=st.one_of(st.none(), st.integers(1, 60)),
+           total=st.integers(1, 400))
+    def test_budget_accepted_exactly_when_c_divides_p_divides_n(self, cycle_len, period,
+                                                                total):
+        sched = LrSchedule(0.05, 0.0005, cycle_len)
+        budget = BudgetSpec(total, period)
+        if period is None:
+            holds = total % cycle_len == 0
+        else:
+            holds = period % cycle_len == 0 and total % period == 0
+        if holds:
+            assert validate_budget(sched, budget) is budget
+        else:
+            with pytest.raises(ConfigurationError):
+                validate_budget(sched, budget)
