@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigurationError, InvalidArgumentError, NumericError, ShapeError
-from .nn import Batch, ModelWeights, _GradStep, _Workspace, forward, linear_combine, mean_loss
+from .nn import Batch, ModelWeights, _grad_step, _Workspace, forward, linear_combine, mean_loss
 # Not called here, but importable from this module for callers (and
 # perfbench's tracer) that look it up under this name.
 from .nn import loss_and_grad  # noqa: F401
@@ -153,11 +153,11 @@ def train_curve(
     mini-batch, evaluate the loss gradient at ``gamma(t)``, and update each
     interior control ``j`` by plain SGD with the chain-rule factor
     ``bernstein_j(t)``. Endpoints are never touched. The point, gradient and
-    update buffers are allocated once, before the loop; without
-    ``loss_grad_fn`` the gradient comes from a ``_GradStep`` on the point
-    buffer, and a supplied ``loss_grad_fn(weights, batch)`` gets a frozen copy
-    of the point. Numpy warnings are off in the loop: a non-finite point, loss
-    or control raises ``NumericError`` naming the iteration.
+    update buffers are allocated once, before the loop, and the gradient
+    comes from one ``nn._grad_step`` on the point buffer, which hands a
+    supplied ``loss_grad_fn(weights, batch)`` a frozen copy of the point.
+    Numpy warnings are off in the loop: a non-finite point, loss or control
+    raises ``NumericError`` naming the iteration.
     """
     if k < 2:
         raise ConfigurationError(f"curve training needs k >= 2, got k={k}")
@@ -168,7 +168,7 @@ def train_curve(
     interior = [c.values.copy() for c in start.controls[1:-1]]
     controls = [*interior, w_end.values]
     point, grad, scratch = (np.empty(spec.param_count) for _ in range(3))
-    step = _GradStep(spec, point, grad, l2_coeff) if loss_grad_fn is None else None
+    step = _grad_step(spec, point, grad, l2_coeff, loss_grad_fn)
     rng = stream_rng(seed, STREAM_CURVE)
     batch_iter = iter(stream)
     with np.errstate(all="ignore"):
@@ -179,16 +179,11 @@ def train_curve(
             _bezier_sum(w.values, coeffs[1:], controls, point, scratch)
             if not np.isfinite(point).all():
                 raise NumericError(f"non-finite curve point at iteration {i}")
-            if step is not None:
-                data_loss, l2_penalty = step(batch)
-                loss, step_grad = data_loss + l2_penalty, grad
-            else:
-                value, step_grad = loss_grad_fn(ModelWeights(spec, point), batch)
-                loss = value.total
-            if not math.isfinite(loss):
+            data_loss, l2_penalty = step(batch)
+            if not math.isfinite(data_loss + l2_penalty):
                 raise NumericError(f"non-finite curve loss at iteration {i}")
             for j, control in enumerate(interior):
-                np.multiply(step_grad, lr * coeffs[j + 1], out=scratch)
+                np.multiply(grad, lr * coeffs[j + 1], out=scratch)
                 control -= scratch
                 if not np.isfinite(control).all():
                     raise NumericError(f"non-finite control point at iteration {i}")

@@ -142,7 +142,7 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     opt = MomentumState.initial(w_init, settings["momentum"], settings["weight_decay"])
     final, _ = _drive(w_init, opt, batches(train, cfg.batch_size, cfg.seed), total,
                       lambda i: settings["lr"] * _pretrain_lr_factor((i - 1) / total),
-                      l2_coeff=settings["l2_coeff"])
+                      total, total, l2_coeff=settings["l2_coeff"])
     train_preds = np.argmax(ensemble_predict(final, train.inputs)[0], axis=1)
     ckpt = Checkpoint(
         weights=final.members[0],
@@ -196,15 +196,16 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
     opt = MomentumState.initial(w0.weights, opt_cfg["momentum"], opt_cfg["weight_decay"])
 
     algo = cfg.algorithm
-    keep, cycle_len, period, n_members = _collection_rule(algo, sched, budget)
+    average, period = _collection_rule(algo, sched, budget)
+    n_members = budget.total_iters // period
     last_k = cfg.last_k
     if last_k is not None and last_k > n_members:
         raise ConfigurationError(
             f"last_k must be in [1, {n_members}] for {algo} with this budget, got {last_k}"
         )
     ensemble, _ = _drive(w0.weights, opt, batches(train, cfg.batch_size, cfg.seed),
-                         budget.total_iters, partial(lr_at, sched), keep, cycle_len, period,
-                         l2_coeff=opt_cfg["l2_coeff"])
+                         budget.total_iters, partial(lr_at, sched), sched.cycle_len, period,
+                         average, l2_coeff=opt_cfg["l2_coeff"])
 
     run_dir = cfg.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)

@@ -245,6 +245,8 @@ class _GradStep:
 
     def __init__(self, spec: LayerSpec, values: np.ndarray, grad: np.ndarray,
                  l2_coeff: float):
+        if l2_coeff < 0:
+            raise InvalidArgumentError("l2_coeff must be nonnegative")
         self.spec, self.l2_coeff = spec, l2_coeff
         self.layers, self.grad_layers = _layer_views(spec, values), _layer_views(spec, grad)
         self.rows = {}
@@ -252,68 +254,83 @@ class _GradStep:
     def __call__(self, batch: Batch):
         # A driver accepts any stream of batches, so each one is checked: a
         # negative label would otherwise wrap around silently.
-        spec, l2_coeff = self.spec, self.l2_coeff
-        n = len(batch)
-        if n == 0:
-            raise InvalidArgumentError("empty batch")
-        if l2_coeff < 0:
-            raise InvalidArgumentError("l2_coeff must be nonnegative")
-        x, labels = batch.inputs, batch.labels
-        if x.shape[1] != spec.sizes[0]:
-            raise ShapeError(
-                f"batch width {x.shape[1]} does not match input width {spec.sizes[0]}"
-            )
-        n_classes = spec.n_classes
-        if labels.min() < 0 or labels.max() >= n_classes:
-            raise InvalidArgumentError(
-                f"labels must lie in [0, {n_classes}), got range "
-                f"[{labels.min()}, {labels.max()}]"
-            )
+        _check_batch(self.spec, batch)
+        layers, activation, l2_coeff = self.layers, self.spec.activation, self.l2_coeff
+        x, labels, n = batch.inputs, batch.labels, len(batch)
         rows = self.rows.get(n)
         if rows is None:
             rows = self.rows[n] = np.arange(n)
-        return _loss_and_grad_core(self.layers, self.grad_layers, spec.activation, x,
-                                   labels, rows, l2_coeff)
+        acts = [x]
+        logits = _forward(layers, x, activation, acts)
+        data_loss, delta, row_sums = _cross_entropy(logits, labels, rows)
+
+        # Softmax minus the one-hot labels, over the batch size.
+        delta /= row_sums[:, None]
+        delta[rows, labels] -= 1.0
+        delta /= n
+
+        for idx in range(len(layers) - 1, -1, -1):
+            W, _ = layers[idx]
+            dW, db = self.grad_layers[idx]
+            np.matmul(acts[idx].T, delta, out=dW)
+            np.sum(delta, axis=0, out=db)
+            if l2_coeff > 0.0:
+                dW += l2_coeff * W
+            if idx > 0:
+                delta = delta @ W.T
+                if activation == "relu":
+                    delta *= acts[idx] > 0.0
+                else:
+                    delta *= 1.0 - acts[idx] ** 2
+        return data_loss, _l2_penalty(layers, l2_coeff)
 
 
-def _loss_and_grad_core(layers, grad_layers, activation: str, x: np.ndarray,
-                        labels: np.ndarray, rows: np.ndarray, l2_coeff: float):
-    """Unchecked ``loss_and_grad`` on the (W, b) views ``layers`` of the
-    weights, writing the gradient into their counterparts ``grad_layers``;
-    ``rows`` is ``np.arange(len(labels))``. Returns ``(data_loss, l2_penalty)``."""
-    n = x.shape[0]
-    acts = [x]
-    logits = _forward(layers, x, activation, acts)
-    data_loss, delta, row_sums = _cross_entropy(logits, labels, rows)
+def _grad_step(spec: LayerSpec, values: np.ndarray, grad: np.ndarray, l2_coeff: float,
+               loss_grad_fn=None):
+    """A training loop's gradient: a ``_GradStep``, or, given a caller's
+    ``loss_grad_fn(weights, batch) -> (LossValue, grad)``, a step called the
+    same way that passes it a frozen copy of ``values``, checks the
+    gradient's shape and copies it into ``grad``."""
+    if loss_grad_fn is None:
+        return _GradStep(spec, values, grad, l2_coeff)
 
-    # Softmax minus the one-hot labels, over the batch size.
-    delta /= row_sums[:, None]
-    delta[rows, labels] -= 1.0
-    delta /= n
+    def step(batch: Batch):
+        value, step_grad = loss_grad_fn(ModelWeights(spec, values), batch)
+        step_grad = np.asarray(step_grad, dtype=np.float64)
+        if step_grad.shape != grad.shape:
+            raise ShapeError(f"gradient shape {step_grad.shape} != weights {grad.shape}")
+        grad[...] = step_grad
+        return value.data_loss, value.l2_penalty
+    return step
 
-    for idx in range(len(layers) - 1, -1, -1):
-        W, _ = layers[idx]
-        dW, db = grad_layers[idx]
-        np.matmul(acts[idx].T, delta, out=dW)
-        np.sum(delta, axis=0, out=db)
-        if l2_coeff > 0.0:
-            dW += l2_coeff * W
-        if idx > 0:
-            delta = delta @ W.T
-            if activation == "relu":
-                delta *= acts[idx] > 0.0
-            else:
-                delta *= 1.0 - acts[idx] ** 2
-    return data_loss, _l2_penalty(layers, l2_coeff)
+
+def _check_batch(spec: LayerSpec, batch: Batch) -> None:
+    """Raise unless ``batch`` is non-empty, as wide as ``spec``'s input and
+    labelled within ``[0, n_classes)``."""
+    if len(batch) == 0:
+        raise InvalidArgumentError("empty batch")
+    x, labels = batch.inputs, batch.labels
+    if x.shape[1] != spec.sizes[0]:
+        raise ShapeError(
+            f"batch width {x.shape[1]} does not match input width {spec.sizes[0]}"
+        )
+    n_classes = spec.n_classes
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise InvalidArgumentError(
+            f"labels must lie in [0, {n_classes}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
 
 
 def mean_loss(w: ModelWeights, inputs: np.ndarray, labels: np.ndarray, l2_coeff: float = 0.0,
               *, workspace=None) -> LossValue:
-    """Loss over a full input matrix without computing gradients; ``workspace``
-    is passed on to ``forward``."""
-    labels = np.asarray(labels, dtype=np.int64)
-    logits = forward(w, inputs, workspace=workspace)
-    data_loss = _cross_entropy(logits, labels, np.arange(len(labels)))[0]
+    """Loss over a full input matrix without computing gradients; the inputs
+    and labels are checked as a training batch is. ``workspace`` is passed on
+    to ``forward``."""
+    batch = Batch(inputs, labels)
+    _check_batch(w.spec, batch)
+    logits = forward(w, batch.inputs, workspace=workspace)
+    data_loss = _cross_entropy(logits, batch.labels, np.arange(len(batch)))[0]
     return LossValue(data_loss, _l2_penalty(unpack(w), l2_coeff))
 
 

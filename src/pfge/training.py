@@ -1,25 +1,23 @@
 """One cyclical-SGD training driver and the collection rules of the algorithms.
 
 SWA, FGE and PFGE follow one trajectory: at iteration ``i`` (1-based) the
-learning rate comes from a schedule, one heavy-ball SGD step is taken, and at
-the bottom-of-cycle instants ``i % c == 0`` a collection rule decides what to
-keep. ``_drive`` runs that loop (also for the harness's pretraining) with
-weights, velocity, gradient and average in preallocated buffers updated in
-place, in the floating-point order of ``sgd_step`` and
-``running_average_update``. ``_collection_rule`` maps each algorithm, for a
-budget of ``n`` iterations, cycle length ``c`` and recording period ``P``, onto
-the rule's arguments to ``_drive``::
+learning rate comes from a schedule and one heavy-ball SGD step is taken.
+``_drive`` runs that loop (also for the harness's pretraining) with weights,
+velocity, gradient and average in preallocated buffers updated in place, in
+the floating-point order of ``sgd_step`` and ``running_average_update``. Each
+algorithm is an ``(average, period)`` rule: with ``average`` every
+bottom-of-cycle iterate (``i % c == 0``) is folded into a running average
+seeded from ``w0``, and every ``period`` iterations a member is collected: the
+average, which then re-seeds the weights and the next period's average, or
+without ``average`` the iterate itself. ``_collection_rule`` maps each
+algorithm, for a budget of ``n`` iterations, cycle length ``c`` and recording
+period ``P``, onto its rule::
 
-    algorithm  keep        cycle_len  period  members
-    sgd        "last"      -          -       1
-    swa        "average"   c          n       1
-    fge        "iterates"  c          -       n / c
-    pfge       "average"   c          P       n / P
-
-``"average"`` folds each cycle-end iterate into a running average seeded from
-``w0``; at the end of every recording period the average becomes a member and
-re-seeds both the weights and the next period's average. ``"iterates"`` keeps
-each raw cycle-end iterate and ``"last"`` only the final one.
+    algorithm  average  period  members
+    sgd        no       n       1
+    swa        yes      n       1
+    fge        no       c       n / c
+    pfge       yes      P       n / P
 
 Drivers are deterministic given (initial weights, schedule, batch stream,
 optimizer state): rerunning with the same inputs reproduces every iterate
@@ -34,7 +32,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError, ShapeError
-from .nn import Batch, ModelWeights, _GradStep, _softmax_inplace, _Workspace, forward
+from .nn import Batch, ModelWeights, _grad_step, _softmax_inplace, _Workspace, forward
 # Not called here, but importable from this module for callers (and
 # perfbench's tracer) that look it up under this name.
 from .nn import loss_and_grad  # noqa: F401
@@ -180,82 +178,61 @@ def running_average_update(w_avg: ModelWeights, n_models: int, w: ModelWeights) 
 
 
 def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iters: int,
-           lr: Callable[[int], float], keep: str = "last", cycle_len: Optional[int] = None,
-           period: Optional[int] = None, loss_grad_fn: Optional[LossGradFn] = None,
-           l2_coeff: float = 0.0):
-    """Run ``n_iters`` SGD steps from ``w0`` with step size ``lr(i)``.
-
-    Every multiple of ``cycle_len`` is a cycle end: the trace records it and
-    the collection rule ``keep`` fires, ``"average"`` closing a
-    recording period at every multiple of ``period``. Without
-    ``loss_grad_fn`` a ``_GradStep`` built once for the run writes the
-    gradient into a preallocated buffer; a supplied
-    ``loss_grad_fn(weights, batch)`` gets a frozen copy of the weights.
-    Numpy warnings are off in the loop: a non-finite loss or weight raises
-    ``NumericError`` naming the iteration. Returns ``(EnsembleSet, trace)``.
+           lr: Callable[[int], float], cycle_len: int, period: int, average: bool = False,
+           loss_grad_fn: Optional[LossGradFn] = None, l2_coeff: float = 0.0):
+    """Run ``n_iters`` SGD steps from ``w0`` with step size ``lr(i)`` under the
+    ``(average, period)`` rule of the module docstring; ``period`` is a
+    multiple of ``cycle_len``, and every multiple of ``cycle_len`` is a cycle
+    end, recorded in the trace. The gradient comes from one ``nn._grad_step``
+    built for the run, which hands a supplied ``loss_grad_fn(weights, batch)``
+    a frozen copy of the weights. Numpy warnings are off in the loop: a
+    non-finite loss or weight raises ``NumericError`` naming the iteration.
+    Returns ``(EnsembleSet, trace)``.
     """
     spec = w0.spec
     w, velocity = w0.values.copy(), opt.velocity.copy()
     if velocity.shape != w.shape:
         raise ShapeError(f"velocity shape {velocity.shape} != weights {w.shape}")
-    avg = w0.values.copy() if keep == "average" else None
+    avg = w0.values.copy() if average else None
     n_models = 1
     grad, scratch = np.empty_like(w), np.empty(min(w.size, _BLOCK))
-    step = _GradStep(spec, w, grad, l2_coeff) if loss_grad_fn is None else None
+    step = _grad_step(spec, w, grad, l2_coeff, loss_grad_fn)
     lrs, losses = np.empty(n_iters), np.empty(n_iters)
     cycle_end_iters, members = [], []
     batch_iter = iter(stream)
     with np.errstate(all="ignore"):
         for i in range(1, n_iters + 1):
             alpha = lr(i)
-            batch = next(batch_iter)
-            if step is not None:
-                data_loss, l2_penalty = step(batch)
-                loss = data_loss + l2_penalty
-                step_grad = grad
-            else:
-                value, step_grad = loss_grad_fn(ModelWeights(spec, w), batch)
-                loss = value.total
-                step_grad = np.asarray(step_grad, dtype=np.float64)
-                if step_grad.shape != w.shape:
-                    raise ShapeError(f"gradient shape {step_grad.shape} != weights {w.shape}")
+            data_loss, l2_penalty = step(next(batch_iter))
+            loss = data_loss + l2_penalty
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at iteration {i}")
             lrs[i - 1] = alpha
             losses[i - 1] = loss
-            if not _sgd_update(w, velocity, step_grad, alpha, opt.momentum,
+            if not _sgd_update(w, velocity, grad, alpha, opt.momentum,
                                opt.weight_decay, scratch):
                 raise NumericError(f"non-finite weights after SGD update (iteration {i})")
-            if cycle_len is None or i % cycle_len:
+            if i % cycle_len:
                 continue
             cycle_end_iters.append(i)
-            if keep == "iterates":
-                members.append((ModelWeights(spec, w), i))
-            elif keep == "average":
+            if average:
                 _fold(avg, n_models, w)
                 n_models += 1
-                if i % period == 0:
-                    members.append((ModelWeights(spec, avg), i))
+            if i % period == 0:
+                members.append((ModelWeights(spec, avg if average else w), i))
+                if average:
                     w[...] = avg
                     n_models = 1
-    if keep == "last":
-        members.append((ModelWeights(spec, w), n_iters))
     trace = RunTrace(np.arange(1, n_iters + 1), lrs, losses, tuple(cycle_end_iters))
     return EnsembleSet(*zip(*members)), trace
 
 
 def _collection_rule(algorithm: str, sched: LrSchedule, budget: BudgetSpec):
     """Check ``budget`` against ``sched`` and return ``algorithm``'s
-    ``(keep, cycle_len, period, n_members)``, as tabled in the module
-    docstring."""
+    ``(average, period)``, as tabled in the module docstring."""
     validate_budget(sched, budget)
-    n, c = budget.total_iters, sched.cycle_len
-    if algorithm == "sgd":
-        return "last", None, None, 1
-    if algorithm == "fge":
-        return "iterates", c, None, n // c
-    period = n if algorithm == "swa" else budget.record_period
-    return "average", c, period, n // period
+    n, c, P = budget.total_iters, sched.cycle_len, budget.record_period
+    return {"sgd": (False, n), "swa": (True, n), "fge": (False, c), "pfge": (True, P)}[algorithm]
 
 
 def run_swa(
@@ -273,9 +250,9 @@ def run_swa(
     bottom-of-cycle instant, so the result is the arithmetic mean of ``w0``
     and the ``n_iters / c`` cycle-end iterates. Returns ``(w_avg, trace)``.
     """
-    keep, cycle_len, period, _ = _collection_rule("swa", sched, BudgetSpec(n_iters))
-    ensemble, trace = _drive(w0, opt, stream, n_iters, partial(lr_at, sched), keep,
-                             cycle_len, period, loss_grad_fn, l2_coeff)
+    average, period = _collection_rule("swa", sched, BudgetSpec(n_iters))
+    ensemble, trace = _drive(w0, opt, stream, n_iters, partial(lr_at, sched), sched.cycle_len,
+                             period, average, loss_grad_fn, l2_coeff)
     return ensemble.members[0], trace
 
 
@@ -293,9 +270,9 @@ def run_fge(
     Returns ``(EnsembleSet, trace)`` with exactly ``n_iters / c`` members,
     recorded at iterations ``c, 2c, ..., n_iters``.
     """
-    keep, cycle_len, period, _ = _collection_rule("fge", sched, BudgetSpec(n_iters))
-    return _drive(w0, opt, stream, n_iters, partial(lr_at, sched), keep, cycle_len, period,
-                  loss_grad_fn, l2_coeff)
+    average, period = _collection_rule("fge", sched, BudgetSpec(n_iters))
+    return _drive(w0, opt, stream, n_iters, partial(lr_at, sched), sched.cycle_len, period,
+                  average, loss_grad_fn, l2_coeff)
 
 
 def run_pfge(
@@ -316,10 +293,9 @@ def run_pfge(
     momentum state carries across period boundaries untouched. Returns
     ``(EnsembleSet, trace)`` with exactly ``n_iters / record_period`` members.
     """
-    keep, cycle_len, period, _ = _collection_rule(
-        "pfge", sched, BudgetSpec(n_iters, record_period))
-    return _drive(w0, opt, stream, n_iters, partial(lr_at, sched), keep, cycle_len, period,
-                  loss_grad_fn, l2_coeff)
+    average, period = _collection_rule("pfge", sched, BudgetSpec(n_iters, record_period))
+    return _drive(w0, opt, stream, n_iters, partial(lr_at, sched), sched.cycle_len, period,
+                  average, loss_grad_fn, l2_coeff)
 
 
 def ensemble_predict(ensemble: EnsembleSet, inputs: np.ndarray, last_k: Optional[int] = None):

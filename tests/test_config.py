@@ -1,6 +1,10 @@
+import copy
 import json
+import string
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from pfge.config import apply_overrides, config_from_dict, iterations_per_epoch, load_config
 from pfge.errors import ConfigurationError
@@ -131,6 +135,45 @@ class TestOverrides:
         with pytest.raises(ConfigurationError):
             apply_overrides(base_doc(), ["oops"])
 
+
+    @staticmethod
+    def leaf_paths(node, prefix=()):
+        """Key paths of ``node``'s non-object values."""
+        for key, value in node.items():
+            if isinstance(value, dict):
+                yield from TestOverrides.leaf_paths(value, prefix + (key,))
+            else:
+                yield prefix + (key,)
+
+    @given(
+        path=st.lists(st.sampled_from(["model", "sizes", "schedule", "alpha1", "seed"])
+                      | st.text(string.ascii_lowercase + "_", min_size=1, max_size=8),
+                      min_size=1, max_size=4),
+        value=st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.floats(allow_nan=False, allow_infinity=False), st.text()),
+    )
+    def test_dotted_scalar_reads_back(self, path, value):
+        doc = base_doc()
+        node = doc
+        for part in path[:-1]:
+            node = node.get(part, {})
+            assume(isinstance(node, dict))  # else the next property applies
+        before = copy.deepcopy(doc)
+        out = apply_overrides(doc, [".".join(path) + "=" + json.dumps(value)])
+        for part in path:
+            out = out[part]
+        assert out == value and type(out) is type(value)
+        assert doc == before
+
+    @given(data=st.data())
+    def test_descending_into_non_object_rejected(self, data):
+        doc = base_doc()
+        leaf = data.draw(st.sampled_from(sorted(self.leaf_paths(doc))))
+        tail = data.draw(st.lists(st.sampled_from(["x", "y", "0"]), min_size=1, max_size=3))
+        before = copy.deepcopy(doc)
+        with pytest.raises(ConfigurationError, match="non-object"):
+            apply_overrides(doc, [".".join(leaf + tuple(tail)) + "=1"])
+        assert doc == before
 
 class TestLoadConfig:
     def test_load_with_overrides(self, tmp_path):

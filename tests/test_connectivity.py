@@ -13,7 +13,7 @@ from pfge.connectivity import (
     train_curve,
 )
 from pfge.data import gen_two_spirals
-from pfge.errors import ConfigurationError, InvalidArgumentError, NumericError
+from pfge.errors import ConfigurationError, InvalidArgumentError, NumericError, ShapeError
 from pfge.nn import Batch, LayerSpec, LossValue, ModelWeights, init_model, loss_and_grad, mean_loss
 from pfge.rng import STREAM_CURVE, stream_rng
 
@@ -229,6 +229,32 @@ class TestTrainCurve:
         with pytest.raises(NumericError, match=match):
             train_curve(a, b, k=3, iters=3, stream=spiral_batch_stream(), lr=1e10, seed=0,
                         loss_grad_fn=scripted)
+
+    @pytest.mark.parametrize("l2_coeff", [0.0, 1e-3])
+    def test_supplied_loss_grad_matches_default_bytes(self, l2_coeff):
+        spec = LayerSpec((2, 6, 5, 2))
+        a, b = init_model(spec, 31), init_model(spec, 32)
+        ds = gen_two_spirals(15, noise_sd=0.1, seed=33)
+        stream = [Batch(ds.inputs[i:i + 8], ds.labels[i:i + 8]) for i in range(0, 30, 8)]
+        default = train_curve(a, b, 3, 12, itertools.cycle(stream), 0.3, 9, l2_coeff=l2_coeff)
+        supplied = train_curve(a, b, 3, 12, itertools.cycle(stream), 0.3, 9,
+                               loss_grad_fn=lambda w, batch: loss_and_grad(w, batch, l2_coeff))
+        assert [c.values.tobytes() for c in supplied.controls] == [
+            c.values.tobytes() for c in default.controls]
+
+    @pytest.mark.parametrize("extra", [None, 1])
+    def test_supplied_gradient_of_wrong_shape_is_shape_error(self, extra):
+        spec = LayerSpec((2, 4, 2))
+        a, b = init_model(spec, 1), init_model(spec, 2)
+        n = 1 if extra is None else spec.param_count + extra
+
+        def wrong_shape(w, batch):
+            return LossValue(0.0, 0.0), np.zeros(n)
+
+        with pytest.raises(ShapeError,
+                           match=rf"gradient shape \({n},\) != weights \({spec.param_count},\)"):
+            train_curve(a, b, k=2, iters=2, stream=spiral_batch_stream(), lr=0.1, seed=0,
+                        loss_grad_fn=wrong_shape)
 
     def test_rejects_small_k(self):
         a, b = tiny(0.0), tiny(1.0)

@@ -220,6 +220,37 @@ class TestLossAndGrad:
         assert np.isclose(via_grad.total, direct.total, rtol=0, atol=1e-14)
 
 
+
+class TestMeanLossChecks:
+    """``mean_loss`` checks its labels with the training step's batch check."""
+
+    spec = LayerSpec((2, 3, 2))
+
+    def inputs(self):
+        return np.random.default_rng(5).normal(size=(5, 2))
+
+    @pytest.mark.parametrize("labels, bad_range", [
+        ([0, 1, -1, 0, 1], "[-1, 1]"),
+        ([0, 1, 2, 0, 1], "[0, 2]"),
+    ], ids=["negative", "n_classes"])
+    def test_label_out_of_range(self, labels, bad_range):
+        w = init_model(self.spec, 0)
+        expected = f"labels must lie in [0, 2), got range {bad_range}"
+        with pytest.raises(InvalidArgumentError) as step_error:
+            loss_and_grad(w, Batch(self.inputs(), labels))
+        assert str(step_error.value) == expected
+        with pytest.raises(InvalidArgumentError) as error:
+            mean_loss(w, self.inputs(), labels)
+        assert str(error.value) == expected
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ShapeError, match="label count"):
+            mean_loss(init_model(self.spec, 0), self.inputs(), [0, 1, 0])
+
+    def test_empty_inputs_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="empty"):
+            mean_loss(init_model(self.spec, 0), np.zeros((0, 2)), [])
+
 class TestLinearCombine:
     def test_identity(self):
         w = init_model(LayerSpec((2, 3)), 1)

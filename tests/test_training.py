@@ -1,7 +1,10 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfge.data import gen_two_spirals, batches
 from pfge.errors import ConfigurationError, InvalidArgumentError, NumericError, ShapeError
@@ -11,6 +14,8 @@ from pfge.training import (
     EnsembleSet,
     MomentumState,
     _collection_rule,
+    _drive,
+    _fold,
     ensemble_predict,
     run_fge,
     run_pfge,
@@ -145,12 +150,33 @@ def scripted_targets_fn(sched, cycle_targets):
     return fn
 
 
+
+def vector_stacks():
+    """1 to 12 vectors of one length, 1 to 6, with normal finite entries."""
+    entries = st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=False)
+    return st.integers(1, 6).flatmap(lambda d: st.lists(
+        st.lists(entries, min_size=d, max_size=d), min_size=1, max_size=12))
+
+
+class TestFold:
+    @given(stack=vector_stacks())
+    def test_running_mean_matches_numpy_mean(self, stack):
+        stack = np.array(stack)
+        avg = stack[0].copy()
+        for n_models, w in enumerate(stack[1:], start=1):
+            _fold(avg, n_models, w)
+        # Each fold rounds a few times at the scale of the largest input, and
+        # the running mean damps earlier errors, so the error grows at most
+        # linearly in the number of folds.
+        bound = 4 * len(stack) * np.finfo(np.float64).eps * np.max(np.abs(stack))
+        assert np.all(np.abs(avg - np.mean(stack, axis=0)) <= bound)
+
 class TestCollectionRule:
     @pytest.mark.parametrize("algorithm,rule", [
-        ("sgd", ("last", None, None, 1)),
-        ("swa", ("average", 2, 12, 1)),
-        ("fge", ("iterates", 2, None, 6)),
-        ("pfge", ("average", 2, 4, 3)),
+        ("sgd", (False, 12)),
+        ("swa", (True, 12)),
+        ("fge", (False, 2)),
+        ("pfge", (True, 4)),
     ])
     def test_rule_per_algorithm(self, algorithm, rule):
         assert _collection_rule(algorithm, LrSchedule(1.0, 0.5, 2), BudgetSpec(12, 4)) == rule
@@ -158,6 +184,18 @@ class TestCollectionRule:
     def test_budget_checked(self):
         with pytest.raises(ConfigurationError, match="record_period"):
             _collection_rule("pfge", LrSchedule(1.0, 0.5, 3), BudgetSpec(12, 4))
+
+    def test_sgd_keeps_the_last_iterate_and_traces_cycle_ends(self):
+        w0 = tiny_weights(0.0)
+        sched = LrSchedule(1.0, 0.5, 2)
+        average, period = _collection_rule("sgd", sched, BudgetSpec(6))
+        fn = scripted_targets_fn(sched, [np.full(2, 2.0), np.full(2, 4.0), np.full(2, 6.0)])
+        ensemble, trace = _drive(w0, plain_state(w0), dummy_stream(), 6,
+                                 partial(lr_at, sched), sched.cycle_len, period, average,
+                                 loss_grad_fn=fn)
+        assert ensemble.recorded_at == (6,)
+        assert np.allclose(ensemble.members[0].values, 6.0, atol=1e-9)
+        assert trace.cycle_end_iters == (2, 4, 6)
 
 
 class TestRunSwa:
