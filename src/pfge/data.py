@@ -1,15 +1,21 @@
 """Synthetic dataset generators, CSV/IDX ingestion, and seeded batching."""
 
 import csv
+import hashlib
+import io
 import math
+import os
+import stat
 import struct
+from contextlib import suppress
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, DataFormatError, InvalidArgumentError
-from .nn import Batch
+from .nn import Batch, _as_labels
 from .rng import STREAM_DATA, STREAM_SHUFFLE, stream_rng
 
 
@@ -25,7 +31,7 @@ class Dataset:
     def __post_init__(self):
         # A private copy, so the caller's later writes never reach the dataset.
         self._adopt(np.array(self.inputs, dtype=np.float64, order="C"),
-                    np.array(self.labels, dtype=np.int64, order="C"))
+                    np.array(_as_labels(self.labels), order="C"))
 
     @classmethod
     def _take(cls, inputs: np.ndarray, labels: np.ndarray, classes: int, name: str):
@@ -35,7 +41,7 @@ class Dataset:
         ds = cls.__new__(cls)
         object.__setattr__(ds, "classes", classes)
         object.__setattr__(ds, "name", name)
-        ds._adopt(np.asarray(inputs, dtype=np.float64), np.asarray(labels, dtype=np.int64))
+        ds._adopt(np.asarray(inputs, dtype=np.float64), _as_labels(labels))
         return ds
 
     def _adopt(self, inputs: np.ndarray, labels: np.ndarray) -> None:
@@ -106,20 +112,80 @@ def gen_blobs(centers, n_per_class: int, sd: float, seed: int) -> Dataset:
     return Dataset._take(np.vstack(chunks), labels, classes=len(centers), name="blobs")
 
 
-def load_csv(path) -> Dataset:
+def load_csv(path, cache_dir=None) -> Dataset:
     """Load a dataset from CSV with header ``f0,...,f{D-1},label``.
 
     Row order is preserved. Labels must be nonnegative integers; the class
     count is inferred as ``max(label) + 1``.
 
-    A body of plain numeric ASCII is parsed in C by ``_load_plain_csv``; any
-    other file, and any plain one that fails a check, goes through
-    ``_load_csv_checked``, which accepts it or names the offending line.
+    The file is read once. A body of plain numeric ASCII is parsed in C by
+    ``_load_plain_csv``; any other file, and any plain one that fails a
+    check, goes through ``_load_csv_checked``, which accepts it or names the
+    offending line.
+
+    Given ``cache_dir``, a parsed split is kept there as one ``.npz`` entry
+    per source path (named by the SHA-256 of the resolved path) holding the
+    SHA-256 of the file's bytes, ``inputs`` and ``labels``. A later call on
+    the same bytes takes the arrays from that entry, through the same
+    finite and label checks, instead of parsing the text again. An entry
+    that cannot be read or does not match counts as a miss and is rewritten;
+    a file that fails to parse leaves no entry; and a failed write does not
+    fail the load. Deleting ``cache_dir`` is always safe.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if cache_dir is None:
+        return _parse_csv(raw, path)
+    digest = hashlib.sha256(raw).hexdigest()
+    entry = Path(cache_dir) / (
+        hashlib.sha256(str(Path(path).resolve()).encode()).hexdigest() + ".npz")
+    ds = _read_cache_entry(entry, digest, path)
+    if ds is None:
+        ds = _parse_csv(raw, path)
+        _write_cache_entry(entry, digest, ds)
+    return ds
+
+
+def _parse_csv(raw: bytes, path) -> Dataset:
     ds = _load_plain_csv(raw, path)
-    return ds if ds is not None else _load_csv_checked(path)
+    return ds if ds is not None else _load_csv_checked(raw, path)
+
+
+def _read_cache_entry(entry: Path, digest: str, path) -> Optional[Dataset]:
+    """The split cached in ``entry`` if it was parsed from bytes with SHA-256
+    ``digest`` and passes every check, else None."""
+    try:
+        with open(entry, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if str(npz["digest"]) != digest:
+                return None
+            inputs, labels = npz["inputs"], npz["labels"]
+    except Exception:
+        # A missing, truncated or damaged entry can fail in the zip reader, a
+        # decompressor or the array parser in many ways; each only means the
+        # split is parsed again.
+        return None
+    if inputs.dtype != np.float64 or labels.dtype != np.int64 or not inputs.flags.c_contiguous:
+        return None
+    try:
+        return Dataset._take(inputs, labels, int(labels.max()) + 1, str(path))
+    except ValueError:
+        # Empty or misshapen arrays, non-finite features or negative labels.
+        return None
+
+
+def _write_cache_entry(entry: Path, digest: str, ds: Dataset) -> None:
+    """Store ``ds`` in ``entry`` through a temp file, so a reader sees the
+    old entry or the new one; any ``OSError`` leaves the split uncached."""
+    tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb") as fh:
+            np.savez(fh, digest=np.array(digest), inputs=ds.inputs, labels=ds.labels)
+        os.replace(tmp, entry)
+    except OSError:
+        with suppress(OSError):
+            tmp.unlink()
 
 
 # The only bytes a plain CSV body may hold. On such cells ``np.loadtxt`` and
@@ -160,12 +226,14 @@ def _load_plain_csv(raw: bytes, path) -> Optional[Dataset]:
 _MAX_LABEL = int(np.iinfo(np.int64).max)
 
 
-def _load_csv_checked(path) -> Dataset:
-    """The validating CSV parser: ``csv.reader`` rows, ``float()`` features,
-    ``int()`` labels, and a ``DataFormatError`` naming the line of the first
-    bad row."""
+def _load_csv_checked(raw: bytes, path) -> Dataset:
+    """The validating CSV parser for the bytes ``raw`` of the file ``path``:
+    ``csv.reader`` rows, ``float()`` features, ``int()`` labels, and a
+    ``DataFormatError`` naming the line of the first bad row."""
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        # Decoded in the chunks a text file reads, so a bad row before the
+        # first undecodable chunk is still the error reported.
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -226,6 +294,14 @@ _IDX_LABEL_MAGIC = 0x00000801
 
 
 def _read_exact(fh, count: int, path, what: str, last: bool = False) -> bytes:
+    # A header can claim more bytes than fit in memory; compare the claim with
+    # what a regular file holds before asking for that many.
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode) and count > info.st_size - fh.tell():
+        raise DataFormatError(
+            f"{path}: truncated file while reading {what}: needs {count} bytes, "
+            f"the file holds {info.st_size - fh.tell()} more"
+        )
     data = fh.read(count)
     if len(data) != count:
         raise DataFormatError(f"{path}: truncated file while reading {what}")

@@ -6,7 +6,8 @@ against the model and standardized there with the checkpoint's statistics, so
 no verb holds a raw split next to its standardized copy.
 
 Directory layout per run: ``{output_dir}/{run_id}/member-{idx}.ckpt`` plus
-``report.json`` and CSV side-files. All JSON is written with sorted keys so
+``report.json`` and CSV side-files; parsed CSV splits are cached in
+``{output_dir}/split-cache/``. All JSON is written with sorted keys so
 that repeated runs with one (config, seed) pair produce byte-identical
 artifacts apart from creation timestamps.
 """
@@ -68,6 +69,10 @@ from .training import (  # noqa: F401
 EVALUATION_JSON = "evaluation.json"
 EVALUATION_RELIABILITY_CSV = "evaluation_reliability.csv"
 CONNECTIVITY_DIR = "connectivity"
+# Parsed CSV splits, under ``output_dir``, shared by every verb and run there.
+# IDX and generated splits are not cached: converting IDX bytes costs less
+# than reading back a float64 copy, and the generators take microseconds.
+SPLIT_CACHE_DIR = "split-cache"
 
 
 def _now() -> str:
@@ -84,7 +89,8 @@ def load_split(cfg: ExperimentConfig, split: str,
     """Materialize one split (``"train"`` or ``"test"``) named by the config
     and check it against the model's input width and class count, so a
     mismatched file fails before any training. Given a checkpoint's
-    ``standardization`` statistics, return only the standardized split."""
+    ``standardization`` statistics, return only the standardized split.
+    CSV splits go through the parsed-split cache in ``SPLIT_CACHE_DIR``."""
     if split not in ("train", "test"):
         raise InvalidArgumentError(f"split must be 'train' or 'test', got {split!r}")
     ds = cfg.dataset
@@ -97,7 +103,7 @@ def load_split(cfg: ExperimentConfig, split: str,
     elif kind == "blobs":
         data = gen_blobs(ds["centers"], ds[f"{tag}n_per_class"], ds["sd"], ds[f"{tag}seed"])
     elif kind == "csv":
-        data = load_csv(ds[f"{split}_path"])
+        data = load_csv(ds[f"{split}_path"], cfg.output_dir / SPLIT_CACHE_DIR)
     else:
         data = load_idx(ds[f"{split}_images"], ds[f"{split}_labels"])
     spec = cfg.model_spec

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .nn import _as_labels
 
 PROB_FLOOR = 1e-12
 ROW_SUM_TOL = 1e-9
@@ -26,13 +27,16 @@ class PredictionBatch:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _as_labels(self.labels)
         if probs.ndim != 2 or probs.shape[0] < 1:
             raise InvalidArgumentError(f"probs must be a nonempty 2-D array, got {probs.shape}")
         if labels.shape != (probs.shape[0],):
             raise InvalidArgumentError(
                 f"labels shape {labels.shape} does not match {probs.shape[0]} rows"
             )
+        # NaN compares false against the row-sum tolerance, so test it first.
+        if not (np.isfinite(probs).all() and (probs >= 0).all()):
+            raise InvalidArgumentError("probabilities must be finite and nonnegative")
         if np.any(np.abs(probs.sum(axis=1) - 1.0) > ROW_SUM_TOL):
             raise InvalidArgumentError("probability rows must sum to 1")
         if labels.min() < 0 or labels.max() >= probs.shape[1]:

@@ -74,6 +74,23 @@ class ModelWeights:
         object.__setattr__(self, "values", values)
 
 
+def _as_labels(labels) -> np.ndarray:
+    """``labels`` as an int64 array. Integer arrays are cast as they are; any
+    other values must be integral and finite, or ``InvalidArgumentError``
+    is raised rather than truncating them."""
+    try:
+        values = np.asarray(labels)
+        if values.dtype.kind in "biu":
+            return values.astype(np.int64, copy=False)
+        values = values.astype(np.float64)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError("labels must be finite integers") from None
+    # Fails on NaN, infinities, fractions and magnitudes beyond int64 alike.
+    if not np.all((np.trunc(values) == values) & (np.abs(values) < 2.0**63)):
+        raise InvalidArgumentError("labels must be finite integers")
+    return values.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Batch:
     """A mini-batch of inputs with integer class labels."""
@@ -83,7 +100,7 @@ class Batch:
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _as_labels(self.labels)
         if inputs.ndim != 2:
             raise ShapeError(f"batch inputs must be 2-D, got shape {inputs.shape}")
         if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:

@@ -113,6 +113,15 @@ class TestExitCodes:
         assert main(["pretrain", str(config_path), override]) == 3
         assert "images.idx" in capsys.readouterr().err
 
+    def test_idx_header_claiming_2_to_the_96_bytes_is_3(self, config_path, tmp_path, capsys):
+        override = self.idx_override(tmp_path, 4)
+        images = tmp_path / "images.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 2**32 - 1, 2**32 - 1, 2**32 - 1))
+        assert main(["pretrain", str(config_path), override]) == 3
+        err = capsys.readouterr().err
+        assert "images.idx" in err
+        assert f"needs {(2**32 - 1) ** 3} bytes, the file holds 0 more" in err
+
     def test_nan_csv_feature_is_3(self, config_path, tmp_path, capsys):
         train = tmp_path / "train.csv"
         train.write_text("f0,f1,label\n0.5,1.0,0\n0.25,nan,1\n")

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from pfge import data
 from pfge.data import (
     BatchStream,
     Dataset,
@@ -31,6 +32,16 @@ class TestDataset:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidArgumentError):
             Dataset(np.array([[np.nan, 0.0]]), np.array([0]), classes=1)
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.9], [0.0, np.nan], [0.0, 0.5]])
+    def test_rejects_non_integral_labels(self, labels):
+        with pytest.raises(InvalidArgumentError, match="finite integers"):
+            Dataset(np.zeros((2, 2)), labels, classes=2)
+
+    def test_accepts_integral_float_labels(self):
+        ds = Dataset(np.zeros((2, 2)), [0.0, 1.0], classes=2)
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [0, 1]
 
     def test_immutable(self):
         ds = Dataset(np.ones((2, 2)), np.array([0, 1]), classes=2)
@@ -141,6 +152,117 @@ class TestCsv:
             load_csv(tmp_path / "nope.csv")
 
 
+class TestSplitCache:
+    """``load_csv(path, cache_dir)`` parses a file's bytes once and serves
+    later loads of the same bytes from its one entry in ``cache_dir``."""
+
+    @staticmethod
+    def write_split(tmp_path, seed=1):
+        path = tmp_path / "split.csv"
+        save_csv(gen_blobs([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0]], 7, 1.0, seed), path)
+        return path
+
+    @staticmethod
+    def forbid_parsing(monkeypatch):
+        def parse(raw, path):
+            raise AssertionError(f"{path} was parsed")
+        monkeypatch.setattr(data, "_parse_csv", parse)
+
+    def test_hit_is_bit_identical_and_named_by_the_current_path(self, tmp_path, monkeypatch):
+        path = self.write_split(tmp_path)
+        cache = tmp_path / "cache"
+        want = load_csv(path)
+        cold = load_csv(path, cache)
+        self.forbid_parsing(monkeypatch)
+        other_name = tmp_path / "cache" / ".." / "split.csv"
+        warm = load_csv(other_name, cache)
+        for got in (cold, warm):
+            assert got.inputs.tobytes() == want.inputs.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.inputs.dtype == np.float64 and got.labels.dtype == np.int64
+            assert got.classes == want.classes == 3
+        assert (cold.name, warm.name) == (str(path), str(other_name))
+        assert not warm.inputs.flags.writeable and not warm.labels.flags.writeable
+        assert len(list(cache.iterdir())) == 1
+
+    def test_changed_bytes_reparse_and_overwrite_the_entry(self, tmp_path, monkeypatch):
+        path = self.write_split(tmp_path, seed=1)
+        cache = tmp_path / "cache"
+        load_csv(path, cache)
+        (entry,) = cache.iterdir()
+        before = entry.read_bytes()
+        self.write_split(tmp_path, seed=2)
+        changed = load_csv(path, cache)
+        assert changed.inputs.tobytes() == load_csv(path).inputs.tobytes()
+        assert list(cache.iterdir()) == [entry]
+        assert entry.read_bytes() != before
+        self.forbid_parsing(monkeypatch)
+        assert load_csv(path, cache).inputs.tobytes() == changed.inputs.tobytes()
+
+    @pytest.mark.parametrize("damage", ["garbage", "empty", "truncated", "float32", "int32",
+                                        "npy", "pickle", "other-digest", "nan", "negative",
+                                        "no-rows", "flat-inputs", "fortran"])
+    def test_a_bad_entry_is_a_miss(self, tmp_path, damage):
+        path = self.write_split(tmp_path)
+        cache = tmp_path / "cache"
+        want = load_csv(path, cache)
+        (entry,) = cache.iterdir()
+        good = entry.read_bytes()
+        digest = str(np.load(entry)["digest"])
+        inputs, labels = want.inputs, want.labels
+        bad = {
+            "garbage": lambda: entry.write_bytes(b"not an archive"),
+            "empty": lambda: entry.write_bytes(b""),
+            "truncated": lambda: entry.write_bytes(good[: len(good) // 2]),
+            "float32": lambda: np.savez(entry, digest=digest, inputs=inputs.astype(np.float32),
+                                        labels=labels),
+            "int32": lambda: np.savez(entry, digest=digest, inputs=inputs,
+                                      labels=labels.astype(np.int32)),
+            "npy": lambda: np.save(open(entry, "wb"), inputs),
+            "pickle": lambda: np.savez(entry, digest=np.array([digest], dtype=object),
+                                       inputs=inputs, labels=labels),
+            "other-digest": lambda: np.savez(entry, digest="0" * 64, inputs=inputs * 2,
+                                             labels=labels),
+            "nan": lambda: np.savez(entry, digest=digest, inputs=inputs * np.nan, labels=labels),
+            "negative": lambda: np.savez(entry, digest=digest, inputs=inputs, labels=-labels - 1),
+            "no-rows": lambda: np.savez(entry, digest=digest, inputs=inputs[:0], labels=labels[:0]),
+            "flat-inputs": lambda: np.savez(entry, digest=digest, inputs=inputs[:, 0],
+                                            labels=labels),
+            "fortran": lambda: np.savez(entry, digest=digest, inputs=np.asfortranarray(inputs),
+                                        labels=labels),
+        }
+        bad[damage]()
+        got = load_csv(path, cache)
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.classes == want.classes
+        assert entry.read_bytes() == good
+
+    @pytest.mark.parametrize("text", [
+        "f0,label\n1.5,0\n2.5,x\n", "f0,label\n", "f0,f1\n1,0\n", "f0,label\n1,-1\n",
+    ])
+    def test_bad_csv_raises_the_same_error_and_leaves_no_entry(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as plain:
+            load_csv(path)
+        cache = tmp_path / "cache"
+        with pytest.raises(DataFormatError) as cached:
+            load_csv(path, cache)
+        assert str(cached.value) == str(plain.value)
+        assert not cache.exists() or not list(cache.iterdir())
+
+    def test_cache_dir_that_is_a_file_still_loads(self, tmp_path):
+        path = self.write_split(tmp_path)
+        blocker = tmp_path / "cache"
+        blocker.write_text("a regular file")
+        for _ in range(2):
+            got = load_csv(path, blocker)
+            assert got.inputs.tobytes() == load_csv(path).inputs.tobytes()
+        assert blocker.read_text() == "a regular file"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "split.csv"]
+
+
 def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2,
                    image_magic=0x803, label_magic=0x801, truncate_images=None):
     n = len(labels)
@@ -169,6 +291,14 @@ class TestIdx:
     def test_truncated_image_file(self, tmp_path):
         images, labels = write_idx_pair(tmp_path, [0] * 8, [0, 1], truncate_images=18)
         with pytest.raises(DataFormatError, match="truncated"):
+            load_idx(images, labels)
+
+    @pytest.mark.parametrize("dims", [(2**32 - 1,) * 3, (2**31, 2**31, 4)])
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path, dims):
+        images, labels = write_idx_pair(tmp_path, [0] * 8, [0, 1])
+        images.write_bytes(struct.pack(">IIII", 0x803, *dims) + bytes(8))
+        claim = dims[0] * dims[1] * dims[2]
+        with pytest.raises(DataFormatError, match=f"needs {claim} bytes, the file holds 8 more"):
             load_idx(images, labels)
 
     def test_bad_magic(self, tmp_path):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from pfge import connectivity, harness, training
+from pfge import connectivity, data, harness, training
 from pfge.checkpoint import load_checkpoint
 from pfge.cli import main
 from pfge.config import config_from_dict
@@ -95,6 +95,28 @@ def test_each_split_is_standardized_before_the_next_loads(csv_doc, monkeypatch):
     events.clear()
     harness.connectivity_run(cfg)
     assert events == expected
+
+
+def test_warm_split_cache_writes_the_same_outputs(csv_doc, monkeypatch):
+    doc, path = csv_doc
+    cfg = config_from_dict(doc)
+    monkeypatch.setattr(harness, "_now", lambda: "2000-01-01T00:00:00+00:00")
+
+    def pipeline():
+        for verb in ("pretrain", "run", "evaluate", "connectivity"):
+            assert main([verb, str(path)]) == 0
+        outputs = sorted(cfg.run_dir.glob("member-*")) + [
+            cfg.run_dir / "report.json", cfg.run_dir / "connectivity" / "curve_profile.csv"]
+        return {p.name: p.read_bytes() for p in outputs}
+
+    cold = pipeline()
+    assert len(list((cfg.output_dir / harness.SPLIT_CACHE_DIR).iterdir())) == 2
+
+    def parse(raw, csv_path):
+        raise AssertionError(f"{csv_path} was parsed again")
+
+    monkeypatch.setattr(data, "_parse_csv", parse)
+    assert pipeline() == cold
 
 
 def test_load_split_standardizes_like_apply_standardization(csv_doc):

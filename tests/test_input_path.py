@@ -1,6 +1,7 @@
-"""The input path: the CSV fast path against the validating parser, and who
-owns the arrays of a dataset."""
+"""The input path: the CSV fast path against the validating parser, the
+parsed-split cache against both, and who owns the arrays of a dataset."""
 
+import shutil
 import struct
 
 import numpy as np
@@ -83,6 +84,13 @@ def csv_texts(draw) -> bytes:
     return raw
 
 
+def load_checked(path):
+    """The validating parser alone, on the bytes of ``path``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return _load_csv_checked(raw, path)
+
+
 def outcome(parse, path):
     try:
         ds = parse(path)
@@ -99,12 +107,17 @@ class TestCsvFastPath:
         path = tmp_path / "data.csv"
         path.write_bytes(raw)
         got = outcome(load_csv, path)
-        assert got == outcome(_load_csv_checked, path)
+        assert got == outcome(load_checked, path)
+        # Through the parsed-split cache, cold and then warm, nothing changes.
+        cache = tmp_path / "split-cache"
+        shutil.rmtree(cache, ignore_errors=True)
+        for _ in range(2):
+            assert outcome(lambda p: load_csv(p, cache), path) == got
         if OVERSIZED_LABEL.encode() in raw:
             # Only a label cell can hold it; it fails as a typed, located error.
             assert got[0] is DataFormatError
 
-    @pytest.mark.parametrize("parse", [load_csv, _load_csv_checked])
+    @pytest.mark.parametrize("parse", [load_csv, load_checked])
     @pytest.mark.parametrize("label", [OVERSIZED_LABEL, str(2**63)])
     def test_oversized_label_is_a_data_format_error(self, tmp_path, parse, label):
         path = tmp_path / "data.csv"

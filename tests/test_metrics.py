@@ -28,6 +28,23 @@ class TestPredictionBatch:
         with pytest.raises(InvalidArgumentError):
             PredictionBatch(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize("probs", [
+        [[np.nan, np.nan]], [[np.nan, 1.0]], [[1.5, -0.5]], [[np.inf, -np.inf]],
+    ], ids=["nan-row", "nan-cell", "negative", "infinite"])
+    def test_rejects_nonfinite_or_negative_probabilities(self, probs):
+        with pytest.raises(InvalidArgumentError, match="finite and nonnegative"):
+            PredictionBatch(np.array(probs), np.array([1]))
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.9], [0.0, np.nan], [0.5, 1.0]])
+    def test_rejects_non_integral_labels(self, labels):
+        with pytest.raises(InvalidArgumentError, match="finite integers"):
+            PredictionBatch(np.full((2, 2), 0.5), labels)
+
+    def test_accepts_integral_float_labels(self):
+        batch = PredictionBatch(np.full((2, 2), 0.5), [0.0, 1.0])
+        assert batch.labels.dtype == np.int64
+        assert batch.labels.tolist() == [0, 1]
+
 
 class TestAccuracy:
     def test_perfect_predictor(self):

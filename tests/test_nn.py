@@ -251,6 +251,25 @@ class TestMeanLossChecks:
         with pytest.raises(InvalidArgumentError, match="empty"):
             mean_loss(init_model(self.spec, 0), np.zeros((0, 2)), [])
 
+class TestBatchLabels:
+    @pytest.mark.parametrize("labels", [
+        [0.0, 1.9], [0.0, -0.5], [0.0, np.nan], [0.0, np.inf], [0.0, 1e19], ["0", "x"],
+    ])
+    def test_rejects_non_integral_labels(self, labels):
+        with pytest.raises(InvalidArgumentError, match="finite integers"):
+            Batch(np.zeros((2, 2)), labels)
+
+    def test_integral_labels_become_int64(self):
+        for labels in ([0.0, 1.0], np.array([0.0, 1.0], dtype=np.float32), [0, 1], ["0", "1"]):
+            batch = Batch(np.zeros((2, 2)), labels)
+            assert batch.labels.dtype == np.int64
+            assert batch.labels.tolist() == [0, 1]
+
+    def test_int64_labels_are_not_copied(self):
+        labels = np.array([1, 0])
+        assert Batch(np.zeros((2, 2)), labels).labels is labels
+
+
 class TestLinearCombine:
     def test_identity(self):
         w = init_model(LayerSpec((2, 3)), 1)
