@@ -7,8 +7,6 @@ a SHA-256 digest of the payload that is verified on load.
 """
 
 import hashlib
-import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -16,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
+from .files import read_json, replacing, write_json
 from .nn import LayerSpec, ModelWeights
 
 FORMAT_VERSION = 1
@@ -60,8 +59,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "meta": ckpt.meta,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(payload)
-    header_path(path).write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    with replacing(path) as fh:
+        fh.write(payload)
+    write_json(header_path(path), header)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -74,10 +74,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FileNotFoundError(f"checkpoint payload not found: {path}")
     if not sidecar.exists():
         raise DataFormatError(f"checkpoint header not found: {sidecar}")
-    try:
-        header = json.loads(sidecar.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{sidecar}: invalid JSON header: {exc}") from None
+    header = read_json(sidecar, DataFormatError, "header")
     if not isinstance(header, dict):
         raise DataFormatError(f"{sidecar}: header must be a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
@@ -110,7 +107,8 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _check_standardization(stats, n_inputs: int, sidecar: Path) -> None:
     """Accept ``None`` or ``{"mean": [...], "std": [...]}`` holding
-    ``n_inputs`` finite numbers each, with every deviation positive."""
+    ``n_inputs`` numbers each, with every deviation positive; ``read_json``
+    has already rejected every non-finite number."""
     if stats is None:
         return
     if not isinstance(stats, dict):
@@ -118,7 +116,7 @@ def _check_standardization(stats, n_inputs: int, sidecar: Path) -> None:
     for key in ("mean", "std"):
         values = stats.get(key)
         if not (isinstance(values, list) and len(values) == n_inputs
-                and all(type(v) in (int, float) and math.isfinite(v) for v in values)):
+                and all(type(v) in (int, float) for v in values)):
             raise DataFormatError(
                 f"{sidecar}: standardization {key} must be a list of {n_inputs} finite numbers"
             )

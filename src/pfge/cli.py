@@ -14,13 +14,13 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or data-format error,
 """
 
 import argparse
-import json
 import sys
 
 from . import harness
 from .checkpoint import load_checkpoint
 from .config import load_config
 from .errors import ConfigurationError, PfgeError, exit_code_for
+from .files import json_text, write_json
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,10 +71,8 @@ def _cmd_evaluate(cfg) -> int:
         cfg.ece_bins,
         reliability_csv=cfg.run_dir / harness.EVALUATION_RELIABILITY_CSV,
     )
-    (cfg.run_dir / harness.EVALUATION_JSON).write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n"
-    )
-    print(json.dumps(record, indent=2, sort_keys=True))
+    write_json(cfg.run_dir / harness.EVALUATION_JSON, record)
+    print(json_text(record), end="")
     return 0
 
 
@@ -83,7 +81,7 @@ def _cmd_connectivity(cfg) -> int:
     record = harness.connectivity_run(
         cfg, settings.get("member_a"), settings.get("member_b")
     )
-    print(json.dumps(record, indent=2, sort_keys=True))
+    print(json_text(record), end="")
     return 0
 
 

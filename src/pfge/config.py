@@ -17,6 +17,7 @@ from typing import Optional
 import jsonschema
 
 from .errors import ConfigurationError
+from .files import _parse_json, read_json
 from .nn import LayerSpec
 from .schedule import BudgetSpec, LrSchedule
 
@@ -200,15 +201,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def apply_overrides(doc: dict, overrides) -> dict:
-    """Apply ``dotted.key=value`` overrides; values parse as JSON when possible."""
+    """Apply ``dotted.key=value`` overrides; values parse as JSON when possible,
+    under the rule JSON files are read by, so a non-finite number stays text."""
     doc = deepcopy(doc)
     for item in overrides:
         if "=" not in item:
             raise ConfigurationError(f"override {item!r} is not of the form key=value")
         key, _, raw_value = item.partition("=")
         try:
-            value = json.loads(raw_value)
-        except json.JSONDecodeError:
+            value = _parse_json(raw_value)
+        except ValueError:
             value = raw_value
         node = doc
         parts = key.split(".")
@@ -222,12 +224,7 @@ def apply_overrides(doc: dict, overrides) -> dict:
 
 def load_config(path, overrides=()) -> ExperimentConfig:
     """Read a JSON config file, apply overrides, validate, fill defaults."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+    doc = read_json(path, ConfigurationError, "config")
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: config must be a JSON object")
     return config_from_dict(apply_overrides(doc, overrides))

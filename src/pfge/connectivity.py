@@ -17,13 +17,13 @@ and CSV, so the harness sweeps the grid once per curve, and ``mc_value``
 runs its own sweep for callers without a profile.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from . import files
 from .data import Dataset
 from .errors import ConfigurationError, InvalidArgumentError, NumericError, ShapeError
 from .nn import Batch, ModelWeights, _grad_step, _Workspace, forward, linear_combine, mean_loss
@@ -78,11 +78,8 @@ class CurveProfile:
         return _mc_gap(self.grid, self.train_loss)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "train_loss", "test_error"])
-            for t, loss, err in zip(self.grid, self.train_loss, self.test_error):
-                writer.writerow([repr(float(t)), repr(float(loss)), repr(float(err))])
+        files.write_csv(path, ["t", "train_loss", "test_error"],
+                        zip(self.grid, self.train_loss, self.test_error))
 
 
 def bernstein(k: int, t: float) -> np.ndarray:

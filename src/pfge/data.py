@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DataFormatError, InvalidArgumentError
+from .files import replacing, write_csv
 from .nn import Batch, _as_labels
 from .rng import STREAM_DATA, STREAM_SHUFFLE, stream_rng
 
@@ -175,17 +176,11 @@ def _read_cache_entry(entry: Path, digest: str, path) -> Optional[Dataset]:
 
 
 def _write_cache_entry(entry: Path, digest: str, ds: Dataset) -> None:
-    """Store ``ds`` in ``entry`` through a temp file, so a reader sees the
-    old entry or the new one; any ``OSError`` leaves the split uncached."""
-    tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
-    try:
+    """Store ``ds`` in ``entry``; any ``OSError`` leaves the split uncached."""
+    with suppress(OSError):
         entry.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "wb") as fh:
+        with replacing(entry) as fh:
             np.savez(fh, digest=np.array(digest), inputs=ds.inputs, labels=ds.labels)
-        os.replace(tmp, entry)
-    except OSError:
-        with suppress(OSError):
-            tmp.unlink()
 
 
 # The only bytes a plain CSV body may hold. On such cells ``np.loadtxt`` and
@@ -282,11 +277,8 @@ def _load_csv_checked(raw: bytes, path) -> Dataset:
 
 def save_csv(ds: Dataset, path) -> None:
     """Write a dataset in the schema ``load_csv`` reads; floats use repr precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(ds.n_features)] + ["label"])
-        for x, y in zip(ds.inputs, ds.labels):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])
+    write_csv(path, [f"f{i}" for i in range(ds.n_features)] + ["label"],
+              (x.tolist() + [y] for x, y in zip(ds.inputs, ds.labels.tolist())))
 
 
 _IDX_IMAGE_MAGIC = 0x00000803

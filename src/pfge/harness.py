@@ -7,13 +7,10 @@ no verb holds a raw split next to its standardized copy.
 
 Directory layout per run: ``{output_dir}/{run_id}/member-{idx}.ckpt`` plus
 ``report.json`` and CSV side-files; parsed CSV splits are cached in
-``{output_dir}/split-cache/``. All JSON is written with sorted keys so
-that repeated runs with one (config, seed) pair produce byte-identical
-artifacts apart from creation timestamps.
+``{output_dir}/split-cache/``. Every file is written and read through
+``files``.
 """
 
-import csv
-import json
 import re
 import shutil
 from datetime import datetime, timezone
@@ -42,6 +39,7 @@ from .data import (
     load_idx,
 )
 from .errors import ConfigurationError, DataFormatError, InvalidArgumentError
+from .files import read_json, write_csv, write_json
 # ``ece``, ``loss_and_grad``, ``sgd_step``, ``mc_value``, ``run_swa``,
 # ``run_fge`` and ``run_pfge`` are not called here, but stay importable from
 # this module for callers (and perfbench's tracer) that look them up here.
@@ -77,11 +75,6 @@ SPLIT_CACHE_DIR = "split-cache"
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_split(cfg: ExperimentConfig, split: str,
@@ -274,7 +267,9 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
 
     full_probs = (prob_sum if first == 0 else tail_sum) / (n_members - first)
     full_metrics = _metrics_record(full_probs, test.labels, ece_bins, run_dir / "reliability.csv")
-    _write_series_csv(run_dir / "ensemble_series.csv", series)
+    columns = ("accuracy", "nll", "nll_pct", "ece")
+    write_csv(run_dir / "ensemble_series.csv", ("n_members", *columns),
+              ([entry["n_members"], *(entry["metrics"][c] for c in columns)] for entry in series))
 
     report = {
         "format_version": 1,
@@ -303,25 +298,8 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
         },
     }
     validate_against_schema(report, "report.schema.json")
-    _write_json(run_dir / "report.json", report)
+    write_json(run_dir / "report.json", report)
     return ensemble, report
-
-
-def _write_series_csv(path: Path, series) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_members", "accuracy", "nll", "nll_pct", "ece"])
-        for entry in series:
-            m = entry["metrics"]
-            writer.writerow(
-                [
-                    entry["n_members"],
-                    repr(m["accuracy"]),
-                    repr(m["nll"]),
-                    repr(m["nll_pct"]),
-                    repr(m["ece"]),
-                ]
-            )
 
 
 def _indexed_checkpoints(directory, prefix: str) -> list:
@@ -464,16 +442,13 @@ def connectivity_run(cfg: ExperimentConfig, member_a=None, member_b=None) -> dic
         "test_error_summary": profile.test_error_summary,
         "files": {"profile_csv": "curve_profile.csv"},
     }
-    _write_json(outdir / "connectivity.json", record)
+    write_json(outdir / "connectivity.json", record)
     return record
 
 
 def load_report(run_dir) -> dict:
     path = Path(run_dir) / "report.json"
-    try:
-        report = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{path}: unreadable report: {exc}") from None
+    report = read_json(path, DataFormatError, "report")
     violation = _schema_violation(report, "report.schema.json")
     if violation:
         raise DataFormatError(f"{path}: report does not match its schema {violation}")

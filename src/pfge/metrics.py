@@ -6,11 +6,11 @@ Binning convention: confidence is the maximum predicted probability, bins are
 bin contributes zero to the calibration error.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
 from .errors import InvalidArgumentError
 from .nn import _as_labels
 
@@ -76,19 +76,9 @@ class ReliabilityBins:
         return float(np.sum(weights * np.abs(self.accuracies - self.confidences)))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_lo", "bin_hi", "count", "confidence", "accuracy"])
-            for b in range(self.n_bins):
-                writer.writerow(
-                    [
-                        repr(float(self.bin_edges[b])),
-                        repr(float(self.bin_edges[b + 1])),
-                        int(self.counts[b]),
-                        repr(float(self.confidences[b])),
-                        repr(float(self.accuracies[b])),
-                    ]
-                )
+        files.write_csv(path, ["bin_lo", "bin_hi", "count", "confidence", "accuracy"],
+                        zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts,
+                            self.confidences, self.accuracies))
 
 
 def accuracy(p: PredictionBatch) -> float:

@@ -144,6 +144,28 @@ class TestExitCodes:
         assert main(["pretrain", str(config_path)]) == 2
         assert "cfg.json" in capsys.readouterr().err
 
+    # A non-finite number is rejected where it is read, before any training:
+    # ``noise_sd`` NaN used to train on noiseless spirals and exit 0, ``lr``
+    # 1e400 (read as inf) to exit 4 once the weights overflowed, and an
+    # integer too large for a float to end in an OverflowError traceback.
+    NON_FINITE = [("pretrain", "lr", "1e400"), ("dataset", "noise_sd", "NaN"),
+                  ("schedule", "alpha1", "Infinity"), ("pretrain", "lr", "1" + "0" * 400)]
+    NON_FINITE_IDS = ["lr-1e400", "noise_sd-NaN", "alpha1-Infinity", "lr-int-beyond-float"]
+
+    @pytest.mark.parametrize("section, key, literal", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_config_number_is_2(self, config_path, capsys, section, key, literal):
+        doc = json.loads(config_path.read_text())
+        doc[section][key] = "@"
+        config_path.write_text(json.dumps(doc).replace('"@"', literal))
+        assert main(["pretrain", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cfg.json" in err and f"non-finite number {literal}" in err
+
+    @pytest.mark.parametrize("section, key, literal", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_override_is_2(self, config_path, capsys, section, key, literal):
+        assert main(["pretrain", str(config_path), f"{section}.{key}={literal}"]) == 2
+        assert f"$.{section}.{key}" in capsys.readouterr().err
+
     def test_non_utf8_csv_is_3(self, config_path, tmp_path, capsys):
         train = tmp_path / "train.csv"
         train.write_bytes(b"f0,f1,label\n0.5,1.0,0\n0.25,0.\xff,1\n")
@@ -167,10 +189,15 @@ class TestExitCodes:
             "mean": [0.5], "std": [1.0, 1.0]}}).encode(),
         lambda raw: json.dumps({**json.loads(raw), "standardization": {
             "mean": [0.0, 0.0], "std": [1.0, 0.0]}}).encode(),
+        lambda raw: raw.replace(b'"role"', b'"loss": NaN, "role"'),
+        lambda raw: raw.replace(b'"role"', b'"loss": -1e400, "role"'),
+        lambda raw: json.dumps({**json.loads(raw), "standardization": {
+            "mean": [10**400, 0.0], "std": [1.0, 1.0]}}).encode(),
     ], ids=["not-utf8", "not-an-object", "no-layer-sizes", "garbled-layer-sizes",
             "bad-activation", "standardization-not-an-object", "standardization-without-std",
             "standardization-mean-not-numbers", "standardization-mean-too-short",
-            "standardization-zero-std"])
+            "standardization-zero-std", "nan-in-meta", "overflow-in-meta",
+            "standardization-int-beyond-float"])
     def test_malformed_checkpoint_sidecar_is_3(self, config_path, tmp_path, capsys, corrupt):
         assert main(["pretrain", str(config_path)]) == 0
         sidecar = tmp_path / "runs" / "w0.ckpt.json"
@@ -185,6 +212,19 @@ class TestExitCodes:
         report.write_text(text)
         assert main(["report", str(config_path)]) == 3
         assert "report.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_report_number_is_3(self, config_path, tmp_path, capsys, literal):
+        assert main(["pretrain", str(config_path)]) == 0
+        assert main(["run", str(config_path)]) == 0
+        report = tmp_path / "runs" / "pfge-seed5" / "report.json"
+        doc = json.loads(report.read_text())
+        doc["ensemble"]["metrics"]["ece"] = "@"
+        report.write_text(json.dumps(doc).replace('"@"', literal))
+        capsys.readouterr()
+        assert main(["report", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "report.json" in err and f"non-finite number {literal}" in err
 
     def test_report_off_schema_is_3(self, config_path, tmp_path, capsys):
         assert main(["pretrain", str(config_path)]) == 0
