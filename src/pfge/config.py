@@ -4,18 +4,24 @@
 Epoch-denominated schedule and budget fields convert through
 ``iterations_per_epoch = ceil(N_train / batch_size)``, so they can only be
 resolved once the training dataset size is known.
+
+The schema, like JSON Schema Draft 7, counts an integral float such as
+``2.0`` or ``1e300`` as an integer; once a document validates, every such
+value becomes a Python int. Sizes that the schema cannot bound are checked
+after validation: a generated split holds at most ``MAX_GENERATED_ROWS``
+rows, and each resolved iteration count (training budget, cycle length,
+recording period, pretraining) is at most ``MAX_ITERATIONS``. A larger
+value is a ``ConfigurationError``, so no budget reaches an allocation it
+cannot make.
 """
 
-import json
 import math
 from copy import deepcopy
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-import jsonschema
-
+from . import schema
 from .errors import ConfigurationError
 from .files import _parse_json, read_json
 from .nn import LayerSpec
@@ -26,17 +32,17 @@ _DEFAULT_OPTIMIZER = {"momentum": 0.9, "weight_decay": 5e-4, "l2_coeff": 0.0}
 _DEFAULT_SCHEDULE = {"alpha1": 0.05, "alpha2": 0.0005}
 _DEFAULT_CONNECTIVITY = {"k": 2, "iters": 200, "lr": 0.01, "grid_size": 61, "pair": "last"}
 
-
-def _load_schema(name: str) -> dict:
-    text = resources.files("pfge.schemas").joinpath(name).read_text()
-    return json.loads(text)
+# The training loop keeps a 16-byte trace entry per iteration, so this bounds
+# its trace at 160 MB; a run at the limit takes hours on the smallest model.
+MAX_ITERATIONS = 10**7
+# Rows of one generated (two_spirals or blobs) split.
+MAX_GENERATED_ROWS = 10**6
 
 
 def _schema_violation(doc, schema_name: str) -> Optional[str]:
     """Where and how ``doc`` first breaks the named schema, or None."""
-    validator = jsonschema.Draft7Validator(_load_schema(schema_name))
-    errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
-    return f"at {errors[0].json_path}: {errors[0].message}" if errors else None
+    error = schema.load(schema_name).first_error(doc)
+    return f"at {error[0]}: {error[1]}" if error else None
 
 
 def validate_against_schema(doc: dict, schema_name: str) -> None:
@@ -121,6 +127,10 @@ class ExperimentConfig:
         )
         return LrSchedule(sched["alpha1"], sched["alpha2"], cycle_len)
 
+    def resolve_pretrain(self, iterations_per_epoch: int) -> int:
+        """Pretraining iterations: ``pretrain.epochs`` epochs."""
+        return _iterations(self.pretrain["epochs"] * iterations_per_epoch, "pretrain.epochs")
+
     def resolve_budget(self, iterations_per_epoch: int) -> BudgetSpec:
         budget = self.document["budget"]
         total = _resolve_count(
@@ -145,7 +155,16 @@ def _resolve_count(section: dict, iters_key: str, epochs_key: str, e: int, where
         raise ConfigurationError(
             f"{where}: exactly one of {iters_key} or {epochs_key} is required"
         )
-    return section[iters_key] if has_iters else section[epochs_key] * e
+    key = iters_key if has_iters else epochs_key
+    return _iterations(section[key] * (1 if has_iters else e), f"{where}.{key}")
+
+
+def _iterations(count: int, what: str) -> int:
+    if count > MAX_ITERATIONS:
+        raise ConfigurationError(
+            f"{what} resolves to more than the limit of {MAX_ITERATIONS} iterations"
+        )
+    return count
 
 
 def iterations_per_epoch(n_samples: int, batch_size: int) -> int:
@@ -166,18 +185,45 @@ def _apply_dataset_defaults(doc: dict) -> None:
     for field in _DATASET_REQUIRED[kind]:
         if field not in ds:
             raise ConfigurationError(f"dataset: kind {kind!r} requires field {field!r}")
+    if kind == "blobs":
+        centers = ds["centers"]
+        if not centers or not centers[0] or any(len(c) != len(centers[0]) for c in centers):
+            raise ConfigurationError(
+                "dataset.centers: need one or more centres, all with the same "
+                f"nonzero number of coordinates, got {centers}"
+            )
     if kind in ("two_spirals", "blobs"):
         ds.setdefault("seed", doc["seed"])
         ds.setdefault("test_seed", ds["seed"] + 1)
         ds.setdefault("test_n_per_class", ds["n_per_class"])
         if kind == "two_spirals":
             ds.setdefault("noise_sd", 0.1)
+        classes = 2 if kind == "two_spirals" else len(ds["centers"])
+        for key in ("n_per_class", "test_n_per_class"):
+            if ds[key] * classes > MAX_GENERATED_ROWS:
+                raise ConfigurationError(
+                    f"dataset.{key}: {classes} classes of this size exceed the limit "
+                    f"of {MAX_GENERATED_ROWS} generated rows"
+                )
+
+
+def _integral(node, sub: dict):
+    """``node`` with every float that ``sub`` types as an integer made an int."""
+    types = sub.get("type", ())
+    if isinstance(node, float) and "integer" in ([types] if isinstance(types, str) else types):
+        return int(node)
+    if isinstance(node, dict):
+        props = sub.get("properties", {})
+        return {k: _integral(v, props[k]) if k in props else v for k, v in node.items()}
+    if isinstance(node, list) and "items" in sub:
+        return [_integral(v, sub["items"]) for v in node]
+    return node
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate a raw document, apply defaults, and wrap it."""
-    doc = deepcopy(doc)
     validate_against_schema(doc, "config.schema.json")
+    doc = deepcopy(_integral(doc, schema.load("config.schema.json").document))
     doc.setdefault("run_id", f"{doc['algorithm']}-seed{doc['seed']}")
     doc.setdefault("w0_checkpoint", str(Path(doc["output_dir"]) / "w0.ckpt"))
     doc.setdefault("batch_size", 128)

@@ -97,9 +97,14 @@ def gen_two_spirals(n_per_class: int, noise_sd: float, seed: int) -> Dataset:
 
 def gen_blobs(centers, n_per_class: int, sd: float, seed: int) -> Dataset:
     """Isotropic Gaussian clusters; the label of a point is its center index."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    if centers.size == 0:
-        raise InvalidArgumentError("centers must be nonempty")
+    try:
+        centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    except ValueError as exc:
+        raise InvalidArgumentError(f"centers must be equal-length rows of numbers: {exc}") from None
+    if centers.ndim != 2 or centers.size == 0:
+        raise InvalidArgumentError(
+            f"centers must be a nonempty 2-D array, got shape {centers.shape}"
+        )
     if n_per_class < 1:
         raise InvalidArgumentError(f"n_per_class must be >= 1, got {n_per_class}")
     if sd < 0:

@@ -33,7 +33,12 @@ def replacing(path):
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        fh = open(tmp, "wb")
+    except OSError as exc:
+        # A missing or unwritable directory: name the caller's file, not ours.
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

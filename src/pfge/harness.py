@@ -136,7 +136,7 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     train = apply_standardization(train, mean, std)
     settings = cfg.pretrain
     e = iterations_per_epoch(len(train), cfg.batch_size)
-    total = settings["epochs"] * e
+    total = cfg.resolve_pretrain(e)
     w_init = init_model(cfg.model_spec, cfg.seed)
     opt = MomentumState.initial(w_init, settings["momentum"], settings["weight_decay"])
     final, _ = _drive(w_init, opt, batches(train, cfg.batch_size, cfg.seed), total,

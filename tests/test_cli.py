@@ -263,6 +263,18 @@ class TestExitCodes:
         assert main(["run", str(config_path), "budget.record_epochs=3",
                      "schedule.cycle_epochs=2"]) == 2
 
+    @pytest.mark.parametrize("total", ["1e300", "9223372036854775808", "100000000000"])
+    def test_huge_budget_is_2(self, config_path, capsys, total):
+        assert main(["pretrain", str(config_path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(config_path), f"budget.total_epochs={total}"]) == 2
+        assert "budget.total_epochs" in capsys.readouterr().err
+
+    def test_ragged_blob_centers_are_2(self, config_path, capsys):
+        overrides = ["dataset.kind=blobs", "dataset.centers=[[0,0],[1]]", "dataset.sd=0.5"]
+        assert main(["pretrain", str(config_path), *overrides]) == 2
+        assert "dataset.centers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("overrides", [
         ["algorithm=fge", "budget.total_epochs=3", "last_k=9"],
         ["algorithm=pfge", "last_k=3"],

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from pfge.config import apply_overrides, config_from_dict, iterations_per_epoch, load_config
+from pfge.config import (
+    MAX_GENERATED_ROWS,
+    MAX_ITERATIONS,
+    apply_overrides,
+    config_from_dict,
+    iterations_per_epoch,
+    load_config,
+)
 from pfge.errors import ConfigurationError
 
 
@@ -114,6 +121,55 @@ class TestResolution:
     def test_record_ignored_for_other_algorithms(self):
         cfg = config_from_dict(base_doc(algorithm="fge"))
         assert cfg.resolve_budget(4).record_period is None
+
+
+    @pytest.mark.parametrize("key", ["total_epochs", "record_epochs"])
+    def test_integral_floats_resolve_to_ints(self, key):
+        doc = base_doc()
+        doc["budget"][key] = float(doc["budget"][key])
+        doc["schedule"]["cycle_epochs"] = 2.0
+        cfg = config_from_dict(doc)
+        budget, sched = cfg.resolve_budget(4), cfg.resolve_schedule(4)
+        assert (budget.total_iters, budget.record_period, sched.cycle_len) == (160, 40, 8)
+        assert all(type(n) is int for n in (budget.total_iters, budget.record_period,
+                                            sched.cycle_len))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("budget", "total_epochs", 1e300),
+        ("budget", "total_epochs", 2**63),
+        ("budget", "record_epochs", 10**11),
+        ("schedule", "cycle_epochs", 10**11),
+        ("pretrain", "epochs", 1e300),
+    ])
+    def test_iteration_counts_beyond_the_limit(self, section, key, value):
+        doc = base_doc()
+        doc.setdefault(section, {})[key] = value
+        cfg = config_from_dict(doc)
+        resolve = {"budget": cfg.resolve_budget, "schedule": cfg.resolve_schedule,
+                   "pretrain": cfg.resolve_pretrain}[section]
+        with pytest.raises(ConfigurationError, match=f"{section}.{key} .*limit"):
+            resolve(4)
+
+    def test_iteration_limit_is_inclusive(self):
+        doc = base_doc(budget={"total_iters": MAX_ITERATIONS, "record_period": 10})
+        assert config_from_dict(doc).resolve_budget(4).total_iters == MAX_ITERATIONS
+        doc["budget"]["total_iters"] += 1
+        with pytest.raises(ConfigurationError, match="budget.total_iters"):
+            config_from_dict(doc).resolve_budget(4)
+
+    @pytest.mark.parametrize("key", ["n_per_class", "test_n_per_class"])
+    def test_generated_rows_beyond_the_limit(self, key):
+        doc = base_doc()
+        doc["dataset"][key] = MAX_GENERATED_ROWS // 2 + 1
+        with pytest.raises(ConfigurationError, match=f"dataset.{key}"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("centers", [[], [[]], [[0, 0], [1]], [[0], [1, 2]]])
+    def test_malformed_blob_centers(self, centers):
+        doc = base_doc(dataset={"kind": "blobs", "centers": centers, "n_per_class": 5,
+                                "sd": 0.1})
+        with pytest.raises(ConfigurationError, match="dataset.centers"):
+            config_from_dict(doc)
 
 
 class TestOverrides:

@@ -98,6 +98,11 @@ class TestBlobs:
         with pytest.raises(InvalidArgumentError):
             gen_blobs([], n_per_class=3, sd=1.0, seed=0)
 
+    @pytest.mark.parametrize("centers", [[[]], [[0.0, 0.0], [1.0]], [[[0.0]]], [["a"]]])
+    def test_malformed_centers(self, centers):
+        with pytest.raises(InvalidArgumentError):
+            gen_blobs(centers, n_per_class=3, sd=1.0, seed=0)
+
 
 class TestCsv:
     def test_fixture_roundtrip_values(self, tmp_path):

@@ -193,6 +193,20 @@ class TestReplacing:
                 raise KeyboardInterrupt
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("file_in_the_way", [False, True])
+    def test_failed_open_names_the_target(self, tmp_path, file_in_the_way):
+        # A missing directory, or a file where the directory should be.
+        parent = tmp_path / "missing"
+        if file_in_the_way:
+            parent.write_text("not a directory")
+        target = parent / "x.csv"
+        ds = Dataset(np.zeros((2, 2)), [0, 1], classes=2)
+        with pytest.raises(OSError) as info:
+            save_csv(ds, target)
+        assert info.value.filename == str(target)
+        assert str(info.value).endswith(f"'{target}'")
+        assert ".tmp" not in str(info.value)
+
     def test_write_csv_cells(self, tmp_path):
         path = tmp_path / "cells.csv"
         files.write_csv(path, ["a", "b", "c"], [[np.int64(3), np.float32(0.5), 7],
