@@ -9,10 +9,12 @@ The schema, like JSON Schema Draft 7, counts an integral float such as
 ``2.0`` or ``1e300`` as an integer; once a document validates, every such
 value becomes a Python int. Sizes that the schema cannot bound are checked
 after validation: a generated split holds at most ``MAX_GENERATED_ROWS``
-rows, and each resolved iteration count (training budget, cycle length,
-recording period, pretraining) is at most ``MAX_ITERATIONS``. A larger
-value is a ``ConfigurationError``, so no budget reaches an allocation it
-cannot make.
+rows, the model at most ``MAX_PARAMETERS`` parameters, the reliability
+diagram at most ``MAX_ECE_BINS`` bins and the curve profile at most
+``MAX_GRID_SIZE`` points, and each iteration count (training budget, cycle
+length, recording period, pretraining, curve training) is at most
+``MAX_ITERATIONS``. A larger value is a ``ConfigurationError`` naming its
+key, so no size reaches an allocation or a loop it cannot finish.
 """
 
 import math
@@ -37,6 +39,15 @@ _DEFAULT_CONNECTIVITY = {"k": 2, "iters": 200, "lr": 0.01, "grid_size": 61, "pai
 MAX_ITERATIONS = 10**7
 # Rows of one generated (two_spirals or blobs) split.
 MAX_GENERATED_ROWS = 10**6
+# Parameters of ``model.sizes``: one weight vector is then at most 800 MB,
+# and a training loop holds four (weights, velocity, gradient, average).
+MAX_PARAMETERS = 10**8
+# Bins of ``metrics.ece_bins``; the reliability diagram keeps five arrays of
+# one entry per bin and writes one CSV row per bin.
+MAX_ECE_BINS = 10**6
+# Points of ``connectivity.grid_size``; each forwards the whole train and
+# test splits once.
+MAX_GRID_SIZE = 10**4
 
 
 def _schema_violation(doc, schema_name: str) -> Optional[str]:
@@ -243,7 +254,26 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         doc["connectivity"].setdefault(key, value)
     doc["metrics"].setdefault("ece_bins", 15)
     _apply_dataset_defaults(doc)
-    return ExperimentConfig(doc)
+    cfg = ExperimentConfig(doc)
+    _check_sizes(cfg)
+    return cfg
+
+
+def _check_sizes(cfg: ExperimentConfig) -> None:
+    """Raise unless every size the schema bounds only from below is within
+    its limit; a layer spec's parameters are counted without allocating."""
+    n_params = cfg.model_spec.param_count
+    if n_params > MAX_PARAMETERS:
+        raise ConfigurationError(
+            f"model.sizes: {n_params} parameters exceed the limit of {MAX_PARAMETERS}"
+        )
+    for key, value, limit in [
+        ("metrics.ece_bins", cfg.ece_bins, MAX_ECE_BINS),
+        ("connectivity.grid_size", cfg.connectivity["grid_size"], MAX_GRID_SIZE),
+    ]:
+        if value > limit:
+            raise ConfigurationError(f"{key}: {value} exceeds the limit of {limit}")
+    _iterations(cfg.connectivity["iters"], "connectivity.iters")
 
 
 def apply_overrides(doc: dict, overrides) -> dict:

@@ -174,7 +174,7 @@ def train_curve(
             batch = next(batch_iter)
             coeffs = bernstein(k, t)
             _bezier_sum(w.values, coeffs[1:], controls, point, scratch)
-            if not np.isfinite(point).all():
+            if not np.logical_and.reduce(np.isfinite(point)):
                 raise NumericError(f"non-finite curve point at iteration {i}")
             data_loss, l2_penalty = step(batch)
             if not math.isfinite(data_loss + l2_penalty):
@@ -182,7 +182,7 @@ def train_curve(
             for j, control in enumerate(interior):
                 np.multiply(grad, lr * coeffs[j + 1], out=scratch)
                 control -= scratch
-                if not np.isfinite(control).all():
+                if not np.logical_and.reduce(np.isfinite(control)):
                     raise NumericError(f"non-finite control point at iteration {i}")
     trained = [ModelWeights(w.spec, c) for c in interior]
     return CurveSpec((w, *trained, w_end))

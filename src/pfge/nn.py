@@ -200,11 +200,15 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray):
     """Stable mean cross-entropy, overwriting ``logits`` with ``exp_shifted``;
     returns it with ``row_sums`` such that ``softmax(logits) == exp_shifted /
     row_sums[:, None]``. ``rows`` is ``np.arange(len(labels))``."""
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
     picked = logits[rows, labels]
     np.exp(logits, out=logits)
-    row_sums = logits.sum(axis=1)
-    return float(np.mean(np.log(row_sums) - picked)), logits, row_sums
+    row_sums = np.add.reduce(logits, axis=1)
+    # The mean as ``np.mean`` computes it (one pairwise sum, then a division),
+    # without its Python-level wrapper; ``terms`` is a fresh array.
+    terms = np.log(row_sums)
+    terms -= picked
+    return float(np.add.reduce(terms)) / len(terms), logits, row_sums
 
 
 def _l2_penalty(layers, l2_coeff: float) -> float:
@@ -290,7 +294,7 @@ class _GradStep:
             W, _ = layers[idx]
             dW, db = self.grad_layers[idx]
             np.matmul(acts[idx].T, delta, out=dW)
-            np.sum(delta, axis=0, out=db)
+            np.add.reduce(delta, axis=0, out=db)
             if l2_coeff > 0.0:
                 dW += l2_coeff * W
             if idx > 0:
@@ -332,7 +336,9 @@ def _check_batch(spec: LayerSpec, batch: Batch) -> None:
             f"batch width {x.shape[1]} does not match input width {spec.sizes[0]}"
         )
     n_classes = spec.n_classes
-    if labels.min() < 0 or labels.max() >= n_classes:
+    # One reduction checks both ends: labels are int64, and a negative one
+    # read as uint64 is at least 2**63.
+    if np.maximum.reduce(labels.view(np.uint64)) >= n_classes:
         raise InvalidArgumentError(
             f"labels must lie in [0, {n_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"

@@ -130,7 +130,7 @@ def _sgd_update(w, velocity, grad, alpha, momentum, weight_decay, scratch) -> bo
         v_b += s_b
         np.multiply(v_b, alpha, out=s_b)
         w_b -= s_b
-        finite = finite and bool(np.isfinite(w_b).all())
+        finite = finite and bool(np.logical_and.reduce(np.isfinite(w_b)))
     return finite
 
 

@@ -270,6 +270,29 @@ class TestExitCodes:
         assert main(["run", str(config_path), f"budget.total_epochs={total}"]) == 2
         assert "budget.total_epochs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("metrics.ece_bins", "100000000000"),
+        ("connectivity.grid_size", "100000000000"),
+        ("connectivity.iters", "100000000000"),
+        ("model.sizes", "[2,100000000000,2]"),
+    ])
+    def test_huge_size_is_2_when_the_config_loads(self, config_path, tmp_path, capsys,
+                                                  key, value):
+        # pretrain uses none of these but model.sizes, so only a check made
+        # when the config loads stops it before any work.
+        assert main(["pretrain", str(config_path), f"{key}={value}"]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_checkpoint_claiming_huge_layers_is_3(self, config_path, tmp_path, capsys):
+        assert main(["pretrain", str(config_path)]) == 0
+        sidecar = tmp_path / "runs" / "w0.ckpt.json"
+        header = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**header, "layer_sizes": [2, 100000000000, 2]}))
+        capsys.readouterr()
+        assert main(["run", str(config_path)]) == 3
+        assert "w0.ckpt" in capsys.readouterr().err
+
     def test_ragged_blob_centers_are_2(self, config_path, capsys):
         overrides = ["dataset.kind=blobs", "dataset.centers=[[0,0],[1]]", "dataset.sd=0.5"]
         assert main(["pretrain", str(config_path), *overrides]) == 2

@@ -7,8 +7,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pfge.config import (
+    MAX_ECE_BINS,
     MAX_GENERATED_ROWS,
+    MAX_GRID_SIZE,
     MAX_ITERATIONS,
+    MAX_PARAMETERS,
     apply_overrides,
     config_from_dict,
     iterations_per_epoch,
@@ -162,6 +165,27 @@ class TestResolution:
         doc = base_doc()
         doc["dataset"][key] = MAX_GENERATED_ROWS // 2 + 1
         with pytest.raises(ConfigurationError, match=f"dataset.{key}"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("section, key, limit", [
+        ("metrics", "ece_bins", MAX_ECE_BINS),
+        ("connectivity", "grid_size", MAX_GRID_SIZE),
+        ("connectivity", "iters", MAX_ITERATIONS),
+    ])
+    def test_size_limits_are_inclusive(self, section, key, limit):
+        doc = base_doc(**{section: {key: limit}})
+        assert config_from_dict(doc).document[section][key] == limit
+        doc[section][key] += 1
+        with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
+            config_from_dict(doc)
+
+    def test_parameter_limit_is_inclusive(self):
+        # (1 + 1) * w + (w + 1) * 1 parameters for sizes [1, w, 1].
+        width = (MAX_PARAMETERS - 1) // 3
+        doc = base_doc(model={"sizes": [1, width, 1]})
+        assert config_from_dict(doc).model_spec.param_count == 3 * width + 1 == MAX_PARAMETERS
+        doc["model"]["sizes"] = [1, width + 1, 1]
+        with pytest.raises(ConfigurationError, match="model.sizes"):
             config_from_dict(doc)
 
     @pytest.mark.parametrize("centers", [[], [[]], [[0, 0], [1]], [[0], [1, 2]]])

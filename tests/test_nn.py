@@ -14,6 +14,7 @@ from pfge.nn import (
     init_model,
     linear_combine,
     loss_and_grad,
+    _GradStep,
     mean_loss,
     softmax,
     unpack,
@@ -38,6 +39,72 @@ def finite_difference_gradient(w, batch, l2_coeff, h=1e-5):
 
 def max_relative_error(a, b, floor=1e-5):
     return float(np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)))
+
+
+def reference_cross_entropy(logits, labels):
+    """``nn._cross_entropy`` written with ``np.mean``, ``np.sum`` and the
+    array methods, as the training step computed it first."""
+    rows = np.arange(len(labels))
+    logits -= logits.max(axis=1, keepdims=True)
+    picked = logits[rows, labels]
+    np.exp(logits, out=logits)
+    row_sums = logits.sum(axis=1)
+    return float(np.mean(np.log(row_sums) - picked)), logits, row_sums
+
+
+def reference_l2_penalty(layers, l2_coeff):
+    return 0.5 * l2_coeff * sum(float(np.sum(W**2)) for W, _ in layers) if l2_coeff > 0 else 0.0
+
+
+def reference_check(spec, labels):
+    if labels.min() < 0 or labels.max() >= spec.n_classes:
+        raise InvalidArgumentError("label out of range")
+
+
+def reference_step(w, batch, l2_coeff):
+    """``(data_loss, l2_penalty)`` and the gradient, with the operations of
+    ``nn._GradStep`` and the reductions of ``reference_cross_entropy``."""
+    reference_check(w.spec, batch.labels)
+    layers, n, labels = unpack(w), len(batch), batch.labels
+    grad = np.empty(w.spec.param_count)
+    grad_layers, offset = [], 0
+    for W, b in layers:
+        dW = grad[offset : offset + W.size].reshape(W.shape)
+        db = grad[offset + W.size : offset + W.size + b.size]
+        grad_layers.append((dW, db))
+        offset += W.size + b.size
+    acts, h = [batch.inputs], batch.inputs
+    for idx, (W, b) in enumerate(layers):
+        h = h @ W
+        h += b
+        if idx < len(layers) - 1:
+            h = np.maximum(h, 0.0, out=h) if w.spec.activation == "relu" else np.tanh(h, out=h)
+            acts.append(h)
+    data_loss, delta, row_sums = reference_cross_entropy(h, labels)
+    rows = np.arange(n)
+    delta /= row_sums[:, None]
+    delta[rows, labels] -= 1.0
+    delta /= n
+    for idx in range(len(layers) - 1, -1, -1):
+        W, _ = layers[idx]
+        dW, db = grad_layers[idx]
+        np.matmul(acts[idx].T, delta, out=dW)
+        np.sum(delta, axis=0, out=db)
+        if l2_coeff > 0.0:
+            dW += l2_coeff * W
+        if idx > 0:
+            delta = delta @ W.T
+            if w.spec.activation == "relu":
+                delta *= acts[idx] > 0.0
+            else:
+                delta *= 1.0 - acts[idx] ** 2
+    return (data_loss, reference_l2_penalty(layers, l2_coeff)), grad
+
+
+def reference_mean_loss(w, inputs, labels, l2_coeff):
+    reference_check(w.spec, labels)
+    data_loss = reference_cross_entropy(forward(w, inputs), labels)[0]
+    return data_loss, reference_l2_penalty(unpack(w), l2_coeff)
 
 
 class TestLayerSpec:
@@ -221,6 +288,35 @@ class TestLossAndGrad:
 
 
 
+class TestReductionsMatchReference:
+    """The training step and ``mean_loss`` call each reduction as one ufunc;
+    they give the bits of ``np.sum``, ``np.mean`` and the array methods."""
+
+    @given(data=st.data(), n_hidden=st.integers(1, 3),
+           activation=st.sampled_from(["relu", "tanh"]),
+           l2_coeff=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+           batch_sizes=st.lists(st.integers(1, 70), min_size=1, max_size=3))
+    def test_step_and_mean_loss_bit_for_bit(self, data, n_hidden, activation, l2_coeff,
+                                            batch_sizes):
+        widths = data.draw(st.lists(st.integers(1, 8), min_size=n_hidden + 2,
+                                    max_size=n_hidden + 2))
+        spec = LayerSpec(tuple(widths), activation)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        w = ModelWeights(spec, rng.normal(scale=1.5, size=spec.param_count))
+        grad = np.empty(spec.param_count)
+        # One step serves every batch, as in a training loop, so its
+        # per-size row index is reused across calls.
+        step = _GradStep(spec, w.values, grad, l2_coeff)
+        for n in batch_sizes + batch_sizes[:1]:
+            x = rng.normal(scale=3.0, size=(n, spec.sizes[0]))
+            y = rng.integers(0, spec.n_classes, size=n)
+            expected, expected_grad = reference_step(w, Batch(x, y), l2_coeff)
+            assert step(Batch(x, y)) == expected
+            assert np.array_equal(grad, expected_grad)
+            value = mean_loss(w, x, y, l2_coeff)
+            assert (value.data_loss, value.l2_penalty) == reference_mean_loss(w, x, y, l2_coeff)
+
+
 class TestMeanLossChecks:
     """``mean_loss`` checks its labels with the training step's batch check."""
 
@@ -232,7 +328,10 @@ class TestMeanLossChecks:
     @pytest.mark.parametrize("labels, bad_range", [
         ([0, 1, -1, 0, 1], "[-1, 1]"),
         ([0, 1, 2, 0, 1], "[0, 2]"),
-    ], ids=["negative", "n_classes"])
+        ([0, 1, -2**63, 0, 1], f"[{-2**63}, 1]"),
+        ([0, 1, 2**63 - 1, 0, 1], f"[0, {2**63 - 1}]"),
+        ([-1, 1, 2, 0, 1], "[-1, 2]"),
+    ], ids=["negative", "n_classes", "int64-min", "int64-max", "both-ends"])
     def test_label_out_of_range(self, labels, bad_range):
         w = init_model(self.spec, 0)
         expected = f"labels must lie in [0, 2), got range {bad_range}"
@@ -242,6 +341,13 @@ class TestMeanLossChecks:
         with pytest.raises(InvalidArgumentError) as error:
             mean_loss(w, self.inputs(), labels)
         assert str(error.value) == expected
+
+    @pytest.mark.parametrize("labels", [[0, 1, 1, 0, 1], [1, 1, 1, 1, 1], [0, 0, 0, 0, 0]])
+    def test_labels_up_to_n_classes_minus_one_pass(self, labels):
+        w = init_model(self.spec, 0)
+        value, _ = loss_and_grad(w, Batch(self.inputs(), labels))
+        assert value == mean_loss(w, self.inputs(), labels)
+        assert np.isfinite(value.total)
 
     def test_label_count_must_match_rows(self):
         with pytest.raises(ShapeError, match="label count"):
