@@ -65,10 +65,9 @@ ckpt = load_checkpoint(first)
 print(f"\nreloaded {first.name}: {ckpt.spec.param_count} parameters, "
       f"digest verified")
 
-# Phase 3: evaluate the stored members (optionally only the last k).
-test = harness.load_split(cfg, "test")
-record = harness.evaluate([load_checkpoint(p) for p in harness.member_checkpoint_paths(cfg.run_dir)],
-                          test, None, cfg.ece_bins)
+# Phase 3: evaluate the stored members (the last ``last_k`` of them when the
+# config sets it); evaluation.json lands in the run directory.
+record = harness.evaluate(cfg)
 print(f"\nensemble evaluation: accuracy {record['metrics']['accuracy']:.4f}, "
       f"nll {record['metrics']['nll']:.4f} ({record['metrics']['nll_pct']:.2f}%), "
       f"ece {record['metrics']['ece']:.4f}")

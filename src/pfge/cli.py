@@ -9,6 +9,11 @@ Five verbs, each taking a JSON config path plus any number of
     pfge connectivity cfg.json [overrides...]   curve training + mode-connectivity gap
     pfge report       cfg.json [overrides...]   pretty-print a saved run report
 
+Each verb is one ``harness`` call on the loaded config; this module only
+parses arguments, prints what the call returns and maps errors to exit codes.
+``pfge connectivity`` connects ``connectivity.member_a`` and ``member_b``
+when both are given, and otherwise the pair ``connectivity.pair`` picks.
+
 Exit codes: 0 success, 2 configuration error, 3 I/O or data-format error,
 4 numeric failure (non-finite loss or weights).
 """
@@ -19,8 +24,8 @@ import sys
 from . import harness
 from .checkpoint import load_checkpoint
 from .config import load_config
-from .errors import ConfigurationError, PfgeError, exit_code_for
-from .files import json_text, write_json
+from .errors import PfgeError, exit_code_for
+from .files import json_text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,54 +46,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_pretrain(cfg) -> int:
+def _cmd_pretrain(cfg) -> None:
     ckpt = harness.pretrain(cfg)
     print(
         f"saved w0 to {cfg.w0_path} "
         f"(train accuracy {ckpt.meta['final_train_accuracy']:.4f})"
     )
-    return 0
 
 
-def _cmd_run(cfg) -> int:
+def _cmd_run(cfg) -> None:
     w0 = load_checkpoint(cfg.w0_path)
     ensemble, report = harness.run(cfg, w0)
     print(f"{len(ensemble)} member(s) written to {cfg.run_dir}")
     print(harness.format_report(report))
-    return 0
 
 
-def _cmd_evaluate(cfg) -> int:
-    paths = harness.member_checkpoint_paths(cfg.run_dir)
-    if not paths:
-        raise ConfigurationError(f"no member checkpoints found in {cfg.run_dir}")
-    members = [load_checkpoint(p) for p in paths]
-    test = harness.load_split(cfg, "test")
-    record = harness.evaluate(
-        members,
-        test,
-        cfg.last_k,
-        cfg.ece_bins,
-        reliability_csv=cfg.run_dir / harness.EVALUATION_RELIABILITY_CSV,
-    )
-    write_json(cfg.run_dir / harness.EVALUATION_JSON, record)
-    print(json_text(record), end="")
-    return 0
+def _cmd_evaluate(cfg) -> None:
+    print(json_text(harness.evaluate(cfg)), end="")
 
 
-def _cmd_connectivity(cfg) -> int:
-    settings = cfg.connectivity
-    record = harness.connectivity_run(
-        cfg, settings.get("member_a"), settings.get("member_b")
-    )
-    print(json_text(record), end="")
-    return 0
+def _cmd_connectivity(cfg) -> None:
+    print(json_text(harness.connectivity_run(cfg)), end="")
 
 
-def _cmd_report(cfg) -> int:
-    report = harness.load_report(cfg.run_dir)
-    print(harness.format_report(report))
-    return 0
+def _cmd_report(cfg) -> None:
+    print(harness.format_report(harness.load_report(cfg.run_dir)))
 
 
 _COMMANDS = {
@@ -103,8 +85,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides)
-        return _COMMANDS[args.verb](cfg)
+        _COMMANDS[args.verb](load_config(args.config, args.overrides))
+        return 0
     except (PfgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -10,10 +10,11 @@ The schema, like JSON Schema Draft 7, counts an integral float such as
 value becomes a Python int. Sizes that the schema cannot bound are checked
 after validation: a generated split holds at most ``MAX_GENERATED_ROWS``
 rows, the model at most ``MAX_PARAMETERS`` parameters, the reliability
-diagram at most ``MAX_ECE_BINS`` bins and the curve profile at most
-``MAX_GRID_SIZE`` points, and each iteration count (training budget, cycle
-length, recording period, pretraining, curve training) is at most
-``MAX_ITERATIONS``. A larger value is a ``ConfigurationError`` naming its
+diagram at most ``MAX_ECE_BINS`` bins, the curve profile at most
+``MAX_GRID_SIZE`` points, the curve a degree of at most ``MAX_CURVE_K`` and at
+most ``MAX_PARAMETERS`` interior control parameters, and each iteration
+count (training budget, cycle length, recording period, pretraining, curve
+training) is at most ``MAX_ITERATIONS``. A larger value is a ``ConfigurationError`` naming its
 key, so no size reaches an allocation or a loop it cannot finish.
 """
 
@@ -48,6 +49,10 @@ MAX_ECE_BINS = 10**6
 # Points of ``connectivity.grid_size``; each forwards the whole train and
 # test splits once.
 MAX_GRID_SIZE = 10**4
+# Degree ``connectivity.k`` of the Bezier curve; the largest Bernstein
+# coefficient C(k, k // 2) overflows float64 from k = 1030. The k - 1 interior
+# controls also hold at most ``MAX_PARAMETERS`` parameters together.
+MAX_CURVE_K = 1000
 
 
 def _schema_violation(doc, schema_name: str) -> Optional[str]:
@@ -270,9 +275,16 @@ def _check_sizes(cfg: ExperimentConfig) -> None:
     for key, value, limit in [
         ("metrics.ece_bins", cfg.ece_bins, MAX_ECE_BINS),
         ("connectivity.grid_size", cfg.connectivity["grid_size"], MAX_GRID_SIZE),
+        ("connectivity.k", cfg.connectivity["k"], MAX_CURVE_K),
     ]:
         if value > limit:
             raise ConfigurationError(f"{key}: {value} exceeds the limit of {limit}")
+    interior = (cfg.connectivity["k"] - 1) * n_params
+    if interior > MAX_PARAMETERS:
+        raise ConfigurationError(
+            f"connectivity.k: {interior} interior control parameters exceed the "
+            f"limit of {MAX_PARAMETERS}"
+        )
     _iterations(cfg.connectivity["iters"], "connectivity.iters")
 
 

@@ -89,7 +89,10 @@ def bernstein(k: int, t: float) -> np.ndarray:
     if k < 0:
         raise InvalidArgumentError(f"k must be nonnegative, got {k}")
     j = np.arange(k + 1)
-    combs = np.array([math.comb(k, int(m)) for m in j], dtype=np.float64)
+    try:
+        combs = np.array([math.comb(k, int(m)) for m in j], dtype=np.float64)
+    except OverflowError:
+        raise InvalidArgumentError(f"k={k}: Bernstein coefficients overflow float64") from None
     return combs * (1.0 - t) ** (k - j) * t**j
 
 

@@ -347,9 +347,16 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 def feature_stats(ds: Dataset):
     """Per-feature mean and standard deviation, with the deviation floored to
-    keep standardization well defined for constant features."""
-    mean = ds.inputs.mean(axis=0)
-    std = ds.inputs.std(axis=0)
+    keep standardization well defined for constant features. Features too
+    large for either to be finite are a ``DataFormatError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = ds.inputs.mean(axis=0)
+        std = ds.inputs.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        j = bad[0]
+        raise DataFormatError(f"{ds.name}: feature {j} has a non-finite mean ({mean[j]}) "
+                              f"or standard deviation ({std[j]})")
     std = np.where(std < 1e-12, 1.0, std)
     return mean, std
 

@@ -9,7 +9,8 @@ is safe to delete.
 
 All JSON is written with sorted keys, so that repeated runs with one
 (config, seed) pair produce byte-identical artifacts apart from creation
-timestamps. JSON is read under one rule: a file that is not UTF-8 text, not
+timestamps, and never with a non-finite number, so that everything written
+reads back. JSON is read under one rule: a file that is not UTF-8 text, not
 JSON, or holds a non-finite number (``NaN``, ``Infinity``, ``-Infinity`` or
 a number too large for a float) is rejected with the caller's error type.
 """
@@ -22,6 +23,8 @@ import numbers
 import os
 from contextlib import contextmanager, suppress
 from pathlib import Path
+
+from .errors import NumericError
 
 
 @contextmanager
@@ -48,14 +51,21 @@ def replacing(path):
 
 
 def json_text(doc) -> str:
-    """``doc`` as the package writes JSON: indented, sorted keys, final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``doc`` as the package writes JSON: indented, sorted keys, final newline.
+    A non-finite float is a ``ValueError``, as ``read_json`` would reject it."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, doc) -> None:
-    """Write ``json_text(doc)`` to ``path`` through ``replacing``."""
+    """Write ``json_text(doc)`` to ``path`` through ``replacing``; a document
+    holding a non-finite number is a ``NumericError`` and leaves ``path`` as
+    it was."""
+    try:
+        text = json_text(doc)
+    except ValueError as exc:
+        raise NumericError(f"{path}: cannot write JSON: {exc}") from None
     with replacing(path) as fh:
-        fh.write(json_text(doc).encode())
+        fh.write(text.encode())
 
 
 def _cell(value) -> str:

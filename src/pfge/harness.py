@@ -1,9 +1,11 @@
 """Experiment orchestration: pretraining, algorithm runs, evaluation,
 connectivity analysis, and report emission.
 
-Every verb gets its data from ``load_split``, one split at a time, checked
-against the model and standardized there with the checkpoint's statistics, so
-no verb holds a raw split next to its standardized copy.
+Each CLI verb is one call here on its config: ``pretrain``, ``run``,
+``evaluate``, ``connectivity_run`` and ``load_report``. Every verb gets its
+data from ``load_split``, one split at a time, checked against the model and
+standardized there with the checkpoint's statistics, so no verb holds a raw
+split next to its standardized copy.
 
 Directory layout per run: ``{output_dir}/{run_id}/member-{idx}.ckpt`` plus
 ``report.json`` and CSV side-files; parsed CSV splits are cached in
@@ -62,8 +64,8 @@ from .training import (  # noqa: F401
 )
 
 
-# What ``evaluate`` (the CLI verb) and ``connectivity_run`` write into a run
-# directory. Both describe that run's members, so ``run`` deletes them.
+# What ``evaluate`` and ``connectivity_run`` write into a run directory.
+# Both describe that run's members, so ``run`` deletes them.
 EVALUATION_JSON = "evaluation.json"
 EVALUATION_RELIABILITY_CSV = "evaluation_reliability.csv"
 CONNECTIVITY_DIR = "connectivity"
@@ -208,30 +210,24 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
 
     run_dir = cfg.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
-    member_files = []
-    for idx, (member, recorded_at) in enumerate(zip(ensemble.members, ensemble.recorded_at)):
-        name = f"member-{idx}.ckpt"
-        save_checkpoint(
-            run_dir / name,
-            Checkpoint(
-                weights=member,
-                standardization=w0.standardization,
-                meta={
-                    "role": "member",
-                    "index": idx,
-                    "recorded_at": recorded_at,
-                    "algorithm": algo,
-                    "seed": cfg.seed,
-                    "run_id": cfg.run_id,
-                    "created_at": _now(),
-                },
-            ),
+    member_files = _save_indexed(run_dir, "member", (
+        Checkpoint(
+            weights=member,
+            standardization=w0.standardization,
+            meta={
+                "role": "member",
+                "index": idx,
+                "recorded_at": recorded_at,
+                "algorithm": algo,
+                "seed": cfg.seed,
+                "run_id": cfg.run_id,
+                "created_at": _now(),
+            },
         )
-        member_files.append(name)
-    # Neither the previous run's extra members, for ``evaluate`` and
-    # ``connectivity`` to pick up, nor those verbs' outputs, which describe
-    # members this run has replaced, may outlive a rerun.
-    _remove_stale_checkpoints(run_dir, "member", len(member_files))
+        for idx, (member, recorded_at) in enumerate(zip(ensemble.members, ensemble.recorded_at))
+    ))
+    # The outputs of ``evaluate`` and ``connectivity`` describe members this
+    # run has replaced, so they may not outlive a rerun either.
     for name in (EVALUATION_JSON, EVALUATION_RELIABILITY_CSV):
         (run_dir / name).unlink(missing_ok=True)
     if (run_dir / CONNECTIVITY_DIR).is_dir():
@@ -312,16 +308,20 @@ def _indexed_checkpoints(directory, prefix: str) -> list:
     return [path for _, path in sorted(found)]
 
 
-def _remove_stale_checkpoints(directory, prefix: str, count: int) -> None:
-    """Delete, with its sidecar, every ``{prefix}-*.ckpt`` in ``directory``
-    but the ``count`` just written, ``{prefix}-0.ckpt`` to
-    ``{prefix}-{count - 1}.ckpt``, so a rerun that writes fewer leaves none
-    of the previous run's behind."""
-    written = {f"{prefix}-{j}.ckpt" for j in range(count)}
+def _save_indexed(directory, prefix: str, checkpoints) -> list:
+    """Save ``checkpoints`` in order as ``{prefix}-0.ckpt``, ``{prefix}-1.ckpt``,
+    ... in ``directory``, then delete, with its sidecar, every other
+    ``{prefix}-<digits>.ckpt`` there, so a rerun that writes fewer leaves none
+    of the previous run's behind. Returns the names written."""
+    names = []
+    for idx, ckpt in enumerate(checkpoints):
+        names.append(f"{prefix}-{idx}.ckpt")
+        save_checkpoint(Path(directory) / names[-1], ckpt)
     for path in _indexed_checkpoints(directory, prefix):
-        if path.name not in written:
+        if path.name not in names:
             path.unlink()
             header_path(path).unlink(missing_ok=True)
+    return names
 
 
 def member_checkpoint_paths(run_dir) -> list:
@@ -329,29 +329,32 @@ def member_checkpoint_paths(run_dir) -> list:
     return _indexed_checkpoints(run_dir, "member")
 
 
-def evaluate(members, dataset: Dataset, last_k: Optional[int], ece_bins: int,
-             reliability_csv=None) -> dict:
-    """Ensemble metrics of a member list on a raw dataset.
+def evaluate(cfg: ExperimentConfig) -> dict:
+    """Ensemble metrics of the run directory's members on the test split.
 
-    Standardization statistics stored with the members are applied to the
-    dataset first; the members must agree on spec and standardization.
+    The members must agree on spec and standardization; their statistics
+    standardize the split. Writes ``EVALUATION_JSON`` and the reliability
+    bins to ``EVALUATION_RELIABILITY_CSV`` in the run directory and returns
+    the record.
     """
-    if not members:
-        raise ConfigurationError("no member checkpoints to evaluate")
-    stats = _shared_standardization(members, "member checkpoints")
-    if stats is not None:
-        dataset = apply_standardization(dataset, stats["mean"], stats["std"])
+    run_dir = cfg.run_dir
+    paths = member_checkpoint_paths(run_dir)
+    if not paths:
+        raise ConfigurationError(f"no member checkpoints found in {run_dir}")
+    members = [load_checkpoint(p) for p in paths]
+    test = load_split(cfg, "test", _shared_standardization(members, "member checkpoints"))
     ensemble = EnsembleSet(
         tuple(c.weights for c in members), tuple(range(1, len(members) + 1))
     )
-    probs, _ = ensemble_predict(ensemble, dataset.inputs, last_k)
+    probs, _ = ensemble_predict(ensemble, test.inputs, cfg.last_k)
+    reliability_csv = run_dir / EVALUATION_RELIABILITY_CSV
     record = {
         "n_members": len(members),
-        "last_k": last_k,
-        "metrics": _metrics_record(probs, dataset.labels, ece_bins, reliability_csv),
+        "last_k": cfg.last_k,
+        "metrics": _metrics_record(probs, test.labels, cfg.ece_bins, reliability_csv),
+        "reliability_csv": str(reliability_csv),
     }
-    if reliability_csv is not None:
-        record["reliability_csv"] = str(reliability_csv)
+    write_json(run_dir / EVALUATION_JSON, record)
     return record
 
 
@@ -380,10 +383,13 @@ def _select_pair(cfg: ExperimentConfig):
     return paths[start], paths[start + 1]
 
 
-def connectivity_run(cfg: ExperimentConfig, member_a=None, member_b=None) -> dict:
+def connectivity_run(cfg: ExperimentConfig) -> dict:
     """Train a curve between two members, profile it, and compute the
-    mode-connectivity gap. Artifacts land in ``{run_dir}/connectivity/``."""
+    mode-connectivity gap. The endpoints are ``connectivity.member_a`` and
+    ``member_b``, or, with neither given, the pair ``connectivity.pair``
+    picks. Artifacts land in ``{run_dir}/connectivity/``."""
     settings = cfg.connectivity
+    member_a, member_b = settings.get("member_a"), settings.get("member_b")
     if (member_a is None) != (member_b is None):
         raise ConfigurationError(
             "connectivity: give both member_a and member_b, or neither to pick a pair"
@@ -418,16 +424,14 @@ def connectivity_run(cfg: ExperimentConfig, member_a=None, member_b=None) -> dic
     outdir = cfg.run_dir / CONNECTIVITY_DIR
     outdir.mkdir(parents=True, exist_ok=True)
     profile.write_csv(outdir / "curve_profile.csv")
-    for j, control in enumerate(curve.controls):
-        save_checkpoint(
-            outdir / f"curve-control-{j}.ckpt",
-            Checkpoint(
-                weights=control,
-                standardization=stats,
-                meta={"role": "curve-control", "index": j, "created_at": _now()},
-            ),
+    _save_indexed(outdir, "curve-control", (
+        Checkpoint(
+            weights=control,
+            standardization=stats,
+            meta={"role": "curve-control", "index": j, "created_at": _now()},
         )
-    _remove_stale_checkpoints(outdir, "curve-control", len(curve.controls))
+        for j, control in enumerate(curve.controls)
+    ))
     record = {
         "mc": mc,
         "mc_abs": abs(mc),

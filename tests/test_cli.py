@@ -243,10 +243,12 @@ class TestExitCodes:
         fge = ["algorithm=fge", "run_id=fge"]
         assert main(["run", str(config_path), *fge]) == 0
         member_0 = tmp_path / "runs" / "fge" / "member-0.ckpt"
-        code = main(["connectivity", str(config_path), *fge, f"connectivity.member_a={member_0}",
-                     "connectivity.iters=0", "connectivity.grid_size=3"])
-        assert code == 2
-        assert "member_b" in capsys.readouterr().err
+        for endpoint in ("member_a", "member_b"):
+            code = main(["connectivity", str(config_path), *fge,
+                         f"connectivity.{endpoint}={member_0}",
+                         "connectivity.iters=0", "connectivity.grid_size=3"])
+            assert code == 2
+            assert "give both member_a and member_b" in capsys.readouterr().err
         assert not (tmp_path / "runs" / "fge" / "connectivity").exists()
 
     def test_numeric_blowup_is_4(self, config_path):
@@ -254,9 +256,12 @@ class TestExitCodes:
         code = main(["run", str(config_path), "schedule.alpha1=1e154", "schedule.alpha2=1.0"])
         assert code == 4
 
-    def test_evaluate_without_members_is_2(self, config_path):
+    def test_evaluate_without_members_is_2(self, config_path, tmp_path, capsys):
         assert main(["pretrain", str(config_path)]) == 0
         assert main(["evaluate", str(config_path)]) == 2
+        run_dir = tmp_path / "runs" / "pfge-seed5"
+        assert f"no member checkpoints found in {run_dir}" in capsys.readouterr().err
+        assert not (run_dir / "evaluation.json").exists()
 
     def test_budget_violation_is_2(self, config_path):
         assert main(["pretrain", str(config_path)]) == 0
@@ -283,6 +288,32 @@ class TestExitCodes:
         assert main(["pretrain", str(config_path), f"{key}={value}"]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_curve_degree_beyond_the_limit_is_2(self, config_path, tmp_path, capsys):
+        assert main(["pretrain", str(config_path)]) == 0
+        assert main(["run", str(config_path)]) == 0
+        capsys.readouterr()
+        curve = ["connectivity.iters=0", "connectivity.grid_size=3"]
+        assert main(["connectivity", str(config_path), "connectivity.k=2000", *curve]) == 2
+        assert "connectivity.k" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "pfge-seed5" / "connectivity").exists()
+        # The largest allowed degree still has finite Bernstein coefficients.
+        assert main(["connectivity", str(config_path), "connectivity.k=1000", *curve]) == 0
+
+    def test_non_finite_feature_statistics_are_3(self, config_path, tmp_path, capsys):
+        assert main(["pretrain", str(config_path), "dataset.noise_sd=1e300"]) == 3
+        assert "two_spirals: feature 0 has a non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "w0.ckpt").exists()
+        assert not (tmp_path / "runs" / "w0.ckpt.json").exists()
+
+    def test_csv_features_too_large_to_standardize_are_3(self, config_path, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("f0,f1,label\n0.5,6e200,0\n0.25,-6e200,1\n0.75,6.5e200,1\n")
+        override = json.dumps({"kind": "csv", "train_path": str(train),
+                               "test_path": str(train)})
+        assert main(["pretrain", str(config_path), f"dataset={override}"]) == 3
+        assert "train.csv: feature 1 has a non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "w0.ckpt.json").exists()
 
     def test_checkpoint_claiming_huge_layers_is_3(self, config_path, tmp_path, capsys):
         assert main(["pretrain", str(config_path)]) == 0

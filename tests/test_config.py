@@ -7,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pfge.config import (
+    MAX_CURVE_K,
     MAX_ECE_BINS,
     MAX_GENERATED_ROWS,
     MAX_GRID_SIZE,
@@ -171,6 +172,7 @@ class TestResolution:
         ("metrics", "ece_bins", MAX_ECE_BINS),
         ("connectivity", "grid_size", MAX_GRID_SIZE),
         ("connectivity", "iters", MAX_ITERATIONS),
+        ("connectivity", "k", MAX_CURVE_K),
     ])
     def test_size_limits_are_inclusive(self, section, key, limit):
         doc = base_doc(**{section: {key: limit}})
@@ -186,6 +188,15 @@ class TestResolution:
         assert config_from_dict(doc).model_spec.param_count == 3 * width + 1 == MAX_PARAMETERS
         doc["model"]["sizes"] = [1, width + 1, 1]
         with pytest.raises(ConfigurationError, match="model.sizes"):
+            config_from_dict(doc)
+
+    def test_curve_parameter_limit_is_inclusive(self):
+        # 269,322 parameters: k - 1 = 371 interior controls hold 99,918,462.
+        doc = base_doc(model={"sizes": [784, 256, 256, 10]}, connectivity={"k": 372})
+        cfg = config_from_dict(doc)
+        assert 371 * cfg.model_spec.param_count <= MAX_PARAMETERS < 372 * 269_322
+        doc["connectivity"]["k"] = 373
+        with pytest.raises(ConfigurationError, match="connectivity.k"):
             config_from_dict(doc)
 
     @pytest.mark.parametrize("centers", [[], [[]], [[0, 0], [1]], [[0], [1, 2]]])

@@ -62,6 +62,12 @@ class TestBernstein:
         with pytest.raises(InvalidArgumentError):
             bernstein(2, 1.1)
 
+    def test_overflowing_coefficients_are_rejected(self):
+        # C(1029, 514) is the largest central coefficient below float64's limit.
+        assert bernstein(1029, 0.5).sum() == pytest.approx(1.0)
+        with pytest.raises(InvalidArgumentError, match="k=1030"):
+            bernstein(1030, 0.5)
+
 
 class TestCurvePoint:
     def test_constant_controls(self):

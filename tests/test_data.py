@@ -379,6 +379,13 @@ class TestStandardization:
         assert np.allclose(out.inputs.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(out.inputs.std(axis=0), 1.0, atol=1e-12)
 
+    def test_non_finite_statistics_are_rejected(self):
+        # Finite features whose squares (or sum) overflow.
+        inputs = np.array([[0.0, 1e300, 1e308], [1.0, -1e300, 1e308]])
+        ds = Dataset(inputs, np.zeros(2, dtype=int), 1, name="big.csv")
+        with pytest.raises(DataFormatError, match="big.csv: feature 1 has a non-finite"):
+            feature_stats(ds)
+
     def test_constant_feature_guard(self):
         ds = Dataset(np.column_stack([np.ones(5), np.arange(5.0)]), np.zeros(5, dtype=int), 1)
         mean, std = feature_stats(ds)

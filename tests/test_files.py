@@ -24,7 +24,7 @@ from pfge import files
 from pfge.checkpoint import Checkpoint, header_path, save_checkpoint
 from pfge.cli import main
 from pfge.data import Dataset, save_csv
-from pfge.errors import DataFormatError
+from pfge.errors import DataFormatError, NumericError
 from pfge.metrics import PredictionBatch, reliability
 from pfge.nn import LayerSpec, ModelWeights
 from test_golden import CURVE_VARIANTS, golden_doc
@@ -232,6 +232,16 @@ class TestReadJson:
         files.write_json(path, doc)
         assert path.read_text() == files.json_text(doc)
         assert files.read_json(path, DataFormatError, "thing") == doc
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_numbers_are_not_written(self, tmp_path, value):
+        # Whatever the package writes, read_json reads back.
+        path = tmp_path / "doc.json"
+        files.write_json(path, {"x": 1.0})
+        with pytest.raises(NumericError, match=r"doc\.json: cannot write JSON"):
+            files.write_json(path, {"x": value})
+        assert files.read_json(path, DataFormatError, "thing") == {"x": 1.0}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
 
     def test_non_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "doc.json"

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfge import harness
 from pfge.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -152,75 +156,89 @@ class TestRun:
         assert artifacts[0][1] == artifacts[1][1]
 
 
+def add_member(run_dir, ckpt):
+    """Save ``ckpt`` as the run directory's next member file."""
+    path = run_dir / f"member-{len(harness.member_checkpoint_paths(run_dir))}.ckpt"
+    save_checkpoint(path, ckpt)
+    return path
+
+
 class TestEvaluate:
     def test_single_member_equals_direct(self, pretrained):
         cfg, w0 = pretrained
+        cfg = mini_config(cfg.output_dir, algorithm="sgd")
         harness.run(cfg, w0)
-        members = [load_checkpoint(p) for p in harness.member_checkpoint_paths(cfg.run_dir)]
-        test = harness.load_split(cfg, "test")
-        record = harness.evaluate(members[:1], test, None, cfg.ece_bins)
+        (path,) = harness.member_checkpoint_paths(cfg.run_dir)
+        record = harness.evaluate(cfg)
 
         from pfge.data import apply_standardization
 
-        stats = members[0].standardization
+        member = load_checkpoint(path)
+        stats = member.standardization
+        test = harness.load_split(cfg, "test")
         test_std = apply_standardization(test, stats["mean"], stats["std"])
         probs, _ = ensemble_predict(
-            EnsembleSet((members[0].weights,), (1,)), test_std.inputs
+            EnsembleSet((member.weights,), (1,)), test_std.inputs
         )
         p = PredictionBatch(probs, test_std.labels)
         assert record["metrics"]["accuracy"] == accuracy(p)
         assert record["metrics"]["nll"] == pytest.approx(nll(p), abs=1e-15)
         assert record["metrics"]["nll_pct"] == pytest.approx(100 * nll(p), abs=1e-12)
+        assert record["n_members"] == 1 and record["last_k"] is None
+        assert json.loads((cfg.run_dir / harness.EVALUATION_JSON).read_text()) == record
+        reliability_csv = cfg.run_dir / harness.EVALUATION_RELIABILITY_CSV
+        assert record["reliability_csv"] == str(reliability_csv)
+        assert reliability_csv.exists()
 
     def test_duplicated_members_match_single(self, pretrained):
         cfg, w0 = pretrained
+        cfg = mini_config(cfg.output_dir, algorithm="sgd")
         harness.run(cfg, w0)
-        member = load_checkpoint(harness.member_checkpoint_paths(cfg.run_dir)[0])
-        test = harness.load_split(cfg, "test")
-        single = harness.evaluate([member], test, None, cfg.ece_bins)
-        doubled = harness.evaluate([member, member], test, None, cfg.ece_bins)
+        single = harness.evaluate(cfg)
+        (path,) = harness.member_checkpoint_paths(cfg.run_dir)
+        add_member(cfg.run_dir, load_checkpoint(path))
+        doubled = harness.evaluate(cfg)
+        assert doubled["n_members"] == 2
         for key in ("accuracy", "nll", "ece"):
             assert doubled["metrics"][key] == pytest.approx(single["metrics"][key], abs=1e-12)
 
     def test_last_k_too_large(self, pretrained):
         cfg, w0 = pretrained
         harness.run(cfg, w0)
-        members = [load_checkpoint(p) for p in harness.member_checkpoint_paths(cfg.run_dir)]
-        test = harness.load_split(cfg, "test")
+        n_members = len(harness.member_checkpoint_paths(cfg.run_dir))
         with pytest.raises(InvalidArgumentError):
-            harness.evaluate(members, test, len(members) + 1, cfg.ece_bins)
+            harness.evaluate(mini_config(cfg.output_dir, last_k=n_members + 1))
 
     def test_mismatched_specs_rejected(self, pretrained):
         cfg, w0 = pretrained
         harness.run(cfg, w0)
         member = load_checkpoint(harness.member_checkpoint_paths(cfg.run_dir)[0])
-        from pfge.checkpoint import Checkpoint
-
-        other = Checkpoint(init_model(LayerSpec((2, 6, 2)), 0), member.standardization, {})
-        test = harness.load_split(cfg, "test")
+        add_member(cfg.run_dir,
+                   Checkpoint(init_model(LayerSpec((2, 6, 2)), 0), member.standardization, {}))
         with pytest.raises(ConfigurationError, match="architecture"):
-            harness.evaluate([member, other], test, None, cfg.ece_bins)
+            harness.evaluate(cfg)
 
     def test_mismatched_standardization_rejected(self, pretrained):
         cfg, w0 = pretrained
         harness.run(cfg, w0)
         member = load_checkpoint(harness.member_checkpoint_paths(cfg.run_dir)[0])
         stats = {"mean": [0.0, 0.0], "std": [1.0, 1.0]}
-        other = Checkpoint(member.weights, stats, {})
-        test = harness.load_split(cfg, "test")
+        add_member(cfg.run_dir, Checkpoint(member.weights, stats, {}))
         with pytest.raises(ConfigurationError,
                            match="member checkpoints have mismatched standardization"):
-            harness.evaluate([member, other], test, None, cfg.ece_bins)
+            harness.evaluate(cfg)
 
 
 class TestConnectivityRun:
     def test_degenerate_pair_zero_iters(self, pretrained):
         cfg, w0 = pretrained
         harness.run(cfg, w0)
-        path = harness.member_checkpoint_paths(cfg.run_dir)[0]
-        cfg0 = mini_config(cfg.output_dir, connectivity={"iters": 0, "grid_size": 11})
-        record = harness.connectivity_run(cfg0, path, path)
+        path = str(harness.member_checkpoint_paths(cfg.run_dir)[0])
+        cfg0 = mini_config(cfg.output_dir, connectivity={
+            "iters": 0, "grid_size": 11, "member_a": path, "member_b": path})
+        record = harness.connectivity_run(cfg0)
         assert record["mc"] == 0.0
+        assert record["member_a"] == record["member_b"] == path
 
     def test_profile_csv_rows_match_grid(self, pretrained):
         cfg, w0 = pretrained
@@ -261,8 +279,10 @@ class TestConnectivityRun:
         path = harness.member_checkpoint_paths(cfg.run_dir)[0]
         other = cfg.output_dir / "other.ckpt"
         save_checkpoint(other, change(load_checkpoint(path)))
+        cfg_pair = mini_config(cfg.output_dir, connectivity={
+            "member_a": str(path), "member_b": str(other)})
         with pytest.raises(ConfigurationError, match=message):
-            harness.connectivity_run(cfg, path, other)
+            harness.connectivity_run(cfg_pair)
 
     def test_random_pair_is_adjacent_and_seeded(self, pretrained):
         cfg, w0 = pretrained
@@ -276,6 +296,41 @@ class TestConnectivityRun:
         idx_a = int(a["member_a"].split("member-")[1].split(".")[0])
         idx_b = int(a["member_b"].split("member-")[1].split(".")[0])
         assert idx_b == idx_a + 1
+
+
+# Files a rerun of ``_save_indexed(d, "member", ...)`` must delete with their
+# sidecars (stale matching names), and files it must leave as they are.
+STALE_MEMBERS = ("member-7.ckpt", "member-01.ckpt")
+UNTOUCHED = ("member-x.ckpt", "member-1.ckpt.bak", "curve-control-0.ckpt",
+             "curve-control-0.ckpt.json")
+
+
+class TestSaveIndexed:
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    def test_reruns_keep_exactly_the_last_write(self, counts):
+        spec = LayerSpec((2, 3, 2))
+        with tempfile.TemporaryDirectory() as tmp:
+            directory, reference = Path(tmp, "run"), Path(tmp, "reference")
+            directory.mkdir()
+            for name in STALE_MEMBERS:
+                (directory / name).write_bytes(b"stale payload")
+                (directory / f"{name}.json").write_bytes(b"stale header")
+            for name in UNTOUCHED:
+                (directory / name).write_bytes(name.encode())
+            for write, n in enumerate(counts):
+                ckpts = [Checkpoint(init_model(spec, 10 * write + j), None, {"index": j})
+                         for j in range(n)]
+                names = harness._save_indexed(directory, "member", ckpts)
+                expected = [f"member-{j}.ckpt" for j in range(n)]
+                assert names == expected
+                assert sorted(p.name for p in directory.iterdir()) == sorted(
+                    [*expected, *(f"{name}.json" for name in expected), *UNTOUCHED])
+                for name in UNTOUCHED:
+                    assert (directory / name).read_bytes() == name.encode()
+                for name, ckpt in zip(expected, ckpts):
+                    save_checkpoint(reference / name, ckpt)
+                    for file in (name, f"{name}.json"):
+                        assert (directory / file).read_bytes() == (reference / file).read_bytes()
 
 
 class TestReportHelpers:
