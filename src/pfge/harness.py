@@ -144,7 +144,7 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     final, _ = _drive(w_init, opt, batches(train, cfg.batch_size, cfg.seed), total,
                       lambda i: settings["lr"] * _pretrain_lr_factor((i - 1) / total),
                       total, total, l2_coeff=settings["l2_coeff"])
-    train_preds = np.argmax(ensemble_predict(final, train.inputs)[0], axis=1)
+    train_preds = ensemble_predict(final, train.inputs)[1]
     ckpt = Checkpoint(
         weights=final.members[0],
         standardization={"mean": mean.tolist(), "std": std.tolist()},

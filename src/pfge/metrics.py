@@ -7,12 +7,13 @@ bin contributes zero to the calibration error.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import files
 from .errors import InvalidArgumentError
-from .nn import _as_labels
+from .nn import _as_labels, _row_argmax, _row_max
 
 PROB_FLOOR = 1e-12
 ROW_SUM_TOL = 1e-9
@@ -51,6 +52,15 @@ class PredictionBatch:
     def __len__(self) -> int:
         return self.probs.shape[0]
 
+    @cached_property
+    def _top(self):
+        """``(confidence, prediction)``: each row's largest probability and the
+        first class that holds it, taken once for ``accuracy`` and
+        ``reliability`` alike. The probabilities are finite, so the column-wise
+        argmax is exact."""
+        conf = _row_max(self.probs)
+        return conf, _row_argmax(self.probs, conf)
+
 
 @dataclass(frozen=True)
 class ReliabilityBins:
@@ -83,8 +93,7 @@ class ReliabilityBins:
 
 def accuracy(p: PredictionBatch) -> float:
     """Fraction of rows whose argmax (lowest index on ties) is the true label."""
-    preds = np.argmax(p.probs, axis=1)
-    return float(np.mean(preds == p.labels))
+    return float(np.mean(p._top[1] == p.labels))
 
 
 def nll(p: PredictionBatch) -> float:
@@ -100,8 +109,8 @@ def reliability(p: PredictionBatch, bins: int) -> ReliabilityBins:
     """Assign each sample to a confidence bin and compute per-bin statistics."""
     if bins < 1:
         raise InvalidArgumentError(f"bins must be >= 1, got {bins}")
-    conf = p.probs.max(axis=1)
-    correct = np.argmax(p.probs, axis=1) == p.labels
+    conf, preds = p._top
+    correct = preds == p.labels
     # Right-closed bins (lo, hi]: confidence c lands in bin ceil(c * B) - 1.
     idx = np.clip(np.ceil(conf * bins).astype(np.int64) - 1, 0, bins - 1)
     counts = np.bincount(idx, minlength=bins)

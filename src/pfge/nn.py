@@ -196,11 +196,52 @@ def _forward(layers, x: np.ndarray, activation: str, acts=None, workspace=None) 
             acts.append(h)
 
 
+# numpy reduces a C-ordered (rows, classes) array along axis 1 at tens of
+# nanoseconds per row, while one elementwise pass over a column costs about a
+# microsecond plus a nanosecond or two per row. The class-axis maxima and
+# argmaxes below go column by column on arrays with at least this many rows
+# per column, and through numpy on shorter, wider ones.
+_ROWS_PER_COLUMN = 16
+
+
+def _by_columns(z: np.ndarray) -> bool:
+    rows, cols = z.shape
+    return cols > 0 and rows >= _ROWS_PER_COLUMN * cols
+
+
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """``np.maximum.reduce(z, axis=1)`` of a 2-D ``z``: the same values, a NaN
+    in a row included. Only the sign of a zero maximum that ties with a zero
+    of the other sign may differ; numpy's own reduction picks it by the order
+    of its vector lanes, which depends on the CPU."""
+    if not _by_columns(z):
+        return np.maximum.reduce(z, axis=1)
+    out = z[:, 0].copy()
+    for j in range(1, z.shape[1]):
+        np.maximum(out, z[:, j], out=out)
+    return out
+
+
+def _row_argmax(z: np.ndarray, row_max: np.ndarray) -> np.ndarray:
+    """``np.argmax(z, axis=1)`` of a 2-D ``z`` without NaN, given ``row_max =
+    _row_max(z)``: each row's first column equal to its maximum. A row holding
+    NaN gets an unspecified column, not numpy's first NaN."""
+    if not _by_columns(z):
+        return np.argmax(z, axis=1)
+    # A row's first maximum sits after the run of leading columns that miss it.
+    missed = z[:, 0] != row_max
+    out = missed.astype(np.intp)
+    for j in range(1, z.shape[1] - 1):
+        missed &= z[:, j] != row_max
+        out += missed
+    return out
+
+
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray):
     """Stable mean cross-entropy, overwriting ``logits`` with ``exp_shifted``;
     returns it with ``row_sums`` such that ``softmax(logits) == exp_shifted /
     row_sums[:, None]``. ``rows`` is ``np.arange(len(labels))``."""
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    logits -= _row_max(logits)[:, None]
     picked = logits[rows, labels]
     np.exp(logits, out=logits)
     row_sums = np.add.reduce(logits, axis=1)
@@ -239,8 +280,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _softmax_inplace(z: np.ndarray) -> np.ndarray:
-    """``softmax`` of ``z`` written over ``z``; returns ``z``."""
-    z -= z.max(axis=-1, keepdims=True)
+    """``softmax`` of ``z`` written over ``z``; returns ``z``. The row maxima
+    of any number of leading axes are taken on ``z`` seen as one 2-D array."""
+    z -= _row_max(z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1] + (1,))
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z

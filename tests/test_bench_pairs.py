@@ -1,0 +1,65 @@
+"""The verdict of ``tools/bench_pairs.py`` on fixed numbers: a gain holds
+when the change wins nine pairs in ten and its median beats the parent's by
+more than the parent's q3 - q1."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+PARENT = [0.62, 0.63, 0.61, 0.64, 0.62, 0.63, 0.62, 0.65, 0.63, 0.62]
+
+
+def test_quartiles_interpolate_as_numpy_does():
+    for values in (PARENT, [3.0, 1.0], [1.0, 2.0, 4.0, 8.0, 16.0]):
+        assert bench_pairs.quartiles(values) == pytest.approx(
+            tuple(np.percentile(values, [25, 50, 75])), abs=1e-15)
+    assert bench_pairs.quartiles([0.5]) == (0.5, 0.5, 0.5)
+
+
+def test_a_clear_gain_holds():
+    change = [p - 0.04 for p in PARENT]
+    assert bench_pairs.wins(PARENT, change, "lower") == 10
+    assert bench_pairs.claim_holds(PARENT, change, "lower")
+    assert bench_pairs.relative_change(PARENT, change) == pytest.approx(-0.04 / 0.625)
+
+
+def test_nine_wins_are_enough_and_eight_are_not():
+    change = [p - 0.04 for p in PARENT]
+    change[0] = PARENT[0] + 0.01
+    assert bench_pairs.wins(PARENT, change, "lower") == 9
+    assert bench_pairs.claim_holds(PARENT, change, "lower")
+    change[1] = PARENT[1]
+    assert bench_pairs.wins(PARENT, change, "lower") == 8
+    assert not bench_pairs.claim_holds(PARENT, change, "lower")
+
+
+def test_a_gap_within_the_parents_spread_does_not_hold():
+    # The parent's q3 - q1 is 0.01: a gain of 0.005 in every pair wins ten
+    # pairs but is no wider than the spread.
+    assert bench_pairs.quartiles(PARENT)[2] - bench_pairs.quartiles(PARENT)[0] == pytest.approx(0.01)
+    change = [p - 0.005 for p in PARENT]
+    assert bench_pairs.wins(PARENT, change, "lower") == 10
+    assert not bench_pairs.claim_holds(PARENT, change, "lower")
+
+
+def test_higher_is_better_turns_the_rule_around():
+    rates = [1000.0 / p for p in PARENT]
+    faster = [1000.0 / (p - 0.04) for p in PARENT]
+    assert bench_pairs.claim_holds(rates, faster, "higher")
+    assert not bench_pairs.claim_holds(faster, rates, "higher")
+    assert not bench_pairs.claim_holds(rates, faster, "lower")
+
+
+def test_bound_is_a_share_of_the_parents_median():
+    slower = [p * 1.15 for p in PARENT]
+    assert not bench_pairs.exceeds_bound(PARENT, slower, "lower", 0.2)
+    assert bench_pairs.exceeds_bound(PARENT, slower, "lower", 0.1)
+    assert bench_pairs.exceeds_bound(slower, PARENT, "higher", 0.1)
+    assert not bench_pairs.exceeds_bound(PARENT, slower, "higher", 0.1)

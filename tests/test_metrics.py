@@ -207,3 +207,62 @@ class TestReliabilityProperties:
         value = result.ece_value()
         assert 0.0 <= value <= 1.0
         assert value == ece(p, bins)
+
+
+def former_accuracy(p):
+    """``accuracy`` as it was written before the argmax went column by column."""
+    return float(np.mean(np.argmax(p.probs, axis=1) == p.labels))
+
+
+def former_reliability(p, bins):
+    """``reliability`` as it was written before its row maximum and argmax
+    went column by column."""
+    conf = p.probs.max(axis=1)
+    correct = np.argmax(p.probs, axis=1) == p.labels
+    idx = np.clip(np.ceil(conf * bins).astype(np.int64) - 1, 0, bins - 1)
+    counts = np.bincount(idx, minlength=bins)
+    conf_sums = np.bincount(idx, weights=conf, minlength=bins)
+    correct_sums = np.bincount(idx, weights=correct.astype(np.float64), minlength=bins)
+    empty = counts == 0
+    denom = np.where(empty, 1, counts)
+    return (np.linspace(0.0, 1.0, bins + 1), counts, np.where(empty, 0.0, conf_sums / denom),
+            np.where(empty, 0.0, correct_sums / denom), empty)
+
+
+@st.composite
+def tall_prediction_batches(draw):
+    """1-3,000 rows of 1-12 classes. Row weights come from a small pool of
+    integers, which makes tied maxima common, or from an exponential."""
+    classes = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([draw(st.integers(1, 3 * classes)), draw(st.integers(1, 3000))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        weights = rng.integers(0, 4, size=(n, classes)).astype(np.float64)
+        weights[:, 0] += weights.sum(axis=1) == 0
+    else:
+        weights = rng.exponential(size=(n, classes))
+    labels = rng.integers(0, classes, size=n)
+    return PredictionBatch(weights / weights.sum(axis=1, keepdims=True), labels)
+
+
+class TestFormerCode:
+    """The column-by-column row maxima and argmaxes leave every score bit as
+    the former numpy reductions gave it."""
+
+    @given(p=tall_prediction_batches(), bins=st.integers(1, 20))
+    def test_accuracy_and_reliability_match(self, p, bins):
+        assert np.float64(accuracy(p)).tobytes() == np.float64(former_accuracy(p)).tobytes()
+        got = reliability(p, bins)
+        want = former_reliability(p, bins)
+        for name, value in zip(("bin_edges", "counts", "confidences", "accuracies", "empty"),
+                               want):
+            assert getattr(got, name).dtype == value.dtype, name
+            assert getattr(got, name).tobytes() == value.tobytes(), name
+
+    def test_one_row_maximum_serves_both_scores(self):
+        p = PredictionBatch(np.tile([[0.25, 0.75], [0.5, 0.5]], (50, 1)), np.zeros(100, dtype=int))
+        conf, preds = p._top
+        assert p._top is p._top
+        assert accuracy(p) == 0.5
+        assert np.array_equal(preds, np.tile([1, 0], 50))
+        assert reliability(p, 4).counts.tolist() == [0, 50, 50, 0]

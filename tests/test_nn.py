@@ -8,6 +8,9 @@ from pfge.nn import (
     Batch,
     LayerSpec,
     ModelWeights,
+    _cross_entropy,
+    _row_argmax,
+    _row_max,
     _softmax_inplace,
     _Workspace,
     forward,
@@ -215,6 +218,95 @@ class TestSoftmax:
         logits = rng.normal(size=(20, 4))
         shifts = rng.normal(scale=100.0, size=(20, 1))
         assert np.allclose(softmax(logits), softmax(logits + shifts), atol=1e-12)
+
+
+def former_softmax(logits):
+    """``softmax`` as it was written before the row maxima went column by
+    column: one ``max`` along the last axis of the whole array."""
+    z = np.array(logits, dtype=np.float64)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+@st.composite
+def class_scores(draw, nan_rows=False):
+    """A (rows, classes) float64 array of 1-3,000 rows and 1-12 columns, tall
+    and short alike. Its values come either from a small pool, which makes
+    ties, zeros of both signs and infinities common, or from a normal
+    distribution; with ``nan_rows``, some rows hold a NaN."""
+    cols = draw(st.integers(1, 12))
+    rows = draw(st.sampled_from([draw(st.integers(1, 3 * cols)), draw(st.integers(1, 3000))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -7.0, np.inf, -np.inf])
+        z = rng.choice(pool, size=(rows, cols))
+    else:
+        z = rng.normal(scale=draw(st.sampled_from([1.0, 50.0])), size=(rows, cols))
+    if nan_rows:
+        hit = rng.random(rows) < draw(st.sampled_from([0.0, 0.05, 1.0]))
+        z[hit, rng.integers(0, cols, size=int(hit.sum()))] = np.nan
+    return z
+
+
+class TestRowReductions:
+    """``_row_max`` and ``_row_argmax`` against the numpy reductions they
+    replace, on both of their paths: column by column on tall arrays and
+    through numpy on short, wide ones."""
+
+    @given(z=class_scores(nan_rows=True))
+    def test_row_max_is_numpys_maximum(self, z):
+        got, want = _row_max(z), np.maximum.reduce(z, axis=1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # Bit for bit, NaN included. Adding +0.0 turns only -0.0 into +0.0:
+        # numpy's reduction picks the sign of a zero maximum tied with a zero
+        # of the other sign by the order of its vector lanes, which depends
+        # on the CPU, so that sign is the one bit not compared.
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+    @given(z=class_scores())
+    def test_row_argmax_is_numpys_argmax(self, z):
+        got, want = _row_argmax(z, _row_max(z)), np.argmax(z, axis=1)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_column_path_keeps_the_first_of_tied_maxima(self):
+        z = np.tile([[1.0, 3.0, 3.0], [-0.0, 0.0, -1.0], [2.0, 2.0, 2.0]], (20, 1))
+        assert np.array_equal(_row_argmax(z, _row_max(z)), np.tile([1, 0, 0], 20))
+        assert np.array_equal(_row_max(z), np.tile([3.0, 0.0, 2.0], 20))
+
+    @given(z=class_scores())
+    def test_softmax_matches_the_former_code(self, z):
+        with np.errstate(all="ignore"):
+            got, want = _softmax_inplace(z.copy()), former_softmax(z)
+        assert got.tobytes() == want.tobytes()
+
+    @given(z=class_scores(), seed=st.integers(0, 2**32 - 1))
+    def test_cross_entropy_matches_the_former_code(self, z, seed):
+        labels = np.random.default_rng(seed).integers(0, z.shape[1], size=len(z))
+        with np.errstate(all="ignore"):
+            loss, exp_shifted, row_sums = _cross_entropy(z.copy(), labels, np.arange(len(z)))
+            want = reference_cross_entropy(z.copy(), labels)
+        assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes()
+        assert exp_shifted.tobytes() == want[1].tobytes()
+        assert row_sums.tobytes() == want[2].tobytes()
+
+    @given(data=st.data())
+    def test_public_softmax_on_1d_and_nd_input(self, data):
+        # One vector, and 3-D arrays in both memory orders, short and tall:
+        # each is read as rows of its last axis, as the former code read it.
+        classes = data.draw(st.integers(1, 6))
+        lead = data.draw(st.sampled_from([(), (2, 3), (40, 25), (1, 700)]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        logits = rng.normal(scale=10.0, size=lead + (classes,))
+        if data.draw(st.booleans()):
+            logits = np.asfortranarray(logits)
+        before = logits.copy()
+        got = softmax(logits)
+        assert got.shape == logits.shape
+        assert got.tobytes() == former_softmax(logits).tobytes()
+        assert np.array_equal(logits, before)
 
 
 class TestLossAndGrad:
