@@ -5,17 +5,20 @@ Epoch-denominated schedule and budget fields convert through
 ``iterations_per_epoch = ceil(N_train / batch_size)``, so they can only be
 resolved once the training dataset size is known.
 
-The schema, like JSON Schema Draft 7, counts an integral float such as
-``2.0`` or ``1e300`` as an integer; once a document validates, every such
-value becomes a Python int. Sizes that the schema cannot bound are checked
-after validation: a generated split holds at most ``MAX_GENERATED_ROWS``
-rows, the model at most ``MAX_PARAMETERS`` parameters, the reliability
-diagram at most ``MAX_ECE_BINS`` bins, the curve profile at most
-``MAX_GRID_SIZE`` points, the curve a degree of at most ``MAX_CURVE_K`` and at
-most ``MAX_PARAMETERS`` interior control parameters, and each iteration
-count (training budget, cycle length, recording period, pretraining, curve
-training) is at most ``MAX_ITERATIONS``. A larger value is a ``ConfigurationError`` naming its
-key, so no size reaches an allocation or a loop it cannot finish.
+``config.schema.json`` declares each key's type, its per-key bounds and its
+fixed default. The schema, like JSON Schema Draft 7, counts an integral float
+such as ``2.0`` or ``1e300`` as an integer; once a document validates, every
+such value becomes a Python int and every absent key the schema gives a
+``default`` takes it. What the schema cannot state is done here: defaults
+derived from other keys (``run_id``, ``w0_checkpoint`` and a generated
+dataset's seeds, test size and noise), and limits on products and resolved
+counts. A generated split holds at most ``MAX_GENERATED_ROWS`` rows, the
+model at most ``MAX_PARAMETERS`` parameters, the curve's ``k - 1`` interior
+controls at most ``MAX_PARAMETERS`` together, and each iteration count
+(training budget, cycle length, recording period, pretraining, curve
+training) is at most ``MAX_ITERATIONS``. A larger value is a
+``ConfigurationError`` naming its key, so no size reaches an allocation or a
+loop it cannot finish.
 """
 
 import math
@@ -30,29 +33,15 @@ from .files import _parse_json, read_json
 from .nn import LayerSpec
 from .schedule import BudgetSpec, LrSchedule
 
-_DEFAULT_PRETRAIN = {"epochs": 100, "lr": 0.05, "momentum": 0.9, "weight_decay": 5e-4, "l2_coeff": 0.0}
-_DEFAULT_OPTIMIZER = {"momentum": 0.9, "weight_decay": 5e-4, "l2_coeff": 0.0}
-_DEFAULT_SCHEDULE = {"alpha1": 0.05, "alpha2": 0.0005}
-_DEFAULT_CONNECTIVITY = {"k": 2, "iters": 200, "lr": 0.01, "grid_size": 61, "pair": "last"}
-
 # The training loop keeps a 16-byte trace entry per iteration, so this bounds
 # its trace at 160 MB; a run at the limit takes hours on the smallest model.
 MAX_ITERATIONS = 10**7
 # Rows of one generated (two_spirals or blobs) split.
 MAX_GENERATED_ROWS = 10**6
 # Parameters of ``model.sizes``: one weight vector is then at most 800 MB,
-# and a training loop holds four (weights, velocity, gradient, average).
+# and a training loop holds four (weights, velocity, gradient, average). The
+# curve's k - 1 interior controls also hold at most this many together.
 MAX_PARAMETERS = 10**8
-# Bins of ``metrics.ece_bins``; the reliability diagram keeps five arrays of
-# one entry per bin and writes one CSV row per bin.
-MAX_ECE_BINS = 10**6
-# Points of ``connectivity.grid_size``; each forwards the whole train and
-# test splits once.
-MAX_GRID_SIZE = 10**4
-# Degree ``connectivity.k`` of the Bezier curve; the largest Bernstein
-# coefficient C(k, k // 2) overflows float64 from k = 1030. The k - 1 interior
-# controls also hold at most ``MAX_PARAMETERS`` parameters together.
-MAX_CURVE_K = 1000
 
 
 def _schema_violation(doc, schema_name: str) -> Optional[str]:
@@ -223,41 +212,28 @@ def _apply_dataset_defaults(doc: dict) -> None:
                 )
 
 
-def _integral(node, sub: dict):
-    """``node`` with every float that ``sub`` types as an integer made an int."""
+def _normalized(node, sub: dict):
+    """``node`` with every float that ``sub`` types as an integer made an int
+    and every absent property that ``sub`` gives a ``default`` filled in; the
+    result may share objects with ``node`` and ``sub``, so callers copy it."""
     types = sub.get("type", ())
     if isinstance(node, float) and "integer" in ([types] if isinstance(types, str) else types):
         return int(node)
     if isinstance(node, dict):
         props = sub.get("properties", {})
-        return {k: _integral(v, props[k]) if k in props else v for k, v in node.items()}
+        node = {**{k: s["default"] for k, s in props.items() if "default" in s}, **node}
+        return {k: _normalized(v, props[k]) if k in props else v for k, v in node.items()}
     if isinstance(node, list) and "items" in sub:
-        return [_integral(v, sub["items"]) for v in node]
+        return [_normalized(v, sub["items"]) for v in node]
     return node
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate a raw document, apply defaults, and wrap it."""
     validate_against_schema(doc, "config.schema.json")
-    doc = deepcopy(_integral(doc, schema.load("config.schema.json").document))
+    doc = deepcopy(_normalized(doc, schema.load("config.schema.json").document))
     doc.setdefault("run_id", f"{doc['algorithm']}-seed{doc['seed']}")
     doc.setdefault("w0_checkpoint", str(Path(doc["output_dir"]) / "w0.ckpt"))
-    doc.setdefault("batch_size", 128)
-    doc["model"].setdefault("activation", "relu")
-    doc.setdefault("pretrain", {})
-    doc.setdefault("optimizer", {})
-    doc.setdefault("metrics", {})
-    doc.setdefault("connectivity", {})
-    doc.setdefault("last_k", None)
-    for key, value in _DEFAULT_PRETRAIN.items():
-        doc["pretrain"].setdefault(key, value)
-    for key, value in _DEFAULT_OPTIMIZER.items():
-        doc["optimizer"].setdefault(key, value)
-    for key, value in _DEFAULT_SCHEDULE.items():
-        doc["schedule"].setdefault(key, value)
-    for key, value in _DEFAULT_CONNECTIVITY.items():
-        doc["connectivity"].setdefault(key, value)
-    doc["metrics"].setdefault("ece_bins", 15)
     _apply_dataset_defaults(doc)
     cfg = ExperimentConfig(doc)
     _check_sizes(cfg)
@@ -265,20 +241,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def _check_sizes(cfg: ExperimentConfig) -> None:
-    """Raise unless every size the schema bounds only from below is within
-    its limit; a layer spec's parameters are counted without allocating."""
+    """Raise unless the model's and the curve's parameters and the curve's
+    iterations are within their limits; a layer spec's parameters are counted
+    without allocating."""
     n_params = cfg.model_spec.param_count
     if n_params > MAX_PARAMETERS:
         raise ConfigurationError(
             f"model.sizes: {n_params} parameters exceed the limit of {MAX_PARAMETERS}"
         )
-    for key, value, limit in [
-        ("metrics.ece_bins", cfg.ece_bins, MAX_ECE_BINS),
-        ("connectivity.grid_size", cfg.connectivity["grid_size"], MAX_GRID_SIZE),
-        ("connectivity.k", cfg.connectivity["k"], MAX_CURVE_K),
-    ]:
-        if value > limit:
-            raise ConfigurationError(f"{key}: {value} exceeds the limit of {limit}")
     interior = (cfg.connectivity["k"] - 1) * n_params
     if interior > MAX_PARAMETERS:
         raise ConfigurationError(

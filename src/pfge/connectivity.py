@@ -97,9 +97,8 @@ def bernstein(k: int, t: float) -> np.ndarray:
 
 
 def curve_point(curve: CurveSpec, t: float) -> ModelWeights:
-    """Evaluate the curve; the endpoints return their control points untouched."""
-    if not (0.0 <= t <= 1.0):
-        raise InvalidArgumentError(f"t must lie in [0, 1], got {t}")
+    """Evaluate the curve; the endpoints return their control points untouched,
+    and ``bernstein`` rejects a ``t`` outside [0, 1]."""
     if t == 0.0:
         return curve.controls[0]
     if t == 1.0:

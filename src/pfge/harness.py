@@ -46,7 +46,7 @@ from .files import read_json, write_csv, write_json
 # ``run_fge`` and ``run_pfge`` are not called here, but stay importable from
 # this module for callers (and perfbench's tracer) that look them up here.
 from .metrics import PredictionBatch, accuracy, ece, nll, reliability  # noqa: F401
-from .nn import init_model, loss_and_grad  # noqa: F401
+from .nn import LayerSpec, init_model, loss_and_grad  # noqa: F401
 from .rng import STREAM_CURVE, stream_rng
 from .schedule import lr_at
 from .training import (  # noqa: F401
@@ -183,13 +183,9 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
     Returns ``(EnsembleSet, report dict)``.
     """
     started = _now()
-    if w0.spec != cfg.model_spec:
-        raise ConfigurationError(
-            f"starting checkpoint architecture {w0.spec.sizes} does not match "
-            f"config model {cfg.model_spec.sizes}"
-        )
-    train = load_split(cfg, "train", w0.standardization)
-    test = load_split(cfg, "test", w0.standardization)
+    stats = _shared_standardization([w0], "starting checkpoint", cfg.model_spec)
+    train = load_split(cfg, "train", stats)
+    test = load_split(cfg, "test", stats)
     e = iterations_per_epoch(len(train), cfg.batch_size)
     sched = cfg.resolve_schedule(e)
     budget = cfg.resolve_budget(e)
@@ -342,7 +338,8 @@ def evaluate(cfg: ExperimentConfig) -> dict:
     if not paths:
         raise ConfigurationError(f"no member checkpoints found in {run_dir}")
     members = [load_checkpoint(p) for p in paths]
-    test = load_split(cfg, "test", _shared_standardization(members, "member checkpoints"))
+    stats = _shared_standardization(members, "member checkpoints", cfg.model_spec)
+    test = load_split(cfg, "test", stats)
     ensemble = EnsembleSet(
         tuple(c.weights for c in members), tuple(range(1, len(members) + 1))
     )
@@ -358,15 +355,26 @@ def evaluate(cfg: ExperimentConfig) -> dict:
     return record
 
 
-def _shared_standardization(checkpoints, what: str) -> Optional[dict]:
+def _architecture(spec: LayerSpec) -> str:
+    return f"{list(spec.sizes)} ({spec.activation})"
+
+
+def _shared_standardization(checkpoints, what: str, spec: LayerSpec) -> Optional[dict]:
     """The standardization statistics ``checkpoints`` share, after checking
-    that they share one architecture too; ``what`` names them in errors."""
+    that they share the config's architecture ``spec`` too; ``what`` names
+    them in errors."""
     first = checkpoints[0]
     for ckpt in checkpoints[1:]:
         if ckpt.spec != first.spec:
-            raise ConfigurationError(f"{what} have mismatched architectures")
+            raise ConfigurationError(
+                f"{what} have mismatched architectures {_architecture(first.spec)} "
+                f"and {_architecture(ckpt.spec)}")
         if ckpt.standardization != first.standardization:
             raise ConfigurationError(f"{what} have mismatched standardization")
+    if first.spec != spec:
+        raise ConfigurationError(
+            f"{what} architecture {_architecture(first.spec)} does not match "
+            f"config model {_architecture(spec)}")
     return first.standardization
 
 
@@ -398,7 +406,7 @@ def connectivity_run(cfg: ExperimentConfig) -> dict:
         member_a, member_b = _select_pair(cfg)
     ckpt_a = load_checkpoint(member_a)
     ckpt_b = load_checkpoint(member_b)
-    stats = _shared_standardization([ckpt_a, ckpt_b], "curve endpoints")
+    stats = _shared_standardization([ckpt_a, ckpt_b], "curve endpoints", cfg.model_spec)
     train = load_split(cfg, "train", stats)
     test = load_split(cfg, "test", stats)
     k = settings["k"]

@@ -12,8 +12,9 @@ Schema Draft 7, and only that part is implemented here, with the meaning
 - ``items`` (one schema for every item), ``properties``, ``required`` and
   ``additionalProperties`` (``true`` or ``false``);
 - ``$ref`` to ``#/definitions/{name}``, whose sibling keywords are ignored;
-- the annotations ``title`` anywhere and ``$schema``, ``$id`` and
-  ``definitions`` at the root.
+- the annotations ``title`` and ``default`` anywhere, and ``$schema``,
+  ``$id`` and ``definitions`` at the root; validation ignores them, as
+  Draft 7 does.
 
 A schema that uses any other keyword, or a keyword's argument of the wrong
 kind, is rejected when it loads, so a later edit to a schema cannot pass
@@ -73,6 +74,7 @@ _ARGUMENTS = {
     "additionalProperties": lambda a: isinstance(a, bool),
     "$ref": lambda a: isinstance(a, str),
     "title": lambda a: isinstance(a, str),
+    "default": lambda a: True,
 }
 _ROOT_ONLY = {"$schema", "$id", "definitions"}
 _PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")

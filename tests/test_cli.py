@@ -365,6 +365,29 @@ class TestExitCodes:
         assert "test.csv" in err and "test split" in err
         assert not list((tmp_path / "runs").glob("*/member-*.ckpt"))
 
+    @pytest.mark.parametrize("verb", ["run", "evaluate", "connectivity"])
+    @pytest.mark.parametrize("overrides, sizes", [
+        (["model.sizes=[2,5,2]"], "[2, 5, 2]"),
+        (["dataset.centers=[[0,0],[3,3],[0,3]]", "model.sizes=[2,8,3]"], "[2, 8, 3]"),
+    ])
+    def test_checkpoints_unlike_the_config_model_are_2(self, config_path, tmp_path, capsys,
+                                                       verb, overrides, sizes):
+        blobs = ["dataset=" + json.dumps({"kind": "blobs", "centers": [[0, 0], [3, 3]],
+                                          "n_per_class": 10, "sd": 0.5}),
+                 "algorithm=fge", "budget.total_epochs=2", "connectivity.iters=0",
+                 "connectivity.grid_size=3"]
+        assert main(["pretrain", str(config_path), *blobs]) == 0
+        assert main(["run", str(config_path), *blobs]) == 0
+        run_dir = tmp_path / "runs" / "fge-seed5"
+        members = sorted(run_dir.glob("member-*.ckpt"))
+        capsys.readouterr()
+        assert main([verb, str(config_path), *blobs, *overrides]) == 2
+        err = capsys.readouterr().err
+        assert f"[2, 8, 2] (relu) does not match config model {sizes} (relu)" in err
+        assert sorted(run_dir.glob("member-*.ckpt")) == members
+        assert not (run_dir / "evaluation.json").exists()
+        assert not (run_dir / "connectivity").exists()
+
     def test_evaluate_checks_test_split(self, config_path, tmp_path, capsys):
         good = self.csv_dataset(tmp_path, [0, 1] * 4)
         assert main(["pretrain", str(config_path), good]) == 0

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from pfge import schema
 from pfge.config import (
-    MAX_CURVE_K,
-    MAX_ECE_BINS,
     MAX_GENERATED_ROWS,
-    MAX_GRID_SIZE,
     MAX_ITERATIONS,
     MAX_PARAMETERS,
     apply_overrides,
@@ -19,6 +17,12 @@ from pfge.config import (
     load_config,
 )
 from pfge.errors import ConfigurationError
+from test_schema import PATHS, _raw
+
+
+def schema_maximum(section, key):
+    """The ``maximum`` that ``config.schema.json`` declares for ``section.key``."""
+    return _raw("config.schema.json")["properties"][section]["properties"][key]["maximum"]
 
 
 def base_doc(**updates):
@@ -60,6 +64,56 @@ class TestDefaults:
         doc = base_doc()
         del doc["batch_size"]
         assert config_from_dict(doc).batch_size == 128
+
+    # Each kind's smallest config, and the dataset section it is filled to.
+    MINIMAL_DATASETS = {
+        "two_spirals": ({"kind": "two_spirals", "n_per_class": 50},
+                        {"kind": "two_spirals", "n_per_class": 50, "noise_sd": 0.1, "seed": 3,
+                         "test_n_per_class": 50, "test_seed": 4}),
+        "blobs": ({"kind": "blobs", "centers": [[0, 0], [3, 3]], "n_per_class": 10, "sd": 0.5},
+                  {"kind": "blobs", "centers": [[0, 0], [3, 3]], "n_per_class": 10, "sd": 0.5,
+                   "seed": 3, "test_n_per_class": 10, "test_seed": 4}),
+        "csv": ({"kind": "csv", "train_path": "train.csv", "test_path": "test.csv"},) * 2,
+        "idx": ({"kind": "idx", "train_images": "a", "train_labels": "b", "test_images": "c",
+                 "test_labels": "d"},) * 2,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MINIMAL_DATASETS))
+    def test_minimal_config_fills_to_the_pinned_document(self, kind):
+        given, filled = self.MINIMAL_DATASETS[kind]
+        doc = {"seed": 3, "output_dir": "runs", "dataset": given, "model": {"sizes": [2, 8, 2]},
+               "algorithm": "fge", "schedule": {"cycle_epochs": 2},
+               "budget": {"total_epochs": 4}}
+        expected = {
+            "algorithm": "fge", "batch_size": 128, "budget": {"total_epochs": 4},
+            "connectivity": {"grid_size": 61, "iters": 200, "k": 2, "lr": 0.01, "pair": "last"},
+            "dataset": filled, "last_k": None, "metrics": {"ece_bins": 15},
+            "model": {"activation": "relu", "sizes": [2, 8, 2]},
+            "optimizer": {"l2_coeff": 0.0, "momentum": 0.9, "weight_decay": 0.0005},
+            "output_dir": "runs",
+            "pretrain": {"epochs": 100, "l2_coeff": 0.0, "lr": 0.05, "momentum": 0.9,
+                         "weight_decay": 0.0005},
+            "run_id": "fge-seed3", "schedule": {"alpha1": 0.05, "alpha2": 0.0005,
+                                                "cycle_epochs": 2},
+            "seed": 3, "w0_checkpoint": "runs/w0.ckpt",
+        }
+        document = config_from_dict(doc).document
+        # JSON text tells 0 from 0.0, so the types are pinned with the values.
+        assert json.dumps(document, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert schema.load("config.schema.json").first_error(document) is None
+
+    def test_mutating_a_loaded_config_leaves_the_schema_and_later_loads_alone(self):
+        before = copy.deepcopy(schema.load("config.schema.json").document)
+        first = config_from_dict(base_doc())
+        first.document["pretrain"]["lr"] = 9.0
+        first.document["pretrain"]["extra"] = {}
+        first.document["connectivity"].clear()
+        first.document["model"]["sizes"].append(3)
+        assert schema.load("config.schema.json").document == before
+        second = config_from_dict(base_doc())
+        assert second.pretrain["lr"] == 0.05 and "extra" not in second.pretrain
+        assert second.connectivity["k"] == 2
+        assert second.model_spec.sizes == (2, 16, 2)
 
 
 class TestValidation:
@@ -169,10 +223,10 @@ class TestResolution:
             config_from_dict(doc)
 
     @pytest.mark.parametrize("section, key, limit", [
-        ("metrics", "ece_bins", MAX_ECE_BINS),
-        ("connectivity", "grid_size", MAX_GRID_SIZE),
+        ("metrics", "ece_bins", schema_maximum("metrics", "ece_bins")),
+        ("connectivity", "grid_size", schema_maximum("connectivity", "grid_size")),
         ("connectivity", "iters", MAX_ITERATIONS),
-        ("connectivity", "k", MAX_CURVE_K),
+        ("connectivity", "k", schema_maximum("connectivity", "k")),
     ])
     def test_size_limits_are_inclusive(self, section, key, limit):
         doc = base_doc(**{section: {key: limit}})
@@ -205,6 +259,50 @@ class TestResolution:
                                 "sd": 0.1})
         with pytest.raises(ConfigurationError, match="dataset.centers"):
             config_from_dict(doc)
+
+
+def _dotted(path) -> str:
+    return "".join("[]" if isinstance(part, int) else f".{part}" for part in path)[1:]
+
+
+class TestSchemaBounds:
+    # Integer keys of config.schema.json without a ``maximum``, each with
+    # the limit Python holds it to.
+    BOUNDED_IN_PYTHON = {
+        "seed": "rng.stream_rng: a seed below 2**96",
+        "dataset.seed": "rng.stream_rng: a seed below 2**96",
+        "dataset.test_seed": "rng.stream_rng: a seed below 2**96",
+        "dataset.n_per_class": f"MAX_GENERATED_ROWS ({MAX_GENERATED_ROWS}) rows per split",
+        "dataset.test_n_per_class": f"MAX_GENERATED_ROWS ({MAX_GENERATED_ROWS}) rows per split",
+        "model.sizes[]": f"MAX_PARAMETERS ({MAX_PARAMETERS}) parameters",
+        "batch_size": "data.BatchStream: the rows of the train split",
+        "last_k": "harness.run and ensemble_predict: the member count",
+        "pretrain.epochs": f"MAX_ITERATIONS ({MAX_ITERATIONS}) iterations",
+        "schedule.cycle_len": f"MAX_ITERATIONS ({MAX_ITERATIONS}) iterations",
+        "schedule.cycle_epochs": f"MAX_ITERATIONS ({MAX_ITERATIONS}) iterations",
+        "budget.total_iters": f"MAX_ITERATIONS ({MAX_ITERATIONS}) iterations",
+        "budget.total_epochs": f"MAX_ITERATIONS ({MAX_ITERATIONS}) iterations",
+        "budget.record_period": f"MAX_ITERATIONS ({MAX_ITERATIONS}) iterations",
+        "budget.record_epochs": f"MAX_ITERATIONS ({MAX_ITERATIONS}) iterations",
+        "connectivity.iters": f"MAX_ITERATIONS ({MAX_ITERATIONS}) iterations",
+    }
+
+    def test_every_integer_key_has_a_maximum_or_a_python_limit(self):
+        unbounded = set()
+        for path, sub in PATHS["config.schema.json"]:
+            types = sub.get("type", [])
+            if "integer" in ([types] if isinstance(types, str) else types):
+                if "maximum" not in sub:
+                    unbounded.add(_dotted(path))
+                else:
+                    assert _dotted(path) not in self.BOUNDED_IN_PYTHON, _dotted(path)
+        assert unbounded == set(self.BOUNDED_IN_PYTHON)
+
+    def test_every_maximum_states_its_reason(self):
+        bounded = [(path, sub) for path, sub in PATHS["config.schema.json"] if "maximum" in sub]
+        assert len(bounded) >= 3
+        for path, sub in bounded:
+            assert sub.get("title"), _dotted(path)
 
 
 class TestOverrides:

@@ -94,6 +94,12 @@ class TestCurvePoint:
         assert curve_point(curve, 0.0) is a
         assert curve_point(curve, 1.0) is b
 
+    @pytest.mark.parametrize("t", [-0.1, 1.5, float("nan")])
+    def test_t_outside_the_unit_interval_rejected(self, t):
+        curve = initial_curve(tiny(0.0), tiny(1.0), k=3)
+        with pytest.raises(InvalidArgumentError, match=r"t must lie in \[0, 1\]"):
+            curve_point(curve, t)
+
 
 class TestInitialCurve:
     def test_straight_segment(self):

@@ -111,10 +111,16 @@ NEAR = {
 }
 
 
+# Each bound keyword and the step that takes a value one past it.
+PAST = {"minimum": -1, "exclusiveMinimum": -1, "maximum": 1, "exclusiveMaximum": 1}
+
+
 def _near(subschema) -> list:
     kinds = subschema.get("type", [])
     kind = kinds if isinstance(kinds, str) else (kinds or [None])[0]
-    return NEAR.get(kind, []) + subschema.get("enum", [])
+    edges = [value for key, step in PAST.items() if key in subschema
+             for value in (subschema[key], subschema[key] + step)]
+    return NEAR.get(kind, []) + subschema.get("enum", []) + edges
 
 
 def _has(node, part) -> bool:
@@ -180,6 +186,14 @@ def test_agrees_with_draft7_on_mutated_documents(name, data):
 @given(doc=JSON)
 def test_agrees_with_draft7_on_arbitrary_json(name, doc):
     _agree(name, doc)
+
+
+def test_every_config_default_is_valid_under_its_own_subschema():
+    defaults = [(path, sub) for path, sub in PATHS["config.schema.json"] if "default" in sub]
+    assert len(defaults) > 20
+    for path, sub in defaults:
+        assert schema.Schema(sub).first_error(sub["default"]) is None, path
+        assert jsonschema.Draft7Validator(sub).is_valid(sub["default"]), path
 
 
 def test_full_documents_are_valid():
