@@ -11,9 +11,10 @@ such as ``2.0`` or ``1e300`` as an integer; once a document validates, every
 such value becomes a Python int and every absent key the schema gives a
 ``default`` takes it. What the schema cannot state is done here: defaults
 derived from other keys (``run_id``, ``w0_checkpoint`` and a generated
-dataset's seeds, test size and noise), and limits on products and resolved
-counts. A generated split holds at most ``MAX_GENERATED_ROWS`` rows, the
-model at most ``MAX_PARAMETERS`` parameters, the curve's ``k - 1`` interior
+dataset's seeds, test size and noise), the schema's seed bound on the
+derived ``dataset.test_seed``, and limits on products and resolved counts.
+A generated split holds at most ``MAX_GENERATED_ROWS`` rows, the model at
+most ``MAX_PARAMETERS`` parameters, the curve's ``k - 1`` interior
 controls at most ``MAX_PARAMETERS`` together, and each iteration count
 (training budget, cycle length, recording period, pretraining, curve
 training) is at most ``MAX_ITERATIONS``. A larger value is a
@@ -200,6 +201,10 @@ def _apply_dataset_defaults(doc: dict) -> None:
     if kind in ("two_spirals", "blobs"):
         ds.setdefault("seed", doc["seed"])
         ds.setdefault("test_seed", ds["seed"] + 1)
+        seed_max = schema.load("config.schema.json").document["properties"]["seed"]["maximum"]
+        if ds["test_seed"] > seed_max:
+            raise ConfigurationError(f"dataset.test_seed: dataset.seed + 1 = {ds['test_seed']} "
+                                     f"exceeds the maximum of {seed_max}; give it explicitly")
         ds.setdefault("test_n_per_class", ds["n_per_class"])
         if kind == "two_spirals":
             ds.setdefault("noise_sd", 0.1)

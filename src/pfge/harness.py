@@ -13,8 +13,10 @@ Directory layout per run: ``{output_dir}/{run_id}/member-{idx}.ckpt`` plus
 ``files``.
 """
 
+import queue
 import re
 import shutil
+import threading
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -22,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import metrics, nn
 from .checkpoint import Checkpoint, header_path, load_checkpoint, save_checkpoint
 from .config import (
     ExperimentConfig,
@@ -46,7 +49,7 @@ from .files import read_json, write_csv, write_json
 # ``run_fge`` and ``run_pfge`` are not called here, but stay importable from
 # this module for callers (and perfbench's tracer) that look them up here.
 from .metrics import PredictionBatch, accuracy, ece, nll, reliability  # noqa: F401
-from .nn import LayerSpec, init_model, loss_and_grad  # noqa: F401
+from .nn import LayerSpec, ModelWeights, init_model, loss_and_grad  # noqa: F401
 from .rng import STREAM_CURVE, stream_rng
 from .schedule import lr_at
 from .training import (  # noqa: F401
@@ -55,7 +58,6 @@ from .training import (  # noqa: F401
     _accumulate,
     _collection_rule,
     _drive,
-    _member_probs,
     ensemble_predict,
     run_fge,
     run_pfge,
@@ -161,24 +163,89 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
 
 
 def _metrics_record(probs: np.ndarray, labels: np.ndarray, ece_bins: int,
-                    reliability_csv=None) -> dict:
+                    reliability_csv=None, metric_fns=None) -> dict:
     """Accuracy, NLL and ECE of ``probs``; the reliability bins behind the ECE
-    are written to ``reliability_csv`` when one is given."""
+    are written to ``reliability_csv`` when one is given. ``metric_fns`` is the
+    ``(accuracy, nll, reliability)`` to call, by default this module's."""
+    accuracy_of, nll_of, reliability_of = metric_fns or (accuracy, nll, reliability)
     p = PredictionBatch(probs, labels)
-    bins = reliability(p, ece_bins)
+    bins = reliability_of(p, ece_bins)
     if reliability_csv is not None:
         bins.write_csv(reliability_csv)
-    raw_nll = nll(p)
+    raw_nll = nll_of(p)
     return {
-        "accuracy": accuracy(p),
+        "accuracy": accuracy_of(p),
         "nll": raw_nll,
         "nll_pct": 100.0 * raw_nll,
         "ece": bins.ece_value(),
     }
 
 
+class _MemberScorer:
+    """Scores a run's members on the test split on one background thread,
+    first in, first out, while training goes on. For each member it records
+    the member's metrics and those of the ensemble of the members so far, and
+    it sums the softmax outputs of the last ``cfg.last_k`` members (all, if
+    unset) into ``ensemble_sum``. The sums keep ``ensemble_predict``'s order
+    ``p_a + p_{a+1} + ...`` then ``/ n``, so every number matches it bit for
+    bit.
+
+    The thread reads only the frozen members and the test split. It calls
+    ``nn`` and ``metrics`` directly: a tracer that wraps this module's or
+    ``training``'s names keeps one span stack, for the main thread alone.
+    As a context manager it starts the thread on entry and joins it on exit.
+    An exception leaving the block cancels the members still queued. Without
+    one, the first scoring error is raised on exit, and the members queued
+    after the failed one are not scored."""
+
+    def __init__(self, cfg: ExperimentConfig, test: Dataset, n_members: int):
+        self._inputs, self._first = test.inputs, n_members - (cfg.last_k or n_members)
+        self._record = partial(_metrics_record, labels=test.labels, ece_bins=cfg.ece_bins,
+                               metric_fns=(metrics.accuracy, metrics.nll, metrics.reliability))
+        self._workspace = nn._Workspace(cfg.model_spec, len(test))
+        self.members, self.series = [], []
+        self.ensemble_sum = self._prob_sum = None
+        self._queue = queue.SimpleQueue()
+        self._error = None
+        self._thread = threading.Thread(target=self._work, name="pfge-member-scorer")
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def submit(self, member: ModelWeights, recorded_at: int) -> None:
+        self._queue.put(member)
+
+    def _work(self) -> None:
+        while (member := self._queue.get()) is not None:
+            try:
+                if self._error is None:
+                    self._score(member)
+            except Exception as exc:
+                self._error = exc
+
+    def _score(self, member: ModelWeights) -> None:
+        probs = nn._softmax_inplace(nn.forward(member, self._inputs, workspace=self._workspace))
+        self.members.append(self._record(probs))
+        self._prob_sum = _accumulate(self._prob_sum, probs)
+        self.series.append(self._record(self._prob_sum / len(self.members)))
+        if self._first == 0:
+            self.ensemble_sum = self._prob_sum
+        elif len(self.members) > self._first:
+            self.ensemble_sum = _accumulate(self.ensemble_sum, probs)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._error = exc or self._error  # an error in training cancels what is queued
+        self._queue.put(None)
+        self._thread.join()
+        if exc is None and self._error is not None:
+            raise self._error
+
+
 def run(cfg: ExperimentConfig, w0: Checkpoint):
     """Train the configured algorithm, persist members, write the report.
+    Each member is scored on the test split by a ``_MemberScorer`` thread as
+    soon as it is collected, while training goes on.
 
     Returns ``(EnsembleSet, report dict)``.
     """
@@ -200,9 +267,10 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
         raise ConfigurationError(
             f"last_k must be in [1, {n_members}] for {algo} with this budget, got {last_k}"
         )
-    ensemble, _ = _drive(w0.weights, opt, batches(train, cfg.batch_size, cfg.seed),
-                         budget.total_iters, partial(lr_at, sched), sched.cycle_len, period,
-                         average, l2_coeff=opt_cfg["l2_coeff"])
+    with _MemberScorer(cfg, test, n_members) as scorer:
+        ensemble, _ = _drive(w0.weights, opt, batches(train, cfg.batch_size, cfg.seed),
+                             budget.total_iters, partial(lr_at, sched), sched.cycle_len, period,
+                             average, l2_coeff=opt_cfg["l2_coeff"], on_member=scorer.submit)
 
     run_dir = cfg.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -229,36 +297,14 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
     if (run_dir / CONNECTIVITY_DIR).is_dir():
         shutil.rmtree(run_dir / CONNECTIVITY_DIR)
 
-    # One test-split forward per member feeds the member metrics, the series
-    # and the final ensemble of the last ``last_k`` members. The running sums
-    # keep ensemble_predict's order ``p_a + p_{a+1} + ...`` then ``/ n``, so
-    # every number matches a fresh ensemble_predict bit for bit.
-    ece_bins = cfg.ece_bins
-    first = n_members - (last_k or n_members)
-    member_metrics = []
-    series = []
-    prob_sum = tail_sum = None
-    for idx, probs in enumerate(_member_probs(ensemble.members, test.inputs)):
-        member_metrics.append(
-            {
-                "index": idx,
-                "recorded_at": ensemble.recorded_at[idx],
-                "checkpoint": member_files[idx],
-                "metrics": _metrics_record(probs, test.labels, ece_bins),
-            }
-        )
-        prob_sum = _accumulate(prob_sum, probs)
-        series.append(
-            {
-                "n_members": idx + 1,
-                "metrics": _metrics_record(prob_sum / (idx + 1), test.labels, ece_bins),
-            }
-        )
-        if 0 < first <= idx:
-            tail_sum = _accumulate(tail_sum, probs)
-
-    full_probs = (prob_sum if first == 0 else tail_sum) / (n_members - first)
-    full_metrics = _metrics_record(full_probs, test.labels, ece_bins, run_dir / "reliability.csv")
+    member_metrics = [{"index": idx, "recorded_at": at, "checkpoint": name, "metrics": record}
+                      for idx, (at, name, record) in enumerate(zip(
+                          ensemble.recorded_at, member_files, scorer.members, strict=True))]
+    series = [{"n_members": idx + 1, "metrics": record}
+              for idx, record in enumerate(scorer.series)]
+    full_probs = scorer.ensemble_sum / (last_k or n_members)
+    full_metrics = _metrics_record(full_probs, test.labels, cfg.ece_bins,
+                                   run_dir / "reliability.csv")
     columns = ("accuracy", "nll", "nll_pct", "ece")
     write_csv(run_dir / "ensemble_series.csv", ("n_members", *columns),
               ([entry["n_members"], *(entry["metrics"][c] for c in columns)] for entry in series))

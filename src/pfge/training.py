@@ -179,7 +179,8 @@ def running_average_update(w_avg: ModelWeights, n_models: int, w: ModelWeights) 
 
 def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iters: int,
            lr: Callable[[int], float], cycle_len: int, period: int, average: bool = False,
-           loss_grad_fn: Optional[LossGradFn] = None, l2_coeff: float = 0.0):
+           loss_grad_fn: Optional[LossGradFn] = None, l2_coeff: float = 0.0,
+           on_member: Optional[Callable[[ModelWeights, int], None]] = None):
     """Run ``n_iters`` SGD steps from ``w0`` with step size ``lr(i)`` under the
     ``(average, period)`` rule of the module docstring; ``period`` is a
     multiple of ``cycle_len``, and every multiple of ``cycle_len`` is a cycle
@@ -187,6 +188,8 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
     built for the run, which hands a supplied ``loss_grad_fn(weights, batch)``
     a frozen copy of the weights. Numpy warnings are off in the loop: a
     non-finite loss or weight raises ``NumericError`` naming the iteration.
+    ``on_member(weights, recorded_at)``, if given, is called with each member
+    (a frozen copy) as it is collected; what it raises stops the loop.
     Returns ``(EnsembleSet, trace)``.
     """
     spec = w0.spec
@@ -220,6 +223,8 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
                 n_models += 1
             if i % period == 0:
                 members.append((ModelWeights(spec, avg if average else w), i))
+                if on_member is not None:
+                    on_member(*members[-1])
                 if average:
                     w[...] = avg
                     n_models = 1
@@ -313,27 +318,19 @@ def ensemble_predict(ensemble: EnsembleSet, inputs: np.ndarray, last_k: Optional
         members = ensemble.members[-last_k:]
     else:
         members = ensemble.members
+    x = np.asarray(inputs, dtype=np.float64)
+    # Every member's forward writes into one workspace.
+    workspace = _Workspace(members[0].spec, x.shape[0] if x.ndim == 2 else 0)
     total = None
-    for probs in _member_probs(members, inputs):
-        total = _accumulate(total, probs)
+    for member in members:
+        total = _accumulate(total, _softmax_inplace(forward(member, x, workspace=workspace)))
     total /= len(members)
     return total, np.argmax(total, axis=1)
 
 
-def _member_probs(members, inputs: np.ndarray):
-    """Yield the softmax outputs of each of ``members`` (one spec) on
-    ``inputs``, in order, one forward each. All are written into one
-    workspace, so each yielded array is overwritten by the next member's:
-    copy what must outlive that."""
-    x = np.asarray(inputs, dtype=np.float64)
-    workspace = _Workspace(members[0].spec, x.shape[0] if x.ndim == 2 else 0)
-    for member in members:
-        yield _softmax_inplace(forward(member, x, workspace=workspace))
-
-
 def _accumulate(total: Optional[np.ndarray], probs: np.ndarray) -> np.ndarray:
     """``total + probs``, added in place; with no ``total`` yet, a copy of
-    ``probs``, never the workspace buffer ``_member_probs`` yields."""
+    ``probs``, which may be a forward's workspace buffer."""
     if total is None:
         return probs.copy()
     total += probs

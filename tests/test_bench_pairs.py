@@ -63,3 +63,12 @@ def test_bound_is_a_share_of_the_parents_median():
     assert bench_pairs.exceeds_bound(PARENT, slower, "lower", 0.1)
     assert bench_pairs.exceeds_bound(slower, PARENT, "higher", 0.1)
     assert not bench_pairs.exceeds_bound(PARENT, slower, "higher", 0.1)
+
+
+def test_parent_tree_is_extracted_from_the_commit(tmp_path):
+    # The parent copy comes from ``git archive``, so it needs no worktree
+    # entry in the repository and holds what the benchmark runs.
+    bench_pairs.extract_tree(ROOT, "HEAD", tmp_path / "parent")
+    assert (tmp_path / "parent" / "src" / "pfge" / "harness.py").is_file()
+    assert (tmp_path / "parent" / "perfbench" / "run.py").is_file()
+    assert not (tmp_path / "parent" / ".git").exists()

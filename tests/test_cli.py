@@ -388,6 +388,28 @@ class TestExitCodes:
         assert not (run_dir / "evaluation.json").exists()
         assert not (run_dir / "connectivity").exists()
 
+    SEED_MAX = 2**96 - 1
+
+    def test_seed_whose_derived_test_seed_is_out_of_range_is_2(self, config_path, tmp_path,
+                                                               capsys):
+        # The generated test split's seed defaults to seed + 1. Such a seed
+        # used to pass pretrain, which reads only the train split, and fail
+        # every later verb in ``rng.stream_rng``, naming no key.
+        assert main(["pretrain", str(config_path), f"seed={self.SEED_MAX}"]) == 2
+        err = capsys.readouterr().err
+        assert "dataset.test_seed" in err and f"maximum of {self.SEED_MAX}" in err
+        assert not (tmp_path / "runs" / "w0.ckpt").exists()
+        assert main(["pretrain", str(config_path), f"seed={self.SEED_MAX + 1}"]) == 2
+        assert "$.seed" in capsys.readouterr().err
+        given = [f"seed={self.SEED_MAX}", "dataset.test_seed=3"]
+        assert main(["pretrain", str(config_path), *given]) == 0
+        assert main(["run", str(config_path), *given]) == 0
+
+    @pytest.mark.parametrize("key", ["dataset.seed", "dataset.test_seed"])
+    def test_dataset_seed_past_the_bound_is_2(self, config_path, capsys, key):
+        assert main(["pretrain", str(config_path), f"{key}={self.SEED_MAX + 1}"]) == 2
+        assert f"$.{key}" in capsys.readouterr().err
+
     def test_evaluate_checks_test_split(self, config_path, tmp_path, capsys):
         good = self.csv_dataset(tmp_path, [0, 1] * 4)
         assert main(["pretrain", str(config_path), good]) == 0

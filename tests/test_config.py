@@ -269,9 +269,6 @@ class TestSchemaBounds:
     # Integer keys of config.schema.json without a ``maximum``, each with
     # the limit Python holds it to.
     BOUNDED_IN_PYTHON = {
-        "seed": "rng.stream_rng: a seed below 2**96",
-        "dataset.seed": "rng.stream_rng: a seed below 2**96",
-        "dataset.test_seed": "rng.stream_rng: a seed below 2**96",
         "dataset.n_per_class": f"MAX_GENERATED_ROWS ({MAX_GENERATED_ROWS}) rows per split",
         "dataset.test_n_per_class": f"MAX_GENERATED_ROWS ({MAX_GENERATED_ROWS}) rows per split",
         "model.sizes[]": f"MAX_PARAMETERS ({MAX_PARAMETERS}) parameters",

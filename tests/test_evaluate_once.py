@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from pfge import connectivity, data, harness, training
+from pfge import connectivity, data, harness, nn
 from pfge.checkpoint import load_checkpoint
 from pfge.cli import main
 from pfge.config import config_from_dict
@@ -135,7 +135,7 @@ def test_run_forwards_each_member_once(csv_doc, monkeypatch):
     doc, _ = csv_doc
     cfg = config_from_dict(doc)
     w0 = harness.pretrain(cfg)
-    forwards = count_calls(monkeypatch, training, "forward")
+    forwards = count_calls(monkeypatch, nn, "forward")
     ensemble, _ = harness.run(cfg, w0)
     assert len(ensemble) == N_MEMBERS
     test = harness.load_split(cfg, "test")

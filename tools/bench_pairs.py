@@ -4,12 +4,12 @@ alternating pairs, and compare the two sides metric by metric.
     python tools/bench_pairs.py --parent HEAD --workload spirals-sweep \\
         --pairs 10 --seed 23 --seconds 35 --claim run_s
 
-Run it from the root of a checkout. It checks ``--parent`` out with ``git
-worktree add --detach`` into a temporary directory, which it removes at exit,
-and refuses to run if ``perfbench/`` or ``BENCHMARK.json`` differ between that
-tree and the working tree. Each pair runs ``perfbench/run.py --trace 0`` once
-in each tree, the parent first in even pairs and the working tree first in
-odd ones.
+Run it from the root of a checkout. It writes the files of ``--parent`` into
+a temporary directory, which it removes at exit, through ``git archive`` and
+``tarfile``, and refuses to run if ``perfbench/`` or ``BENCHMARK.json``
+differ between that tree and the working tree. Each pair runs
+``perfbench/run.py --trace 0`` once in each tree, the parent first in even
+pairs and the working tree first in odd ones.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints both sides'
 median and quartiles, the working tree's change of the median, how many
@@ -23,11 +23,13 @@ only.
 """
 
 import argparse
+import io
 import json
 import re
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -86,6 +88,15 @@ def _benchmark_differs(root: Path, parent: str) -> bool:
     changed = subprocess.run(["git", "diff", "--quiet", parent, "--", *paths], cwd=root)
     untracked = _git(root, "ls-files", "--others", "--exclude-standard", "--", *paths)
     return changed.returncode != 0 or bool(untracked.strip())
+
+
+def extract_tree(root: Path, ref: str, dest: Path) -> None:
+    """Write the files of commit ``ref`` of the repository at ``root`` into
+    ``dest``, as ``git archive`` lists them."""
+    archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=root, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
 
 
 def _run_once(tree: Path, args) -> dict:
@@ -158,20 +169,17 @@ def main(argv=None) -> int:
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         parent_tree = Path(tmp) / "parent"
-        _git(root, "worktree", "add", "--detach", str(parent_tree), args.parent)
-        try:
-            trees = {"parent": parent_tree, "change": root}
-            for pair in range(args.pairs):
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for side in order:
-                    runs[side].append(_run_once(trees[side], args))
-                done = f"pair {pair + 1}/{args.pairs}"
-                if args.claim is not None:
-                    done += "".join(f" {side} {_values(runs, side, args.claim)[-1]:.4g}"
-                                    for side in ("parent", "change"))
-                print(done, file=sys.stderr)
-        finally:
-            _git(root, "worktree", "remove", "--force", str(parent_tree))
+        extract_tree(root, args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": root}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(_run_once(trees[side], args))
+            done = f"pair {pair + 1}/{args.pairs}"
+            if args.claim is not None:
+                done += "".join(f" {side} {_values(runs, side, args.claim)[-1]:.4g}"
+                                for side in ("parent", "change"))
+            print(done, file=sys.stderr)
     return _report(runs, metrics, args.claim)
 
 
