@@ -77,6 +77,14 @@ class CurveProfile:
             raise InvalidArgumentError(f"grid_size must be >= 3, got {len(self.grid)}")
         return _mc_gap(self.grid, self.train_loss)
 
+    @classmethod
+    def _of(cls, grid: np.ndarray, scores) -> "CurveProfile":
+        """The profile of the ``(train_loss, test_error)`` pairs ``scores``,
+        one per point of ``grid``."""
+        train_loss, test_error = (np.array(series) for series in zip(*scores))
+        return cls(grid, train_loss, test_error,
+                   _series_summary(train_loss), _series_summary(test_error))
+
     def write_csv(self, path) -> None:
         files.write_csv(path, ["t", "train_loss", "test_error"],
                         zip(self.grid, self.train_loss, self.test_error))
@@ -201,24 +209,33 @@ def profile_curve(
     if grid_size < 2:
         raise InvalidArgumentError(f"grid_size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size)
-    train_loss = np.empty(grid_size)
-    test_error = np.empty(grid_size)
+    workspace = _profile_workspace(curve.spec, train, test)
+    return CurveProfile._of(grid, _sweep(curve, grid, train, test, l2_coeff, workspace))
+
+
+def _profile_workspace(spec, train: Dataset, test: Dataset) -> _Workspace:
     # One workspace for both splits: a second would add the smaller split's
     # activations to peak memory.
-    workspace = _Workspace(curve.spec, max(len(train), len(test)))
-    for idx, t in enumerate(grid):
-        point = curve_point(curve, float(t))
-        train_loss[idx] = mean_loss(point, train.inputs, train.labels, l2_coeff,
-                                    workspace=workspace).total
-        preds = np.argmax(forward(point, test.inputs, workspace=workspace), axis=1)
-        test_error[idx] = float(np.mean(preds != test.labels))
-    return CurveProfile(
-        grid=grid,
-        train_loss=train_loss,
-        test_error=test_error,
-        train_loss_summary=_series_summary(train_loss),
-        test_error_summary=_series_summary(test_error),
-    )
+    return _Workspace(spec, max(len(train), len(test)))
+
+
+def _sweep(curve: CurveSpec, ts, train: Dataset, test: Dataset, l2_coeff: float,
+           workspace: _Workspace) -> list:
+    """``_point_scores`` of the curve point at each t of ``ts``."""
+    return [_point_scores(curve_point(curve, float(t)), train, test, l2_coeff, workspace)
+            for t in ts]
+
+
+def _point_scores(point: ModelWeights, train: Dataset, test: Dataset, l2_coeff: float,
+                  workspace: _Workspace, fns=None) -> tuple:
+    """``(train_loss, test_error)`` of ``point`` over the whole of both
+    splits, forwarded in ``workspace``. ``fns`` is the ``(mean_loss,
+    forward)`` to call, by default this module's."""
+    mean_loss_of, forward_of = fns or (mean_loss, forward)
+    train_loss = mean_loss_of(point, train.inputs, train.labels, l2_coeff,
+                              workspace=workspace).total
+    preds = np.argmax(forward_of(point, test.inputs, workspace=workspace), axis=1)
+    return train_loss, float(np.mean(preds != test.labels))
 
 
 def _series_summary(series: np.ndarray) -> dict:

@@ -363,11 +363,21 @@ def feature_stats(ds: Dataset):
 
 def apply_standardization(ds: Dataset, mean, std) -> Dataset:
     """``ds`` with features ``(x - mean) / std``, computed into one fresh array."""
-    mean = np.asarray(mean, dtype=np.float64)
-    std = np.asarray(std, dtype=np.float64)
-    inputs = ds.inputs - mean
-    inputs /= std
-    return Dataset._take(inputs, ds.labels, ds.classes, ds.name)
+    return _standardize(ds, mean, std, np.empty_like(ds.inputs))
+
+
+def _standardize_in_place(ds: Dataset, mean, std) -> Dataset:
+    """``apply_standardization`` computed over ``ds``'s own inputs, so the raw
+    and the standardized split are never both in memory. For a dataset a
+    loader has just returned, which nothing else holds: ``ds`` is spent."""
+    ds.inputs.flags.writeable = True
+    return _standardize(ds, mean, std, ds.inputs)
+
+
+def _standardize(ds: Dataset, mean, std, out: np.ndarray) -> Dataset:
+    np.subtract(ds.inputs, np.asarray(mean, dtype=np.float64), out=out)
+    out /= np.asarray(std, dtype=np.float64)
+    return Dataset._take(out, ds.labels, ds.classes, ds.name)
 
 
 class BatchStream:

@@ -4,8 +4,8 @@ connectivity analysis, and report emission.
 Each CLI verb is one call here on its config: ``pretrain``, ``run``,
 ``evaluate``, ``connectivity_run`` and ``load_report``. Every verb gets its
 data from ``load_split``, one split at a time, checked against the model and
-standardized there with the checkpoint's statistics, so no verb holds a raw
-split next to its standardized copy.
+standardized there with the checkpoint's statistics, in the array the loader
+returned, so no verb holds a raw split next to its standardized copy.
 
 Directory layout per run: ``{output_dir}/{run_id}/member-{idx}.ckpt`` plus
 ``report.json`` and CSV side-files; parsed CSV splits are cached in
@@ -32,9 +32,19 @@ from .config import (
     iterations_per_epoch,
     validate_against_schema,
 )
-from .connectivity import initial_curve, mc_value, profile_curve, train_curve  # noqa: F401
-from .data import (
+from .connectivity import (  # noqa: F401
+    CurveProfile,
+    _point_scores,
+    _profile_workspace,
+    _sweep,
+    initial_curve,
+    mc_value,
+    profile_curve,
+    train_curve,
+)
+from .data import (  # noqa: F401
     Dataset,
+    _standardize_in_place,
     apply_standardization,
     batches,
     feature_stats,
@@ -45,9 +55,10 @@ from .data import (
 )
 from .errors import ConfigurationError, DataFormatError, InvalidArgumentError
 from .files import read_json, write_csv, write_json
-# ``ece``, ``loss_and_grad``, ``sgd_step``, ``mc_value``, ``run_swa``,
-# ``run_fge`` and ``run_pfge`` are not called here, but stay importable from
-# this module for callers (and perfbench's tracer) that look them up here.
+# ``apply_standardization``, ``ece``, ``loss_and_grad``, ``sgd_step``,
+# ``mc_value``, ``profile_curve``, ``run_swa``, ``run_fge`` and ``run_pfge``
+# are not called here, but stay importable from this module for callers (and
+# perfbench's tracer) that look them up here.
 from .metrics import PredictionBatch, accuracy, ece, nll, reliability  # noqa: F401
 from .nn import LayerSpec, ModelWeights, init_model, loss_and_grad  # noqa: F401
 from .rng import STREAM_CURVE, stream_rng
@@ -116,7 +127,7 @@ def load_split(cfg: ExperimentConfig, split: str,
         )
     if standardization is None:
         return data
-    return apply_standardization(data, standardization["mean"], standardization["std"])
+    return _standardize_in_place(data, standardization["mean"], standardization["std"])
 
 
 def _pretrain_lr_factor(progress: float) -> float:
@@ -137,7 +148,7 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     """
     train = load_split(cfg, "train")
     mean, std = feature_stats(train)
-    train = apply_standardization(train, mean, std)
+    train = _standardize_in_place(train, mean, std)
     settings = cfg.pretrain
     e = iterations_per_epoch(len(train), cfg.batch_size)
     total = cfg.resolve_pretrain(e)
@@ -181,22 +192,56 @@ def _metrics_record(probs: np.ndarray, labels: np.ndarray, ece_bins: int,
     }
 
 
-class _MemberScorer:
-    """Scores a run's members on the test split on one background thread,
-    first in, first out, while training goes on. For each member it records
-    the member's metrics and those of the ensemble of the members so far, and
-    it sums the softmax outputs of the last ``cfg.last_k`` members (all, if
-    unset) into ``ensemble_sum``. The sums keep ``ensemble_predict``'s order
-    ``p_a + p_{a+1} + ...`` then ``/ n``, so every number matches it bit for
-    bit.
+class _BackgroundThread:
+    """Runs the calls given to ``submit`` one at a time, first in, first out,
+    on one background thread, and keeps what they return in ``results``.
 
-    The thread reads only the frozen members and the test split. It calls
-    ``nn`` and ``metrics`` directly: a tracer that wraps this module's or
-    ``training``'s names keeps one span stack, for the main thread alone.
-    As a context manager it starts the thread on entry and joins it on exit.
-    An exception leaving the block cancels the members still queued. Without
-    one, the first scoring error is raised on exit, and the members queued
-    after the failed one are not scored."""
+    The calls must enter no name that a tracer wraps in this module or in
+    ``training`` or ``connectivity``: such a tracer keeps one span stack, for
+    the main thread alone. So they call ``nn`` and ``metrics`` directly. As a
+    context manager it starts the thread on entry and joins it on exit. An
+    exception leaving the block cancels the calls still queued. Without one,
+    the first error a call raised is raised on exit, and the calls queued
+    after it do not run."""
+
+    def __init__(self, name: str):
+        self.results = []
+        self._queue = queue.SimpleQueue()
+        self._error = None
+        self._thread = threading.Thread(target=self._work, name=name)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def submit(self, call, *args) -> None:
+        self._queue.put(partial(call, *args))
+
+    def _work(self) -> None:
+        while (call := self._queue.get()) is not None:
+            try:
+                if self._error is None:
+                    self.results.append(call())
+            except Exception as exc:
+                self._error = exc
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._error = exc or self._error  # an error in the block cancels what is queued
+        self._queue.put(None)
+        self._thread.join()
+        if exc is None and self._error is not None:
+            raise self._error
+
+
+class _MemberScorer:
+    """Scores a run's members on the test split, one ``score`` call per
+    member in collection order. For each member it records the member's
+    metrics and those of the ensemble of the members so far, and it sums the
+    softmax outputs of the last ``cfg.last_k`` members (all, if unset) into
+    ``ensemble_sum``. The sums keep ``ensemble_predict``'s order
+    ``p_a + p_{a+1} + ...`` then ``/ n``, so every number matches it bit for
+    bit. It reads only the frozen members and the test split and calls
+    ``nn`` and ``metrics`` directly, so it may run on a ``_BackgroundThread``."""
 
     def __init__(self, cfg: ExperimentConfig, test: Dataset, n_members: int):
         self._inputs, self._first = test.inputs, n_members - (cfg.last_k or n_members)
@@ -205,26 +250,8 @@ class _MemberScorer:
         self._workspace = nn._Workspace(cfg.model_spec, len(test))
         self.members, self.series = [], []
         self.ensemble_sum = self._prob_sum = None
-        self._queue = queue.SimpleQueue()
-        self._error = None
-        self._thread = threading.Thread(target=self._work, name="pfge-member-scorer")
 
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def submit(self, member: ModelWeights, recorded_at: int) -> None:
-        self._queue.put(member)
-
-    def _work(self) -> None:
-        while (member := self._queue.get()) is not None:
-            try:
-                if self._error is None:
-                    self._score(member)
-            except Exception as exc:
-                self._error = exc
-
-    def _score(self, member: ModelWeights) -> None:
+    def score(self, member: ModelWeights) -> None:
         probs = nn._softmax_inplace(nn.forward(member, self._inputs, workspace=self._workspace))
         self.members.append(self._record(probs))
         self._prob_sum = _accumulate(self._prob_sum, probs)
@@ -234,18 +261,11 @@ class _MemberScorer:
         elif len(self.members) > self._first:
             self.ensemble_sum = _accumulate(self.ensemble_sum, probs)
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._error = exc or self._error  # an error in training cancels what is queued
-        self._queue.put(None)
-        self._thread.join()
-        if exc is None and self._error is not None:
-            raise self._error
-
 
 def run(cfg: ExperimentConfig, w0: Checkpoint):
     """Train the configured algorithm, persist members, write the report.
-    Each member is scored on the test split by a ``_MemberScorer`` thread as
-    soon as it is collected, while training goes on.
+    Each member is scored on the test split by a ``_MemberScorer`` on a
+    ``_BackgroundThread`` as soon as it is collected, while training goes on.
 
     Returns ``(EnsembleSet, report dict)``.
     """
@@ -267,10 +287,12 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
         raise ConfigurationError(
             f"last_k must be in [1, {n_members}] for {algo} with this budget, got {last_k}"
         )
-    with _MemberScorer(cfg, test, n_members) as scorer:
+    scorer = _MemberScorer(cfg, test, n_members)
+    with _BackgroundThread("pfge-member-scorer") as thread:
         ensemble, _ = _drive(w0.weights, opt, batches(train, cfg.batch_size, cfg.seed),
                              budget.total_iters, partial(lr_at, sched), sched.cycle_len, period,
-                             average, l2_coeff=opt_cfg["l2_coeff"], on_member=scorer.submit)
+                             average, l2_coeff=opt_cfg["l2_coeff"],
+                             on_member=lambda member, _: thread.submit(scorer.score, member))
 
     run_dir = cfg.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -441,7 +463,12 @@ def connectivity_run(cfg: ExperimentConfig) -> dict:
     """Train a curve between two members, profile it, and compute the
     mode-connectivity gap. The endpoints are ``connectivity.member_a`` and
     ``member_b``, or, with neither given, the pair ``connectivity.pair``
-    picks. Artifacts land in ``{run_dir}/connectivity/``."""
+    picks. Artifacts land in ``{run_dir}/connectivity/``.
+
+    The profile's endpoints are the two checkpoints themselves, so a
+    ``_BackgroundThread`` scores them while the curve trains and its controls
+    are saved; the interior points are scored after it, in the same
+    workspace. The numbers are ``profile_curve``'s."""
     settings = cfg.connectivity
     member_a, member_b = settings.get("member_a"), settings.get("member_b")
     if (member_a is None) != (member_b is None):
@@ -457,35 +484,38 @@ def connectivity_run(cfg: ExperimentConfig) -> dict:
     test = load_split(cfg, "test", stats)
     k = settings["k"]
     iters = settings["iters"]
-    if iters == 0:
-        curve = initial_curve(ckpt_a.weights, ckpt_b.weights, k)
-    else:
-        stream = batches(train, cfg.batch_size, cfg.seed)
-        curve = train_curve(
-            ckpt_a.weights,
-            ckpt_b.weights,
-            k,
-            iters,
-            stream,
-            settings["lr"],
-            cfg.seed,
-            l2_coeff=cfg.optimizer["l2_coeff"],
-        )
-    grid_size = settings["grid_size"]
-    profile = profile_curve(curve, grid_size, train, test, cfg.optimizer["l2_coeff"])
-    mc, t_star = profile.mc
-
+    l2_coeff = cfg.optimizer["l2_coeff"]
+    grid = np.linspace(0.0, 1.0, settings["grid_size"])
+    workspace = _profile_workspace(cfg.model_spec, train, test)
     outdir = cfg.run_dir / CONNECTIVITY_DIR
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _BackgroundThread("pfge-endpoint-scorer") as endpoints:
+        for weights in (ckpt_a.weights, ckpt_b.weights):
+            endpoints.submit(_point_scores, weights, train, test, l2_coeff, workspace,
+                             (nn.mean_loss, nn.forward))
+        if iters == 0:
+            curve = initial_curve(ckpt_a.weights, ckpt_b.weights, k)
+        else:
+            stream = batches(train, cfg.batch_size, cfg.seed)
+            curve = train_curve(ckpt_a.weights, ckpt_b.weights, k, iters, stream,
+                                settings["lr"], cfg.seed, l2_coeff=l2_coeff)
+        outdir.mkdir(parents=True, exist_ok=True)
+        # The record and profile describe the controls, so they go first:
+        # a failure from here on leaves neither beside other controls.
+        for name in ("connectivity.json", "curve_profile.csv"):
+            (outdir / name).unlink(missing_ok=True)
+        _save_indexed(outdir, "curve-control", (
+            Checkpoint(
+                weights=control,
+                standardization=stats,
+                meta={"role": "curve-control", "index": j, "created_at": _now()},
+            )
+            for j, control in enumerate(curve.controls)
+        ))
+    first, last = endpoints.results
+    profile = CurveProfile._of(
+        grid, [first, *_sweep(curve, grid[1:-1], train, test, l2_coeff, workspace), last])
+    mc, t_star = profile.mc
     profile.write_csv(outdir / "curve_profile.csv")
-    _save_indexed(outdir, "curve-control", (
-        Checkpoint(
-            weights=control,
-            standardization=stats,
-            meta={"role": "curve-control", "index": j, "created_at": _now()},
-        )
-        for j, control in enumerate(curve.controls)
-    ))
     record = {
         "mc": mc,
         "mc_abs": abs(mc),
@@ -493,7 +523,7 @@ def connectivity_run(cfg: ExperimentConfig) -> dict:
         "k": k,
         "iters": iters,
         "lr": settings["lr"],
-        "grid_size": grid_size,
+        "grid_size": len(grid),
         "member_a": str(member_a),
         "member_b": str(member_b),
         "train_loss_summary": profile.train_loss_summary,

@@ -1,6 +1,7 @@
 """The verdict of ``tools/bench_pairs.py`` on fixed numbers: a gain holds
 when the change wins nine pairs in ten and its median beats the parent's by
-more than the parent's q3 - q1."""
+more than the parent's q3 - q1, and a metric whose parent spread is wider
+than its bound is unresolved unless the two sides do not overlap."""
 
 import importlib.util
 from pathlib import Path
@@ -14,6 +15,8 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 PARENT = [0.62, 0.63, 0.61, 0.64, 0.62, 0.63, 0.62, 0.65, 0.63, 0.62]
+# q1 0.85, median 1.0, q3 1.15: a spread of 0.3 of the median.
+WIDE = [0.8, 1.2, 0.8, 1.0, 1.2, 1.0, 0.8, 1.0, 1.2, 1.0]
 
 
 def test_quartiles_interpolate_as_numpy_does():
@@ -72,3 +75,34 @@ def test_parent_tree_is_extracted_from_the_commit(tmp_path):
     assert (tmp_path / "parent" / "src" / "pfge" / "harness.py").is_file()
     assert (tmp_path / "parent" / "perfbench" / "run.py").is_file()
     assert not (tmp_path / "parent" / ".git").exists()
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    q1, median, q3 = bench_pairs.quartiles(WIDE)
+    assert (q3 - q1) / median == pytest.approx(0.3)
+    assert bench_pairs.unresolved(WIDE, WIDE, "lower", 0.2)
+    assert bench_pairs.unresolved(WIDE, WIDE, "higher", 0.2)
+    # A bound wider than the parent's spread resolves it.
+    assert not bench_pairs.unresolved(WIDE, WIDE, "lower", 0.35)
+    assert not bench_pairs.unresolved(PARENT, PARENT, "lower", 0.1)
+    # So does every change run beating every parent run (min 0.8, max 1.2),
+    # in the direction that counts as better.
+    assert not bench_pairs.unresolved(WIDE, [v - 0.41 for v in WIDE], "lower", 0.2)
+    assert bench_pairs.unresolved(WIDE, [v - 0.39 for v in WIDE], "lower", 0.2)
+    assert not bench_pairs.unresolved(WIDE, [v + 0.41 for v in WIDE], "higher", 0.2)
+    assert bench_pairs.unresolved(WIDE, [v + 0.41 for v in WIDE], "lower", 0.2)
+
+
+def test_report_flags_unresolved_but_not_worse_metrics(capsys):
+    runs = {side: [{"metrics": {"a_s": {"value": a}, "b_s": {"value": b}, "c_s": {"value": c}},
+                    "fingerprint": "f", "failed": 0}
+                   for a, b, c in zip(WIDE, PARENT, values)]
+            for side, values in (("parent", PARENT), ("change", [p * 1.3 for p in PARENT]))}
+    metrics = [{"name": "a_s", "better": "lower", "bound": 0.1},
+               {"name": "b_s", "better": "lower", "bound": 0.1},
+               {"name": "c_s", "better": "lower", "bound": 0.1}]
+    assert bench_pairs._report(runs, metrics, None) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert lines["a_s"].endswith("UNRESOLVED")
+    assert not lines["b_s"].endswith(("UNRESOLVED", "WORSE"))
+    assert lines["c_s"].endswith("WORSE")

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from pfge import connectivity, data, harness, nn
+from pfge import data, harness, nn
 from pfge.checkpoint import load_checkpoint
 from pfge.cli import main
 from pfge.config import config_from_dict
@@ -85,8 +85,8 @@ def test_each_split_is_standardized_before_the_next_loads(csv_doc, monkeypatch):
         return recorded
 
     monkeypatch.setattr(harness, "load_csv", recorder("load", harness.load_csv))
-    monkeypatch.setattr(harness, "apply_standardization",
-                        recorder("standardize", harness.apply_standardization))
+    monkeypatch.setattr(harness, "_standardize_in_place",
+                        recorder("standardize", harness._standardize_in_place))
     train_path, test_path = doc["dataset"]["train_path"], doc["dataset"]["test_path"]
     expected = [("load", train_path), ("standardize", train_path),
                 ("load", test_path), ("standardize", test_path)]
@@ -146,11 +146,15 @@ def test_connectivity_sweeps_the_grid_once(csv_doc, monkeypatch):
     doc, _ = csv_doc
     cfg = config_from_dict(doc)
     harness.run(cfg, harness.pretrain(cfg))
-    losses = count_calls(monkeypatch, connectivity, "mean_loss")
-    forwards = count_calls(monkeypatch, connectivity, "forward")
+    train, test = harness.load_split(cfg, "train"), harness.load_split(cfg, "test")
+    # Every forward, on either thread and through ``mean_loss`` too, runs
+    # ``nn._forward``; curve training's own are on batches of 8 rows.
+    forwards = count_calls(monkeypatch, nn, "_forward")
     harness.connectivity_run(cfg)
-    assert len(losses) == GRID
-    assert len(forwards) == GRID
+    rows = [args[1].shape[0] for args in forwards]
+    assert rows.count(len(train)) == GRID
+    assert rows.count(len(test)) == GRID
+    assert len(rows) == 2 * GRID + doc["connectivity"]["iters"]
 
 
 @pytest.mark.parametrize("last_k", [None, 1, N_MEMBERS - 1, N_MEMBERS])

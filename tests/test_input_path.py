@@ -1,8 +1,10 @@
 """The input path: the CSV fast path against the validating parser, the
 parsed-split cache against both, and who owns the arrays of a dataset."""
 
+import hashlib
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,11 +194,28 @@ class TestOwnership:
         assert ds.inputs.shape == (5, 12)
         assert not ds.inputs.flags.writeable
 
-    @pytest.mark.parametrize("kind", ["two_spirals", "csv"])
+    @pytest.mark.parametrize("kind", ["two_spirals", "blobs", "idx", "csv", "csv-parsed"])
     def test_load_split_standardizes_bit_for_bit(self, tmp_path, kind):
+        # ``load_split`` standardizes in the array the loader returned. For
+        # "csv" the standardized load hits the split cache; for "csv-parsed"
+        # the cache is emptied first, so it parses and writes the entry.
         dataset = {"kind": "two_spirals", "n_per_class": 24, "noise_sd": 0.1,
                    "test_n_per_class": 40}
-        if kind == "csv":
+        if kind == "blobs":
+            dataset = {"kind": "blobs", "centers": [[0.0, 1.0], [2.0, -1.0]], "sd": 0.7,
+                       "n_per_class": 24, "test_n_per_class": 40}
+        elif kind == "idx":
+            rng = np.random.default_rng(3)
+            for split, n in (("train", 48), ("test", 80)):
+                pixels = rng.integers(0, 256, size=2 * n, dtype=np.uint8).tobytes()
+                (tmp_path / f"{split}-images.idx").write_bytes(
+                    struct.pack(">IIII", 0x803, n, 1, 2) + pixels)
+                (tmp_path / f"{split}-labels.idx").write_bytes(
+                    struct.pack(">II", 0x801, n) + bytes([i % 2 for i in range(n)]))
+                dataset[f"{split}_images"] = str(tmp_path / f"{split}-images.idx")
+                dataset[f"{split}_labels"] = str(tmp_path / f"{split}-labels.idx")
+            dataset["kind"] = "idx"
+        elif kind.startswith("csv"):
             for split, seed in (("train", 1), ("test", 2)):
                 save_csv(gen_blobs([[0.0, 1.0], [2.0, -1.0]], 15, 1.0, seed),
                          tmp_path / f"{split}.csv")
@@ -208,12 +227,22 @@ class TestOwnership:
             "algorithm": "swa", "schedule": {"alpha1": 0.1, "alpha2": 0.005, "cycle_epochs": 1},
             "budget": {"total_epochs": 2},
         })
+        cache = cfg.output_dir / harness.SPLIT_CACHE_DIR
         mean, std = feature_stats(harness.load_split(cfg, "train"))
         stats = {"mean": mean.tolist(), "std": std.tolist()}
         for split in ("train", "test"):
             raw = harness.load_split(cfg, split)
+            if kind == "csv-parsed":
+                shutil.rmtree(cache)
             out = harness.load_split(cfg, split, stats)
             assert out.inputs.tobytes() == ((raw.inputs - mean) / std).tobytes()
+            assert out.inputs.tobytes() == apply_standardization(raw, mean, std).inputs.tobytes()
             assert out.labels.tobytes() == raw.labels.tobytes()
             assert not out.inputs.flags.writeable
             assert not out.labels.flags.writeable
+            if kind.startswith("csv"):
+                # The cache keeps the raw split, whatever was done to the
+                # array it was read into or written from.
+                digest = hashlib.sha256(Path(dataset[f"{split}_path"]).read_bytes()).hexdigest()
+                (entry,) = [p for p in cache.iterdir() if str(np.load(p)["digest"]) == digest]
+                assert np.load(entry)["inputs"].tobytes() == raw.inputs.tobytes()

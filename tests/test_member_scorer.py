@@ -2,7 +2,7 @@
 goes on. The report must equal a serial scoring of the returned ensemble bit
 for bit, an error on either side must reach the caller unchanged with no
 thread left behind, and a tracer installed around the package must only ever
-see the main thread."""
+see the main thread, in ``run`` and in ``connectivity``."""
 
 import json
 import subprocess
@@ -194,6 +194,8 @@ counts = []
 for run_id in ("first", "second"):
     before = {name: stat["calls"] for name, stat in tracer.stats.items()}
     assert main(["run", config, "run_id=" + run_id]) == 0
+    assert main(["connectivity", config, "run_id=" + run_id, "connectivity.iters=6",
+                 "connectivity.grid_size=5"]) == 0
     counts.append({name: stat["calls"] - before.get(name, 0)
                    for name, stat in tracer.stats.items()})
 print(json.dumps({"main_only": threads == {threading.main_thread().ident},
@@ -202,6 +204,8 @@ print(json.dumps({"main_only": threads == {threading.main_thread().ident},
 
 
 def test_tracer_sees_only_the_main_thread(tmp_path):
+    # Each of two identical rounds runs ``run`` and ``connectivity``, both of
+    # which score on a background thread.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(tiny_doc(tmp_path / "runs")))
     result = subprocess.run([sys.executable, "-c", TRACED_RUNS, str(path)], cwd=ROOT,
@@ -212,4 +216,9 @@ def test_tracer_sees_only_the_main_thread(tmp_path):
     assert out["open_spans"] == 0
     first, second = out["counts"]
     assert first == second
-    assert first["harness.run"] == 1 and first["checkpoint.save"] == 4
+    assert first["harness.run"] == 1 and first["harness.connectivity_run"] == 1
+    # Four members and three curve controls; the endpoint thread scores
+    # grid points 0 and 4, the main thread the three between them.
+    assert first["checkpoint.save"] == 4 + 3
+    assert first["connectivity.curve_point"] == 3
+    assert first["nn.mean_loss"] == 3

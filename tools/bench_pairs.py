@@ -14,12 +14,15 @@ pairs and the working tree first in odd ones.
 For every end-to-end metric of ``BENCHMARK.json`` it prints both sides'
 median and quartiles, the working tree's change of the median, how many
 pairs the working tree won, and ``WORSE`` where that change exceeds the
-metric's bound. For the metric named by ``--claim`` it prints whether a gain
-holds: the working tree wins at least nine pairs in ten, and its median
-beats the parent's by more than the parent's q3 - q1; each pair's two values
-of it go to standard error as the pairs finish. It also says whether
-every run's fingerprint and failed-operation count agree. Standard library
-only.
+metric's bound. Otherwise it prints ``UNRESOLVED`` where the parent's own
+spread, q3 - q1 as a share of its median, is wider than the bound and the
+sides overlap, that is, not every working-tree run beats every parent run:
+such a metric cannot be told unchanged. For the metric named by ``--claim``
+it prints whether a gain holds: the working tree wins at least nine pairs in
+ten, and its median beats the parent's by more than the parent's q3 - q1;
+each pair's two values of it go to standard error as the pairs finish. It
+also says whether every run's fingerprint and failed-operation count agree.
+Standard library only.
 """
 
 import argparse
@@ -76,6 +79,18 @@ def exceeds_bound(parent, change, better: str, bound: float) -> bool:
     return (delta if better == "lower" else -delta) > bound
 
 
+def unresolved(parent, change, better: str, bound: float) -> bool:
+    """Whether the parent's q3 - q1, as a share of its median, is wider than
+    ``bound`` while not every change run beats every parent run."""
+    q1, median, q3 = quartiles(parent)
+    spread = (q3 - q1) / abs(median) if median else 0.0
+    if better == "lower":
+        apart = max(change) < min(parent)
+    else:
+        apart = min(change) > max(parent)
+    return spread > bound and not apart
+
+
 def _git(root: Path, *args) -> str:
     return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
                           text=True).stdout
@@ -125,10 +140,14 @@ def _report(runs: dict, metrics: list, claim) -> int:
         name = spec["name"]
         parent, change = _values(runs, "parent", name), _values(runs, "change", name)
         cells = ["/".join(f"{v:.4g}" for v in quartiles(side)) for side in (parent, change)]
-        worse = "  WORSE" if exceeds_bound(parent, change, spec["better"], spec["bound"]) else ""
+        flag = ""
+        if exceeds_bound(parent, change, spec["better"], spec["bound"]):
+            flag = "  WORSE"
+        elif unresolved(parent, change, spec["better"], spec["bound"]):
+            flag = "  UNRESOLVED"
         print(f"{name:22s} {cells[0]:>30s} {cells[1]:>30s} "
               f"{relative_change(parent, change):+8.2%} "
-              f"{wins(parent, change, spec['better']):>3d}/{len(parent)}{worse}")
+              f"{wins(parent, change, spec['better']):>3d}/{len(parent)}{flag}")
     prints = {r["fingerprint"] for side in runs.values() for r in side}
     failed = [r["failed"] for side in runs.values() for r in side]
     print(f"fingerprints equal: {len(prints) == 1}; failed operations: {sum(failed)}")
