@@ -13,10 +13,8 @@ Directory layout per run: ``{output_dir}/{run_id}/member-{idx}.ckpt`` plus
 ``files``.
 """
 
-import queue
 import re
 import shutil
-import threading
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -60,7 +58,7 @@ from .files import read_json, write_csv, write_json
 # are not called here, but stay importable from this module for callers (and
 # perfbench's tracer) that look them up here.
 from .metrics import PredictionBatch, accuracy, ece, nll, reliability  # noqa: F401
-from .nn import LayerSpec, ModelWeights, init_model, loss_and_grad  # noqa: F401
+from .nn import LayerSpec, ModelWeights, _BackgroundThread, init_model, loss_and_grad  # noqa: F401
 from .rng import STREAM_CURVE, stream_rng
 from .schedule import lr_at
 from .training import (  # noqa: F401
@@ -190,47 +188,6 @@ def _metrics_record(probs: np.ndarray, labels: np.ndarray, ece_bins: int,
         "nll_pct": 100.0 * raw_nll,
         "ece": bins.ece_value(),
     }
-
-
-class _BackgroundThread:
-    """Runs the calls given to ``submit`` one at a time, first in, first out,
-    on one background thread, and keeps what they return in ``results``.
-
-    The calls must enter no name that a tracer wraps in this module or in
-    ``training`` or ``connectivity``: such a tracer keeps one span stack, for
-    the main thread alone. So they call ``nn`` and ``metrics`` directly. As a
-    context manager it starts the thread on entry and joins it on exit. An
-    exception leaving the block cancels the calls still queued. Without one,
-    the first error a call raised is raised on exit, and the calls queued
-    after it do not run."""
-
-    def __init__(self, name: str):
-        self.results = []
-        self._queue = queue.SimpleQueue()
-        self._error = None
-        self._thread = threading.Thread(target=self._work, name=name)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def submit(self, call, *args) -> None:
-        self._queue.put(partial(call, *args))
-
-    def _work(self) -> None:
-        while (call := self._queue.get()) is not None:
-            try:
-                if self._error is None:
-                    self.results.append(call())
-            except Exception as exc:
-                self._error = exc
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._error = exc or self._error  # an error in the block cancels what is queued
-        self._queue.put(None)
-        self._thread.join()
-        if exc is None and self._error is not None:
-            raise self._error
 
 
 class _MemberScorer:

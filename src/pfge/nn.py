@@ -8,7 +8,10 @@ bias ``b_l`` of length sizes[l+1]. Hidden layers apply the configured
 activation; the output layer is linear and produces logits.
 """
 
+import queue
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -178,20 +181,94 @@ class _Workspace:
         return buf[: rows * width].reshape(rows, width)
 
 
+class _BackgroundThread:
+    """Runs the calls given to ``submit`` one at a time, first in, first out,
+    on one background thread, and keeps what they return in ``results``.
+
+    The calls must enter no name that a tracer wraps in ``harness``,
+    ``training`` or ``connectivity``: such a tracer keeps one span stack, for
+    the main thread alone. So they call ``nn`` and ``metrics`` directly. As a
+    context manager it starts the thread on entry and joins it on exit. An
+    exception leaving the block cancels the calls still queued. Without one,
+    the first error a call raised is raised on exit, and the calls queued
+    after it do not run."""
+
+    def __init__(self, name: str):
+        self.results = []
+        self._queue = queue.SimpleQueue()
+        self._error = None
+        self._thread = threading.Thread(target=self._work, name=name)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def submit(self, call, *args) -> None:
+        self._queue.put(partial(call, *args))
+
+    def _work(self) -> None:
+        while (call := self._queue.get()) is not None:
+            try:
+                if self._error is None:
+                    self.results.append(call())
+            except Exception as exc:
+                self._error = exc
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._error = exc or self._error  # an error in the block cancels what is queued
+        self._queue.put(None)
+        self._thread.join()
+        if exc is None and self._error is not None:
+            raise self._error
+
+
+# Each output column of a gemm is its own dot products, so a layer computed
+# as two gemms over its left and right columns can have the bits of one gemm
+# (row halves do not). With OpenBLAS's SkylakeX kernel that holds when both
+# the width and the split point are multiples of 8: the last ``width % 8``
+# columns of a gemm come out differently. A full-split forward on the main
+# thread computes the right columns of a layer at least this wide and this
+# large on a helper thread; smaller layers lose more to the thread than they
+# gain. Forwards on a background thread never split: they run beside
+# training, which keeps the other core busy.
+_SPLIT_COLUMNS = 256
+_SPLIT_MULTIPLY_ADDS = 2**26
+
+
+def _dense(h: np.ndarray, W: np.ndarray, b: np.ndarray, activation, out=None) -> np.ndarray:
+    """``activation(h @ W + b)``, written into ``out`` if given; an
+    ``activation`` of None leaves the layer linear."""
+    out = np.matmul(h, W, out=out)
+    out += b
+    if activation == "relu":
+        np.maximum(out, 0.0, out=out)
+    elif activation == "tanh":
+        np.tanh(out, out=out)
+    return out
+
+
 def _forward(layers, x: np.ndarray, activation: str, acts=None, workspace=None) -> np.ndarray:
     """Logits of ``x``; each hidden layer's output is appended to ``acts`` if
-    given, and written into ``workspace`` if given instead of fresh arrays."""
+    given, and written into ``workspace`` if given instead of fresh arrays.
+    Only a workspace forward on the main thread splits a layer's columns."""
     h = x
     last = len(layers) - 1
+    split = workspace is not None and threading.current_thread() is threading.main_thread()
     for idx, (W, b) in enumerate(layers):
-        h = h @ W if workspace is None else np.matmul(h, W, out=workspace.out(idx, x.shape[0]))
-        h += b
+        act = activation if idx < last else None
+        out = None if workspace is None else workspace.out(idx, x.shape[0])
+        fan_out = W.shape[1]
+        if split and fan_out >= _SPLIT_COLUMNS and fan_out % 8 == 0 and (
+                x.shape[0] * W.size >= _SPLIT_MULTIPLY_ADDS):
+            m = fan_out // 16 * 8
+            with _BackgroundThread("pfge-layer-half") as half:
+                half.submit(_dense, h, W[:, m:], b[m:], act, out[:, m:])
+                _dense(h, W[:, :m], b[:m], act, out[:, :m])
+            h = out
+        else:
+            h = _dense(h, W, b, act, out)
         if idx == last:
             return h
-        if activation == "relu":
-            np.maximum(h, 0.0, out=h)
-        else:
-            np.tanh(h, out=h)
         if acts is not None:
             acts.append(h)
 

@@ -106,3 +106,22 @@ def test_report_flags_unresolved_but_not_worse_metrics(capsys):
     assert lines["a_s"].endswith("UNRESOLVED")
     assert not lines["b_s"].endswith(("UNRESOLVED", "WORSE"))
     assert lines["c_s"].endswith("WORSE")
+
+
+def test_fingerprints_are_equal_only_when_every_run_has_the_same_one(capsys):
+    assert bench_pairs.fingerprint("spirals-sweep seed=1 fingerprint=ab12 ok\n") == "ab12"
+    assert bench_pairs.fingerprint("spirals-sweep seed=1 fingerprint=None ok\n") is None
+    assert bench_pairs.fingerprint("no fingerprint here\n") is None
+
+    def runs(parent, change):
+        return {side: [{"metrics": {"a_s": {"value": 1.0}}, "fingerprint": f, "failed": 0}
+                       for f in prints]
+                for side, prints in (("parent", parent), ("change", change))}
+
+    assert bench_pairs.fingerprints_equal(runs(["ab12", "ab12"], ["ab12", "ab12"]))
+    assert not bench_pairs.fingerprints_equal(runs(["ab12", "ab12"], ["ab12", "cd34"]))
+    assert not bench_pairs.fingerprints_equal(runs([None, None], [None, None]))
+    assert not bench_pairs.fingerprints_equal(runs(["ab12", "ab12"], ["ab12", None]))
+    bench_pairs._report(runs([None, None], [None, None]),
+                        [{"name": "a_s", "better": "lower", "bound": 0.1}], None)
+    assert "fingerprints equal: False;" in capsys.readouterr().out

@@ -7,13 +7,25 @@ floating-point order of the SGD update, the running average or the gradient
 shows up here as a digest mismatch. The curve-control, report and CSV
 digests were computed before the evaluation loops reused their forward
 buffers, so a buffer that leaks one member's or grid point's outputs into
-another's shows up too.
+another's shows up too. The "wide" digests were computed before full-split
+forwards split wide layers by columns over two threads.
+
+The digests hold where they were made: numpy's AVX-512 ``exp`` and ``log``
+and an FMA OpenBLAS kernel, for "wide" OpenBLAS's SkylakeX kernel (see
+``tests/test_golden_environments.py``). A mismatch names the environment it
+ran in.
 """
 
+import ctypes
 import hashlib
 import json
 
 import pytest
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
 
 from pfge import harness
 from pfge.config import config_from_dict
@@ -24,9 +36,11 @@ from pfge.training import MomentumState, run_fge, run_pfge, run_swa
 
 ALGORITHMS = ("sgd", "swa", "fge", "pfge")
 
-# Two tiny two_spirals set-ups. 48 training rows in batches of 10 give five
+# Three tiny two_spirals set-ups. 48 training rows in batches of 10 give five
 # iterations per epoch with a short last batch; "tanh-l2" also exercises the
-# tanh backward pass and the L2 term of the gradient.
+# tanh backward pass and the L2 term of the gradient. "wide" has a 256x256
+# layer and 1,024 test rows, 2**26 multiply-adds, so full-split forwards on
+# the test split (``evaluate``, the curve's interior points) split it.
 VARIANTS = {
     "relu": {"model": {"sizes": [2, 8, 8, 2]}},
     "tanh-l2": {
@@ -34,7 +48,30 @@ VARIANTS = {
         "pretrain": {"epochs": 4, "lr": 0.1, "l2_coeff": 1e-3},
         "optimizer": {"momentum": 0.8, "weight_decay": 1e-3, "l2_coeff": 1e-3},
     },
+    "wide": {
+        "dataset": {"kind": "two_spirals", "n_per_class": 24, "noise_sd": 0.1,
+                    "test_n_per_class": 512},
+        "model": {"sizes": [2, 256, 256, 2]},
+    },
 }
+
+
+def environment() -> str:
+    """What the pins depend on: OpenBLAS's kernel and numpy's CPU features."""
+    core = "unknown"
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and "/" in line})
+    except OSError:
+        libs = []
+    for lib_path in libs:
+        corename = getattr(ctypes.CDLL(lib_path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype, corename.argtypes = ctypes.c_char_p, []
+            core = corename().decode()
+    features = " ".join(name for name, enabled in __cpu_features__.items() if enabled)
+    return f"OpenBLAS core {core}; numpy CPU features: {features}"
+
 
 GOLDEN = {
     "relu": {
@@ -65,6 +102,21 @@ GOLDEN = {
         "pfge": [
             "1d6d02e0314ef7b5fb37bfc35ab026ef855c97e8856a532914def4fe38dc34c5",
             "d4579403f2490da1975df17e0adbc3b81010adc5c912ea9222c1ea1c23df9804",
+        ],
+    },
+    "wide": {
+        "w0": "7e0e129362cc44bb1270065db722c5a7798085f55b2c4e4e1d03a0334e8be2d5",
+        "sgd": ["e2af719b8673f5ac42a5d9df8cfa6e4b48a4bfc39467dc2045f7a8fb948e759e"],
+        "swa": ["3408bdb52998665076aec69adecb74df84c0c1ecc739e3f294b385ac996552c8"],
+        "fge": [
+            "5c6f97307a58db931f45381560f7d1a1bad56ed79b1fca03c31b4cb7b1665776",
+            "072b3719e231bd87f4cb4f08d66ded6dd137dec0727fda3ea19c8e49ee3c50c2",
+            "9460e033d867ced0fc3851b0b378be2a2b02cfadc015d7c0b75e1fd8c236f38d",
+            "e2af719b8673f5ac42a5d9df8cfa6e4b48a4bfc39467dc2045f7a8fb948e759e",
+        ],
+        "pfge": [
+            "8eb321e3e2e9cc0557ddf1aea3d780e4af58a0bf48495b55649ef1ad0e456649",
+            "0bb96a23034be248f03e6a5c34d819fd7a14bc9eddf80f8c20474bfaf526d56a",
         ],
     },
 }
@@ -106,26 +158,31 @@ def run_digests(tmp_path, variant: str) -> dict:
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_payload_digests_are_pinned(tmp_path, variant):
-    assert run_digests(tmp_path, variant) == GOLDEN[variant]
+    assert run_digests(tmp_path, variant) == GOLDEN[variant], environment()
 
 # Connectivity and report settings per variant: "relu" trains a cubic curve
 # and reports the last two fge members; "tanh-l2" a quadratic curve with the
-# L2 term, over all four members.
+# L2 term, over all four members; "wide" a quadratic curve profiled at three
+# interior points, over the last three members.
 CURVE_VARIANTS = {
     "relu": {"last_k": 2,
              "connectivity": {"k": 3, "iters": 30, "lr": 0.05, "grid_size": 7}},
     "tanh-l2": {"connectivity": {"k": 2, "iters": 30, "lr": 0.05, "grid_size": 7}},
+    "wide": {"last_k": 3,
+             "connectivity": {"k": 2, "iters": 20, "lr": 0.05, "grid_size": 5}},
 }
 
 
 def curve_and_report_digests(tmp_path, variant: str) -> dict:
     """Digests of an fge run's report sections, ``reliability.csv``,
-    ``curve_profile.csv`` and the trained curve-control payloads."""
+    ``curve_profile.csv``, the trained curve-control payloads and, for
+    "wide", the metrics of ``evaluation.json``."""
     outdir = tmp_path / variant
     doc = golden_doc(outdir, variant, "fge")
     doc.update(json.loads(json.dumps(CURVE_VARIANTS[variant])))
     cfg = config_from_dict(doc)
     _, report = harness.run(cfg, harness.pretrain(cfg))
+    evaluation = harness.evaluate(cfg)
     harness.connectivity_run(cfg)
     conn_dir = cfg.run_dir / "connectivity"
     digests = {key: hashlib.sha256(json.dumps(report[key], sort_keys=True).encode()).hexdigest()
@@ -135,6 +192,9 @@ def curve_and_report_digests(tmp_path, variant: str) -> dict:
     k = doc["connectivity"]["k"]
     digests["curve-controls"] = [payload_digest(conn_dir / f"curve-control-{j}.ckpt")
                                  for j in range(k + 1)]
+    if variant == "wide":
+        digests["evaluation"] = hashlib.sha256(
+            json.dumps(evaluation["metrics"], sort_keys=True).encode()).hexdigest()
     return digests
 
 CURVE_GOLDEN = {
@@ -163,12 +223,25 @@ CURVE_GOLDEN = {
             "6d4e5b30d89f3967b7543d5ca26679b3ff932614f951fdba4dde36014260114e",
         ],
     },
+    "wide": {
+        "members": "eb903b48855aa8fb98de4db7e9262dc9217eba37e74a6ce6e38fbd417fa7cfdd",
+        "ensemble_series": "a805cabf85829745a90e52387a9f1e1cc31e0f86480df6c10c0ccf23e3419af8",
+        "ensemble": "eb7009652e3edec66722da849a170824609ef42282319f1749039fc94970338a",
+        "reliability.csv": "7b38f6589de9c1aa16569a0c465a73121183d19e6f7fafd0c0acee62a22750e8",
+        "curve_profile.csv": "46cbf741d4d4db68933b6872f27c1db0588a0a7c269370a258fa80b8dbe9f905",
+        "curve-controls": [
+            "9460e033d867ced0fc3851b0b378be2a2b02cfadc015d7c0b75e1fd8c236f38d",
+            "9a896740afb4aab924870f702c6fcff503177f18d5c7f47065ab0fb14f058a20",
+            "e2af719b8673f5ac42a5d9df8cfa6e4b48a4bfc39467dc2045f7a8fb948e759e",
+        ],
+        "evaluation": "6d979ee82f4342cf854d007bf1354bc2c3d97164fb01a6d29fb56a3f687ee9ad",
+    },
 }
 
 
 @pytest.mark.parametrize("variant", sorted(CURVE_VARIANTS))
 def test_curve_and_report_digests_are_pinned(tmp_path, variant):
-    assert curve_and_report_digests(tmp_path, variant) == CURVE_GOLDEN[variant]
+    assert curve_and_report_digests(tmp_path, variant) == CURVE_GOLDEN[variant], environment()
 
 
 class TestSuppliedLossGrad:

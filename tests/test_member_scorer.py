@@ -2,7 +2,8 @@
 goes on. The report must equal a serial scoring of the returned ensemble bit
 for bit, an error on either side must reach the caller unchanged with no
 thread left behind, and a tracer installed around the package must only ever
-see the main thread, in ``run`` and in ``connectivity``."""
+see the main thread, in ``run``, ``evaluate`` and ``connectivity``, also where
+a wide layer's columns are split over two threads."""
 
 import json
 import subprocess
@@ -19,6 +20,7 @@ from pfge.cli import main
 from pfge.config import config_from_dict
 from pfge.errors import NumericError
 from pfge.training import EnsembleSet, ensemble_predict
+from test_golden import CURVE_VARIANTS, golden_doc
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -172,6 +174,7 @@ TRACED_RUNS = """
 import json, sys, threading
 sys.path[:0] = ["src", "perfbench"]
 import tracing
+import pfge.nn
 from pfge.cli import main
 
 tracer = tracing.Tracer()
@@ -198,23 +201,46 @@ for run_id in ("first", "second"):
                  "connectivity.grid_size=5"]) == 0
     counts.append({name: stat["calls"] - before.get(name, 0)
                    for name, stat in tracer.stats.items()})
+# A model with a 256x256 layer, whose evaluate and interior curve points
+# split that layer over two threads.
+wide = sys.argv[2]
+dense, split_threads = pfge.nn._dense, set()
+
+def recording_dense(*args):
+    split_threads.add(threading.current_thread().name)
+    return dense(*args)
+
+pfge.nn._dense = recording_dense
+before = {name: stat["calls"] for name, stat in tracer.stats.items()}
+for verb in ("pretrain", "run", "evaluate", "connectivity"):
+    assert main([verb, wide]) == 0
+counts.append({name: stat["calls"] - before.get(name, 0) for name, stat in tracer.stats.items()})
 print(json.dumps({"main_only": threads == {threading.main_thread().ident},
-                  "open_spans": len(tracer._stack), "counts": counts}))
+                  "open_spans": len(tracer._stack), "counts": counts,
+                  "split": "pfge-layer-half" in split_threads}))
 """
 
 
 def test_tracer_sees_only_the_main_thread(tmp_path):
     # Each of two identical rounds runs ``run`` and ``connectivity``, both of
-    # which score on a background thread.
+    # which score on a background thread. A third round on a wide model runs
+    # ``evaluate`` and ``connectivity``, which also split a layer's columns.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(tiny_doc(tmp_path / "runs")))
-    result = subprocess.run([sys.executable, "-c", TRACED_RUNS, str(path)], cwd=ROOT,
-                            capture_output=True, text=True, timeout=120)
+    wide = golden_doc(tmp_path / "wide", "wide", "fge")
+    wide.update(CURVE_VARIANTS["wide"])
+    wide_path = tmp_path / "wide.json"
+    wide_path.write_text(json.dumps(wide))
+    result = subprocess.run([sys.executable, "-c", TRACED_RUNS, str(path), str(wide_path)],
+                            cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout.strip().splitlines()[-1])
     assert out["main_only"]
     assert out["open_spans"] == 0
-    first, second = out["counts"]
+    assert out["split"]
+    first, second, wide_counts = out["counts"]
+    assert wide_counts["harness.evaluate"] == 1
+    assert wide_counts["harness.connectivity_run"] == 1
     assert first == second
     assert first["harness.run"] == 1 and first["harness.connectivity_run"] == 1
     # Four members and three curve controls; the endpoint thread scores

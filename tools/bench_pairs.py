@@ -21,7 +21,8 @@ such a metric cannot be told unchanged. For the metric named by ``--claim``
 it prints whether a gain holds: the working tree wins at least nine pairs in
 ten, and its median beats the parent's by more than the parent's q3 - q1;
 each pair's two values of it go to standard error as the pairs finish. It
-also says whether every run's fingerprint and failed-operation count agree.
+also says whether every run has a fingerprint and all of them agree, and how
+many operations failed.
 Standard library only.
 """
 
@@ -124,9 +125,21 @@ def _run_once(tree: Path, args) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"error: perfbench failed in {tree}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    found = re.search(r"fingerprint=(\S+)", proc.stdout)
-    result["fingerprint"] = found.group(1) if found else None
+    result["fingerprint"] = fingerprint(proc.stdout)
     return result
+
+
+def fingerprint(stdout: str):
+    """The fingerprint ``perfbench/run.py`` printed, or None where it printed
+    none or ``fingerprint=None`` (no repetition produced one)."""
+    found = re.search(r"fingerprint=(\S+)", stdout)
+    return found.group(1) if found and found.group(1) != "None" else None
+
+
+def fingerprints_equal(runs: dict) -> bool:
+    """Whether every run of both sides has a fingerprint, and all agree."""
+    prints = [r["fingerprint"] for side in runs.values() for r in side]
+    return None not in prints and len(set(prints)) == 1
 
 
 def _values(runs: dict, side: str, name: str) -> list:
@@ -148,9 +161,8 @@ def _report(runs: dict, metrics: list, claim) -> int:
         print(f"{name:22s} {cells[0]:>30s} {cells[1]:>30s} "
               f"{relative_change(parent, change):+8.2%} "
               f"{wins(parent, change, spec['better']):>3d}/{len(parent)}{flag}")
-    prints = {r["fingerprint"] for side in runs.values() for r in side}
     failed = [r["failed"] for side in runs.values() for r in side]
-    print(f"fingerprints equal: {len(prints) == 1}; failed operations: {sum(failed)}")
+    print(f"fingerprints equal: {fingerprints_equal(runs)}; failed operations: {sum(failed)}")
     if claim is None:
         return 0
     spec = next(s for s in metrics if s["name"] == claim)
