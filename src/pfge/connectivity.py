@@ -26,7 +26,8 @@ import numpy as np
 from . import files
 from .data import Dataset
 from .errors import ConfigurationError, InvalidArgumentError, NumericError, ShapeError
-from .nn import Batch, ModelWeights, _grad_step, _Workspace, forward, linear_combine, mean_loss
+from .nn import (Batch, ModelWeights, _grad_step, _split_helper, _Workspace, forward,
+                 linear_combine, mean_loss)
 # Not called here, but importable from this module for callers (and
 # perfbench's tracer) that look it up under this name.
 from .nn import loss_and_grad  # noqa: F401
@@ -164,7 +165,8 @@ def train_curve(
     comes from one ``nn._grad_step`` on the point buffer, which hands a
     supplied ``loss_grad_fn(weights, batch)`` a frozen copy of the point.
     Numpy warnings are off in the loop: a non-finite point, loss or control
-    raises ``NumericError`` naming the iteration.
+    raises ``NumericError`` naming the iteration, and a stream that runs out
+    first raises ``InvalidArgumentError``.
     """
     if k < 2:
         raise ConfigurationError(f"curve training needs k >= 2, got k={k}")
@@ -177,11 +179,10 @@ def train_curve(
     point, grad, scratch = (np.empty(spec.param_count) for _ in range(3))
     step = _grad_step(spec, point, grad, l2_coeff, loss_grad_fn)
     rng = stream_rng(seed, STREAM_CURVE)
-    batch_iter = iter(stream)
+    i = 0
     with np.errstate(all="ignore"):
-        for i in range(1, iters + 1):
+        for i, batch in zip(range(1, iters + 1), stream):
             t = float(rng.uniform())
-            batch = next(batch_iter)
             coeffs = bernstein(k, t)
             _bezier_sum(w.values, coeffs[1:], controls, point, scratch)
             if not np.logical_and.reduce(np.isfinite(point)):
@@ -194,6 +195,8 @@ def train_curve(
                 control -= scratch
                 if not np.logical_and.reduce(np.isfinite(control)):
                     raise NumericError(f"non-finite control point at iteration {i}")
+    if i < iters:
+        raise InvalidArgumentError(f"the batch stream ran out at iteration {i + 1}")
     trained = [ModelWeights(w.spec, c) for c in interior]
     return CurveSpec((w, *trained, w_end))
 
@@ -221,21 +224,24 @@ def _profile_workspace(spec, train: Dataset, test: Dataset) -> _Workspace:
 
 def _sweep(curve: CurveSpec, ts, train: Dataset, test: Dataset, l2_coeff: float,
            workspace: _Workspace) -> list:
-    """``_point_scores`` of the curve point at each t of ``ts``."""
-    return [_point_scores(curve_point(curve, float(t)), train, test, l2_coeff, workspace)
-            for t in ts]
+    """``_point_scores`` of the curve point at each t of ``ts``, all splitting
+    their wide layers with one helper thread."""
+    with _split_helper(curve.spec, workspace.rows) as helper:
+        return [_point_scores(curve_point(curve, float(t)), train, test, l2_coeff, workspace,
+                              helper=helper) for t in ts]
 
 
 def _point_scores(point: ModelWeights, train: Dataset, test: Dataset, l2_coeff: float,
-                  workspace: _Workspace, fns=None) -> tuple:
+                  workspace: _Workspace, fns=None, helper=None) -> tuple:
     """``(train_loss, test_error)`` of ``point`` over the whole of both
-    splits, forwarded in ``workspace``. ``fns`` is the ``(mean_loss,
-    forward)`` to call, by default this module's."""
+    splits, forwarded in ``workspace`` and split with ``helper`` if given.
+    ``fns`` is the ``(mean_loss, forward)`` to call, by default this
+    module's."""
     mean_loss_of, forward_of = fns or (mean_loss, forward)
     train_loss = mean_loss_of(point, train.inputs, train.labels, l2_coeff,
-                              workspace=workspace).total
-    preds = np.argmax(forward_of(point, test.inputs, workspace=workspace), axis=1)
-    return train_loss, float(np.mean(preds != test.labels))
+                              workspace=workspace, helper=helper).total
+    logits = forward_of(point, test.inputs, workspace=workspace, helper=helper)
+    return train_loss, float(np.mean(np.argmax(logits, axis=1) != test.labels))
 
 
 def _series_summary(series: np.ndarray) -> dict:

@@ -222,7 +222,8 @@ class _MemberScorer:
 def run(cfg: ExperimentConfig, w0: Checkpoint):
     """Train the configured algorithm, persist members, write the report.
     Each member is scored on the test split by a ``_MemberScorer`` on a
-    ``_BackgroundThread`` as soon as it is collected, while training goes on.
+    ``_BackgroundThread`` as soon as it is collected, while training goes on;
+    while it scores, training steps do not split their wide layers.
 
     Returns ``(EnsembleSet, report dict)``.
     """
@@ -249,7 +250,8 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
         ensemble, _ = _drive(w0.weights, opt, batches(train, cfg.batch_size, cfg.seed),
                              budget.total_iters, partial(lr_at, sched), sched.cycle_len, period,
                              average, l2_coeff=opt_cfg["l2_coeff"],
-                             on_member=lambda member, _: thread.submit(scorer.score, member))
+                             on_member=lambda member, _: thread.submit(scorer.score, member),
+                             busy=thread.busy)
 
     run_dir = cfg.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)

@@ -8,8 +8,10 @@ bias ``b_l`` of length sizes[l+1]. Hidden layers apply the configured
 activation; the output layer is linear and produces logits.
 """
 
+import contextvars
 import queue
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -188,23 +190,46 @@ class _BackgroundThread:
     The calls must enter no name that a tracer wraps in ``harness``,
     ``training`` or ``connectivity``: such a tracer keeps one span stack, for
     the main thread alone. So they call ``nn`` and ``metrics`` directly. As a
-    context manager it starts the thread on entry and joins it on exit. An
-    exception leaving the block cancels the calls still queued. Without one,
-    the first error a call raised is raised on exit, and the calls queued
-    after it do not run."""
+    context manager it starts the thread on entry and joins it on exit; the
+    calls run in a copy of the context the block was entered in, so numpy's
+    error state there holds for them too. An exception leaving the block
+    cancels the calls still queued. Without one, the first error a call
+    raised is raised on exit, and the calls queued after it do not run;
+    ``wait`` raises it as soon as it is known."""
 
     def __init__(self, name: str):
         self.results = []
         self._queue = queue.SimpleQueue()
         self._error = None
-        self._thread = threading.Thread(target=self._work, name=name)
+        self._pending = 0
+        self._idle = threading.Condition()
+        self._name = name
 
     def __enter__(self):
+        self._thread = threading.Thread(target=contextvars.copy_context().run,
+                                        args=(self._work,), name=self._name)
         self._thread.start()
         return self
 
     def submit(self, call, *args) -> None:
+        with self._idle:
+            self._pending += 1
         self._queue.put(partial(call, *args))
+
+    def busy(self) -> bool:
+        """Whether a call is queued or running."""
+        return self._pending > 0
+
+    def wait(self) -> list:
+        """Block until every call submitted so far has run, and return what
+        they returned, which ``results`` then no longer holds; raise the
+        first error a call raised instead."""
+        with self._idle:
+            self._idle.wait_for(lambda: not self._pending)
+        if self._error is not None:
+            raise self._error
+        results, self.results = self.results, []
+        return results
 
     def _work(self) -> None:
         while (call := self._queue.get()) is not None:
@@ -213,6 +238,9 @@ class _BackgroundThread:
                     self.results.append(call())
             except Exception as exc:
                 self._error = exc
+            with self._idle:
+                self._pending -= 1
+                self._idle.notify()
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._error = exc or self._error  # an error in the block cancels what is queued
@@ -225,14 +253,28 @@ class _BackgroundThread:
 # Each output column of a gemm is its own dot products, so a layer computed
 # as two gemms over its left and right columns can have the bits of one gemm
 # (row halves do not). With OpenBLAS's SkylakeX kernel that holds when both
-# the width and the split point are multiples of 8: the last ``width % 8``
-# columns of a gemm come out differently. A full-split forward on the main
-# thread computes the right columns of a layer at least this wide and this
-# large on a helper thread; smaller layers lose more to the thread than they
-# gain. Forwards on a background thread never split: they run beside
-# training, which keeps the other core busy.
+# the width and the split point are multiples of 8 (the last ``width % 8``
+# columns of a gemm come out differently) and when each half stays off the
+# small-matrix path, which halves of 5-9 rows x 784 x 256 took. A loop handed
+# a helper thread splits the work of a layer at least this wide and this
+# large with it; smaller layers lose more to the handoff than they gain.
 _SPLIT_COLUMNS = 256
-_SPLIT_MULTIPLY_ADDS = 2**26
+_SPLIT_MULTIPLY_ADDS = 2**23
+
+
+def _split_point(rows, fan_in: int, fan_out: int) -> int:
+    """The output column at which a ``fan_in`` x ``fan_out`` layer on
+    ``rows`` rows splits between two threads, or 0 if it stays whole."""
+    wide = fan_out >= _SPLIT_COLUMNS and fan_out % 8 == 0
+    return fan_out // 16 * 8 if wide and rows * fan_in * fan_out >= _SPLIT_MULTIPLY_ADDS else 0
+
+
+def _split_helper(spec: LayerSpec, rows=float("inf")):
+    """A ``_BackgroundThread`` to split ``spec``'s layers on ``rows`` rows
+    with, or, if none of them would split, a context that gives None. By
+    default a layer counts if it splits on enough rows."""
+    split = any(_split_point(rows, *shape) for shape in zip(spec.sizes[:-1], spec.sizes[1:]))
+    return _BackgroundThread("pfge-layer-half") if split else nullcontext()
 
 
 def _dense(h: np.ndarray, W: np.ndarray, b: np.ndarray, activation, out=None) -> np.ndarray:
@@ -247,26 +289,24 @@ def _dense(h: np.ndarray, W: np.ndarray, b: np.ndarray, activation, out=None) ->
     return out
 
 
-def _forward(layers, x: np.ndarray, activation: str, acts=None, workspace=None) -> np.ndarray:
+def _forward(layers, x: np.ndarray, activation: str, acts=None, workspace=None,
+             helper=None) -> np.ndarray:
     """Logits of ``x``; each hidden layer's output is appended to ``acts`` if
     given, and written into ``workspace`` if given instead of fresh arrays.
-    Only a workspace forward on the main thread splits a layer's columns."""
+    Given a ``helper`` thread, a layer at a ``_split_point`` computes its
+    right columns on it."""
     h = x
-    last = len(layers) - 1
-    split = workspace is not None and threading.current_thread() is threading.main_thread()
+    rows, last = x.shape[0], len(layers) - 1
     for idx, (W, b) in enumerate(layers):
         act = activation if idx < last else None
-        out = None if workspace is None else workspace.out(idx, x.shape[0])
-        fan_out = W.shape[1]
-        if split and fan_out >= _SPLIT_COLUMNS and fan_out % 8 == 0 and (
-                x.shape[0] * W.size >= _SPLIT_MULTIPLY_ADDS):
-            m = fan_out // 16 * 8
-            with _BackgroundThread("pfge-layer-half") as half:
-                half.submit(_dense, h, W[:, m:], b[m:], act, out[:, m:])
-                _dense(h, W[:, :m], b[:m], act, out[:, :m])
-            h = out
-        else:
-            h = _dense(h, W, b, act, out)
+        out = None if workspace is None else workspace.out(idx, rows)
+        m = 0 if helper is None else _split_point(rows, *W.shape)
+        if m:
+            out = np.empty((rows, W.shape[1])) if out is None else out
+            helper.submit(_dense, h, W[:, m:], b[m:], act, out[:, m:])
+            _dense(h, W[:, :m], b[:m], act, out[:, :m])
+            helper.wait()
+        h = out if m else _dense(h, W, b, act, out)
         if idx == last:
             return h
         if acts is not None:
@@ -335,9 +375,10 @@ def _l2_penalty(layers, l2_coeff: float) -> float:
     return 0.0
 
 
-def forward(w: ModelWeights, inputs: np.ndarray, *, workspace=None) -> np.ndarray:
+def forward(w: ModelWeights, inputs: np.ndarray, *, workspace=None, helper=None) -> np.ndarray:
     """Compute logits, shape (batch, classes). Given a ``_Workspace`` for
-    ``w.spec``, the logits are a view of its buffer, valid until its next use."""
+    ``w.spec``, the logits are a view of its buffer, valid until its next use.
+    Given a ``helper`` thread, wide layers are split with it."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w.spec.sizes[0]:
         raise ShapeError(
@@ -348,7 +389,7 @@ def forward(w: ModelWeights, inputs: np.ndarray, *, workspace=None) -> np.ndarra
             f"a workspace for {workspace.rows} rows of {workspace.spec.sizes} cannot "
             f"hold {x.shape[0]} rows of {w.spec.sizes}"
         )
-    return _forward(unpack(w), x, w.spec.activation, workspace=workspace)
+    return _forward(unpack(w), x, w.spec.activation, workspace=workspace, helper=helper)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -381,7 +422,11 @@ class _GradStep:
     gradient vector ``grad`` never move: their layer views, and the row
     index of each batch size, are built once, not per step. Calling it on a
     batch checks the batch, writes the gradient into ``grad`` and returns
-    ``(data_loss, l2_penalty)`` as floats."""
+    ``(data_loss, l2_penalty)`` as floats. Given a ``helper`` thread, a layer
+    at a ``_split_point`` shares its work with it: the forward's right
+    columns; at the first layer the weight gradient's right columns; at any
+    other layer the whole weight gradient, beside the main thread's
+    ``delta @ W.T``. Every piece is a whole gemm or whole columns of one."""
 
     def __init__(self, spec: LayerSpec, values: np.ndarray, grad: np.ndarray,
                  l2_coeff: float):
@@ -391,7 +436,7 @@ class _GradStep:
         self.layers, self.grad_layers = _layer_views(spec, values), _layer_views(spec, grad)
         self.rows = {}
 
-    def __call__(self, batch: Batch):
+    def __call__(self, batch: Batch, helper=None):
         # A driver accepts any stream of batches, so each one is checked: a
         # negative label would otherwise wrap around silently.
         _check_batch(self.spec, batch)
@@ -401,7 +446,7 @@ class _GradStep:
         if rows is None:
             rows = self.rows[n] = np.arange(n)
         acts = [x]
-        logits = _forward(layers, x, activation, acts)
+        logits = _forward(layers, x, activation, acts, helper=helper)
         data_loss, delta, row_sums = _cross_entropy(logits, labels, rows)
 
         # Softmax minus the one-hot labels, over the batch size.
@@ -412,17 +457,34 @@ class _GradStep:
         for idx in range(len(layers) - 1, -1, -1):
             W, _ = layers[idx]
             dW, db = self.grad_layers[idx]
-            np.matmul(acts[idx].T, delta, out=dW)
-            np.add.reduce(delta, axis=0, out=db)
-            if l2_coeff > 0.0:
-                dW += l2_coeff * W
+            m = helper and _split_point(n, *W.shape)
+            if not m:
+                _param_grad(acts[idx], delta, W, dW, db, l2_coeff)
+            elif idx:  # the whole gradient, beside ``delta @ W.T`` below
+                helper.submit(_param_grad, acts[idx], delta, W, dW, db, l2_coeff)
+            else:  # the right columns on the helper, the left ones here
+                helper.submit(_param_grad, acts[0], delta, W, dW, db, l2_coeff, slice(m, None))
+                _param_grad(acts[0], delta, W, dW, db, l2_coeff, slice(None, m))
             if idx > 0:
                 delta = delta @ W.T
                 if activation == "relu":
                     delta *= acts[idx] > 0.0
                 else:
                     delta *= 1.0 - acts[idx] ** 2
+            if m:
+                helper.wait()
         return data_loss, _l2_penalty(layers, l2_coeff)
+
+
+def _param_grad(acts, delta, W, dW, db, l2_coeff: float, cols=None) -> None:
+    """Write a layer's gradient, only its columns ``cols`` if given: ``dW =
+    acts.T @ delta + l2_coeff * W`` and ``db`` the column sums of ``delta``."""
+    if cols is not None:
+        delta, W, dW, db = delta[:, cols], W[:, cols], dW[:, cols], db[cols]
+    np.matmul(acts.T, delta, out=dW)
+    np.add.reduce(delta, axis=0, out=db)
+    if l2_coeff > 0.0:
+        dW += l2_coeff * W
 
 
 def _grad_step(spec: LayerSpec, values: np.ndarray, grad: np.ndarray, l2_coeff: float,
@@ -434,7 +496,7 @@ def _grad_step(spec: LayerSpec, values: np.ndarray, grad: np.ndarray, l2_coeff: 
     if loss_grad_fn is None:
         return _GradStep(spec, values, grad, l2_coeff)
 
-    def step(batch: Batch):
+    def step(batch: Batch, helper=None):
         value, step_grad = loss_grad_fn(ModelWeights(spec, values), batch)
         step_grad = np.asarray(step_grad, dtype=np.float64)
         if step_grad.shape != grad.shape:
@@ -465,13 +527,13 @@ def _check_batch(spec: LayerSpec, batch: Batch) -> None:
 
 
 def mean_loss(w: ModelWeights, inputs: np.ndarray, labels: np.ndarray, l2_coeff: float = 0.0,
-              *, workspace=None) -> LossValue:
+              *, workspace=None, helper=None) -> LossValue:
     """Loss over a full input matrix without computing gradients; the inputs
-    and labels are checked as a training batch is. ``workspace`` is passed on
-    to ``forward``."""
+    and labels are checked as a training batch is. ``workspace`` and
+    ``helper`` are passed on to ``forward``."""
     batch = Batch(inputs, labels)
     _check_batch(w.spec, batch)
-    logits = forward(w, batch.inputs, workspace=workspace)
+    logits = forward(w, batch.inputs, workspace=workspace, helper=helper)
     data_loss = _cross_entropy(logits, batch.labels, np.arange(len(batch)))[0]
     return LossValue(data_loss, _l2_penalty(unpack(w), l2_coeff))
 

@@ -22,9 +22,17 @@ period ``P``, onto its rule::
 Drivers are deterministic given (initial weights, schedule, batch stream,
 optimizer state): rerunning with the same inputs reproduces every iterate
 bit-for-bit.
+
+A loop with the built-in gradient on a model with a wide layer (see
+``nn._split_point``) runs on two cores: it opens one helper thread for its
+whole run, and the main thread hands it half of each step's work, a wide
+layer's right columns or its weight gradient, and the second half of each
+SGD update, waiting for it before moving on. Every half is whole columns of
+a gemm or elementwise, so the iterates have the bits of a one-thread loop.
 """
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional
@@ -32,7 +40,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError, ShapeError
-from .nn import Batch, ModelWeights, _grad_step, _softmax_inplace, _Workspace, forward
+from .nn import (Batch, ModelWeights, _grad_step, _softmax_inplace, _split_helper, _Workspace,
+                 forward)
 # Not called here, but importable from this module for callers (and
 # perfbench's tracer) that look it up under this name.
 from .nn import loss_and_grad  # noqa: F401
@@ -114,11 +123,27 @@ class RunTrace:
 _BLOCK = 1 << 15
 
 
-def _sgd_update(w, velocity, grad, alpha, momentum, weight_decay, scratch) -> bool:
+def _sgd_update(w, velocity, grad, alpha, momentum, weight_decay, scratch,
+                helper=None) -> bool:
     """In place: ``velocity <- momentum*velocity + (grad + weight_decay*w)``,
     then ``w <- w - alpha*velocity``, block by block; ``scratch`` holds at
     least ``min(w.size, _BLOCK)`` elements. Returns whether every updated
-    weight is finite, checked while each block is still in cache."""
+    weight is finite, checked while each block is still in cache. Given a
+    ``helper`` thread and a ``scratch`` of two blocks, a vector of at least
+    two blocks is updated in two halves at a block boundary, the second on
+    the helper in the second block; the update is elementwise, so the bits
+    are the same."""
+    mid = 0 if helper is None else w.size // 2 // _BLOCK * _BLOCK
+    if not mid:
+        return _update_blocks(w, velocity, grad, alpha, momentum, weight_decay, scratch)
+    right, args = slice(mid, None), (alpha, momentum, weight_decay)
+    helper.submit(_update_blocks, w[right], velocity[right], grad[right], *args, scratch[_BLOCK:])
+    finite = _update_blocks(w[:mid], velocity[:mid], grad[:mid], *args, scratch)
+    return all([finite, *helper.wait()])
+
+
+def _update_blocks(w, velocity, grad, alpha, momentum, weight_decay, scratch) -> bool:
+    """``_sgd_update`` of the whole of ``w`` on the calling thread."""
     finite = True
     for lo in range(0, w.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
@@ -180,7 +205,8 @@ def running_average_update(w_avg: ModelWeights, n_models: int, w: ModelWeights) 
 def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iters: int,
            lr: Callable[[int], float], cycle_len: int, period: int, average: bool = False,
            loss_grad_fn: Optional[LossGradFn] = None, l2_coeff: float = 0.0,
-           on_member: Optional[Callable[[ModelWeights, int], None]] = None):
+           on_member: Optional[Callable[[ModelWeights, int], None]] = None,
+           busy: Optional[Callable[[], bool]] = None):
     """Run ``n_iters`` SGD steps from ``w0`` with step size ``lr(i)`` under the
     ``(average, period)`` rule of the module docstring; ``period`` is a
     multiple of ``cycle_len``, and every multiple of ``cycle_len`` is a cycle
@@ -189,7 +215,11 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
     a frozen copy of the weights. Numpy warnings are off in the loop: a
     non-finite loss or weight raises ``NumericError`` naming the iteration.
     ``on_member(weights, recorded_at)``, if given, is called with each member
-    (a frozen copy) as it is collected; what it raises stops the loop.
+    (a frozen copy) as it is collected; what it raises stops the loop. A
+    stream that runs out first raises ``InvalidArgumentError``. The built-in
+    step of a model with a wide layer shares each step's and each update's
+    work with one helper thread, which lives as long as the loop, except
+    while ``busy()``, if given, says the second core has other work.
     Returns ``(EnsembleSet, trace)``.
     """
     spec = w0.spec
@@ -198,22 +228,26 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
         raise ShapeError(f"velocity shape {velocity.shape} != weights {w.shape}")
     avg = w0.values.copy() if average else None
     n_models = 1
-    grad, scratch = np.empty_like(w), np.empty(min(w.size, _BLOCK))
+    grad = np.empty_like(w)
     step = _grad_step(spec, w, grad, l2_coeff, loss_grad_fn)
     lrs, losses = np.empty(n_iters), np.empty(n_iters)
     cycle_end_iters, members = [], []
-    batch_iter = iter(stream)
-    with np.errstate(all="ignore"):
-        for i in range(1, n_iters + 1):
+    i = 0
+    with np.errstate(all="ignore"), (
+            nullcontext() if loss_grad_fn is not None else _split_helper(spec)) as helper:
+        # The helper's half of the update gets a block of its own.
+        scratch = np.empty(min(w.size, _BLOCK) * (1 if helper is None else 2))
+        for i, batch in zip(range(1, n_iters + 1), stream):
             alpha = lr(i)
-            data_loss, l2_penalty = step(next(batch_iter))
+            half = None if busy is not None and busy() else helper
+            data_loss, l2_penalty = step(batch, half)
             loss = data_loss + l2_penalty
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at iteration {i}")
             lrs[i - 1] = alpha
             losses[i - 1] = loss
             if not _sgd_update(w, velocity, grad, alpha, opt.momentum,
-                               opt.weight_decay, scratch):
+                               opt.weight_decay, scratch, half):
                 raise NumericError(f"non-finite weights after SGD update (iteration {i})")
             if i % cycle_len:
                 continue
@@ -228,6 +262,8 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
                 if average:
                     w[...] = avg
                     n_models = 1
+    if i < n_iters:
+        raise InvalidArgumentError(f"the batch stream ran out at iteration {i + 1}")
     trace = RunTrace(np.arange(1, n_iters + 1), lrs, losses, tuple(cycle_end_iters))
     return EnsembleSet(*zip(*members)), trace
 
@@ -319,11 +355,14 @@ def ensemble_predict(ensemble: EnsembleSet, inputs: np.ndarray, last_k: Optional
     else:
         members = ensemble.members
     x = np.asarray(inputs, dtype=np.float64)
-    # Every member's forward writes into one workspace.
+    # Every member's forward writes into one workspace and splits its wide
+    # layers with one helper thread.
     workspace = _Workspace(members[0].spec, x.shape[0] if x.ndim == 2 else 0)
     total = None
-    for member in members:
-        total = _accumulate(total, _softmax_inplace(forward(member, x, workspace=workspace)))
+    with _split_helper(workspace.spec, workspace.rows) as helper:
+        for member in members:
+            logits = forward(member, x, workspace=workspace, helper=helper)
+            total = _accumulate(total, _softmax_inplace(logits))
     total /= len(members)
     return total, np.argmax(total, axis=1)
 

@@ -139,6 +139,12 @@ class TestTrainCurve:
         expected = start.controls[1].values - lr * coeffs[1] * grad
         assert np.max(np.abs(curve.controls[1].values - expected)) < 1e-12
 
+    def test_a_stream_that_runs_out_names_the_iteration(self):
+        w0 = init_model(LayerSpec((2, 4, 2)), 1)
+        b = Batch(np.zeros((3, 2)), np.zeros(3, dtype=int))
+        with pytest.raises(InvalidArgumentError, match="ran out at iteration 2"):
+            train_curve(w0, w0, 2, 5, [b], 0.1, 1)
+
     def test_endpoints_untouched_after_training(self):
         a = init_model(LayerSpec((2, 4, 2)), 7)
         b = init_model(LayerSpec((2, 4, 2)), 8)

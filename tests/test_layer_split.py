@@ -1,12 +1,15 @@
-"""A full-split forward on the main thread computes the right columns of a
-wide layer on a helper thread. The logits must equal an unsplit forward's
-bit for bit, an error in the helper's half must reach the caller unchanged
-with no thread left behind, and forwards that already run on a background
-thread (the run's member scorer, the curve's endpoint scorer) never split."""
+"""A loop handed a helper thread splits the work of each wide layer with it:
+a forward computes a layer's right columns there, and a training step also
+its weight gradients and half of the SGD update. Logits, gradients, members
+and traces must equal the unsplit ones bit for bit, an error in the helper's
+half must reach the caller unchanged with no thread left behind, and
+forwards that already run on a background thread (the run's member scorer,
+the curve's endpoint scorer) never split."""
 
+import itertools
 import json
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -14,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfge import harness, nn
+from pfge import harness, nn, training
 from pfge.config import config_from_dict
-from pfge.training import EnsembleSet, ensemble_predict
+from pfge.schedule import BudgetSpec, LrSchedule, lr_at
+from pfge.training import EnsembleSet, MomentumState, ensemble_predict
 from test_golden import CURVE_VARIANTS, golden_doc
 
 
@@ -48,7 +52,7 @@ def splits(calls) -> int:
 @st.composite
 def wide_forwards(draw):
     """Two layers whose first is on either side of the split's size bound:
-    ``rows * fan_in * fan_out`` within a few rows of 2**26, odd widths and
+    ``rows * fan_in * fan_out`` within a few rows of 2**23, odd widths and
     widths that are not multiples of 8 included."""
     fan_in = draw(st.integers(64, 300))
     # Half the widths are multiples of 8, which split above the bound.
@@ -75,10 +79,86 @@ def test_split_forward_equals_unsplit_bit_for_bit(case):
     weights = nn.ModelWeights(spec, rng.normal(0.0, 0.1, spec.param_count))
     x = rng.normal(size=(rows, spec.sizes[0]))
     layers = nn.unpack(weights)
-    with dense_calls() as calls:
-        split = nn._forward(layers, x, spec.activation, workspace=nn._Workspace(spec, rows))
+    workspace = nn._Workspace(spec, rows)
+    with dense_calls() as calls, nn._BackgroundThread("pfge-layer-half") as helper:
+        split = nn._forward(layers, x, spec.activation, workspace=workspace, helper=helper)
     assert splits(calls) == expected_splits(spec, rows)
     assert split.tobytes() == nn._forward(layers, x, spec.activation).tobytes()
+    # Without a helper a forward never splits, in a workspace or not.
+    with dense_calls() as calls:
+        nn._forward(layers, x, spec.activation, workspace=workspace)
+    assert splits(calls) == 0
+
+
+@st.composite
+def wide_steps(draw):
+    """A model whose hidden widths are 256-520, half of them not multiples
+    of 8, behind a 784-wide input, and a batch of 1-300 rows: a few rows
+    often, where halves of a 784-input layer would take OpenBLAS's
+    small-matrix path and must not split, and up to a stream's full or
+    short last batch."""
+    widths = st.one_of(st.integers(32, 65).map(lambda n: 8 * n), st.integers(256, 520))
+    hidden = (draw(widths), draw(widths))
+    classes = draw(st.sampled_from([2, 10, 256]))
+    activation = draw(st.sampled_from(nn.ACTIVATIONS))
+    rows = draw(st.one_of(st.integers(1, 16), st.integers(1, 300)))
+    l2_coeff = draw(st.sampled_from([0.0, 1e-3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return nn.LayerSpec((784, *hidden, classes), activation), rows, l2_coeff, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=wide_steps())
+def test_split_step_equals_unsplit_bit_for_bit(case):
+    spec, rows, l2_coeff, seed = case
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 0.05, spec.param_count)
+    batch = nn.Batch(rng.normal(size=(rows, 784)), rng.integers(0, spec.n_classes, rows))
+    whole, split = np.empty(spec.param_count), np.empty(spec.param_count)
+    expected = nn._GradStep(spec, values, whole, l2_coeff)(batch)
+    with dense_calls() as calls, nn._BackgroundThread("pfge-layer-half") as helper:
+        got = nn._GradStep(spec, values, split, l2_coeff)(batch, helper)
+    assert splits(calls) == expected_splits(spec, rows)
+    assert got == expected
+    assert split.tobytes() == whole.tobytes()
+
+
+# Both hidden layers split at 128 rows, the output layer stays whole, and
+# the 147,554 parameters update in two halves. The stream's third batch is
+# a short one of 44 rows, at which only the first layer splits.
+WIDE_SPEC = nn.LayerSpec((300, 256, 264, 10))
+
+
+def wide_stream(seed: int):
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(300, 300)), rng.integers(0, 10, 300)
+    return itertools.cycle([nn.Batch(x[lo:lo + 128], y[lo:lo + 128]) for lo in (0, 128, 256)])
+
+
+@pytest.mark.parametrize("algorithm", ["sgd", "swa", "fge", "pfge"])
+def test_split_drive_equals_unsplit_bit_for_bit(algorithm):
+    sched = LrSchedule(0.05, 0.005, 2)
+    average, period = training._collection_rule(algorithm, sched, BudgetSpec(8, 4))
+    w0 = nn.init_model(WIDE_SPEC, 3)
+    opt = MomentumState.initial(w0, 0.9, 5e-4)
+
+    def drive():
+        return training._drive(w0, opt, wide_stream(3), 8, lambda i: lr_at(sched, i),
+                               sched.cycle_len, period, average, l2_coeff=1e-3)
+
+    with dense_calls() as calls:
+        ensemble, trace = drive()
+    assert splits(calls) > 0
+    with mock.patch.object(training, "_split_helper", lambda spec: nullcontext()), \
+            dense_calls() as calls:
+        whole, whole_trace = drive()
+    assert splits(calls) == 0
+    assert ensemble.recorded_at == whole.recorded_at
+    assert [m.values.tobytes() for m in ensemble.members] == [
+        m.values.tobytes() for m in whole.members]
+    assert trace.lrs.tobytes() == whole_trace.lrs.tobytes()
+    assert trace.losses.tobytes() == whole_trace.losses.tobytes()
+    assert trace.cycle_end_iters == whole_trace.cycle_end_iters
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +188,7 @@ def test_evaluate_and_connectivity_split_and_join(wide_run):
     threads = threading.active_count()
     with dense_calls() as calls:
         harness.evaluate(cfg)
-    # Three members; only the 256x256 layer reaches 2**26 multiply-adds.
+    # Three members; only the 256x256 layer reaches 2**23 multiply-adds.
     assert splits(calls) == 3
     assert max(live for _, _, live in calls) == threads + 1
     assert threading.active_count() == threads

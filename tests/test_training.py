@@ -290,6 +290,12 @@ class TestRunFge:
             run_fge(w0, LrSchedule(1.0, 0.5, 2), 2, dummy_stream(), plain_state(w0),
                     loss_grad_fn=wrong_shape)
 
+    def test_a_stream_that_runs_out_names_the_iteration(self):
+        w0 = init_model(LayerSpec((2, 4, 2)), 2)
+        b = Batch(np.zeros((3, 2)), np.zeros(3, dtype=int))
+        with pytest.raises(InvalidArgumentError, match="ran out at iteration 3"):
+            run_fge(w0, LrSchedule(0.1, 0.01, 2), 4, [b, b], plain_state(w0))
+
     def test_members_match_trace_bitwise(self):
         ds = gen_two_spirals(16, noise_sd=0.1, seed=4)
         w0 = init_model(LayerSpec((2, 6, 2)), 4)
