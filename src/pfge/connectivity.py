@@ -240,8 +240,8 @@ def _point_scores(point: ModelWeights, train: Dataset, test: Dataset, l2_coeff: 
     mean_loss_of, forward_of = fns or (mean_loss, forward)
     train_loss = mean_loss_of(point, train.inputs, train.labels, l2_coeff,
                               workspace=workspace, helper=helper).total
-    logits = forward_of(point, test.inputs, workspace=workspace, helper=helper)
-    return train_loss, float(np.mean(np.argmax(logits, axis=1) != test.labels))
+    preds = np.argmax(forward_of(point, test.inputs, workspace=workspace, helper=helper), axis=1)
+    return train_loss, float(np.mean(preds != test.labels))
 
 
 def _series_summary(series: np.ndarray) -> dict:

@@ -222,8 +222,11 @@ class _MemberScorer:
 def run(cfg: ExperimentConfig, w0: Checkpoint):
     """Train the configured algorithm, persist members, write the report.
     Each member is scored on the test split by a ``_MemberScorer`` on a
-    ``_BackgroundThread`` as soon as it is collected, while training goes on;
-    while it scores, training steps do not split their wide layers.
+    ``_BackgroundThread`` as soon as it is collected, while training goes on.
+    Training steps split their wide layers (see ``nn._split_point``) only if
+    the scorer leaves the second core idle for most of each collection
+    period: a step costs about three forwards of its batch, so one member's
+    scoring takes the share ``len(test) / (3 * period * batch_size)``.
 
     Returns ``(EnsembleSet, report dict)``.
     """
@@ -251,7 +254,7 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
                              budget.total_iters, partial(lr_at, sched), sched.cycle_len, period,
                              average, l2_coeff=opt_cfg["l2_coeff"],
                              on_member=lambda member, _: thread.submit(scorer.score, member),
-                             busy=thread.busy)
+                             split=2 * len(test) <= 3 * period * cfg.batch_size)
 
     run_dir = cfg.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)

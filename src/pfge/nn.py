@@ -8,12 +8,13 @@ bias ``b_l`` of length sizes[l+1]. Hidden layers apply the configured
 activation; the output layer is linear and produces logits.
 """
 
-import contextvars
+import ctypes
 import queue
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 
 import numpy as np
 
@@ -191,11 +192,10 @@ class _BackgroundThread:
     ``training`` or ``connectivity``: such a tracer keeps one span stack, for
     the main thread alone. So they call ``nn`` and ``metrics`` directly. As a
     context manager it starts the thread on entry and joins it on exit; the
-    calls run in a copy of the context the block was entered in, so numpy's
-    error state there holds for them too. An exception leaving the block
-    cancels the calls still queued. Without one, the first error a call
-    raised is raised on exit, and the calls queued after it do not run;
-    ``wait`` raises it as soon as it is known."""
+    calls run under numpy's error state as it was on entry. An exception
+    leaving the block cancels the calls still queued. Without one, the first
+    error a call raised is raised on exit, and the calls queued after it do
+    not run; ``wait`` raises it as soon as it is known."""
 
     def __init__(self, name: str):
         self.results = []
@@ -203,11 +203,10 @@ class _BackgroundThread:
         self._error = None
         self._pending = 0
         self._idle = threading.Condition()
-        self._name = name
+        self._thread = threading.Thread(target=self._work, name=name)
 
     def __enter__(self):
-        self._thread = threading.Thread(target=contextvars.copy_context().run,
-                                        args=(self._work,), name=self._name)
+        self._errstate = np.geterr()
         self._thread.start()
         return self
 
@@ -216,31 +215,27 @@ class _BackgroundThread:
             self._pending += 1
         self._queue.put(partial(call, *args))
 
-    def busy(self) -> bool:
-        """Whether a call is queued or running."""
-        return self._pending > 0
-
-    def wait(self) -> list:
-        """Block until every call submitted so far has run, and return what
-        they returned, which ``results`` then no longer holds; raise the
-        first error a call raised instead."""
+    def wait(self) -> None:
+        """Block until every call submitted so far has run and drop what
+        they returned from ``results``; raise the first error a call raised
+        instead."""
         with self._idle:
             self._idle.wait_for(lambda: not self._pending)
         if self._error is not None:
             raise self._error
-        results, self.results = self.results, []
-        return results
+        self.results.clear()
 
     def _work(self) -> None:
-        while (call := self._queue.get()) is not None:
-            try:
-                if self._error is None:
-                    self.results.append(call())
-            except Exception as exc:
-                self._error = exc
-            with self._idle:
-                self._pending -= 1
-                self._idle.notify()
+        with np.errstate(**self._errstate):
+            while (call := self._queue.get()) is not None:
+                try:
+                    if self._error is None:
+                        self.results.append(call())
+                except Exception as exc:
+                    self._error = exc
+                with self._idle:
+                    self._pending -= 1
+                    self._idle.notify()
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._error = exc or self._error  # an error in the block cancels what is queued
@@ -260,6 +255,33 @@ class _BackgroundThread:
 # large with it; smaller layers lose more to the handoff than they gain.
 _SPLIT_COLUMNS = 256
 _SPLIT_MULTIPLY_ADDS = 2**23
+# The OpenBLAS kernels under which such halves were checked to have the bits
+# of the whole gemm, all with one BLAS thread. With more, OpenBLAS gives each
+# thread a share of the rows or of the columns, whichever is longer, and
+# Haswell computes a share's last rows in another order, so a layer and its
+# halves can differ. Elsewhere no loop gets a helper.
+_EXACT_SPLIT_CORES = ("SkylakeX", "Haswell", "Sandybridge")
+
+
+@cache
+def _openblas(name: str, restype=ctypes.c_int):
+    """OpenBLAS's ``openblas_<name>()`` as numpy loaded it, returning
+    ``restype``, or None if numpy's BLAS is not OpenBLAS."""
+    maps = Path("/proc/self/maps")
+    lines = maps.read_text().splitlines() if maps.exists() else []
+    libs = sorted({line.split()[-1] for line in lines if "openblas" in line and "/" in line})
+    for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+        for lib in libs:
+            if (func := getattr(ctypes.CDLL(lib), symbol, None)) is not None:
+                func.restype = restype
+                return func
+
+
+def _splits_exactly() -> bool:
+    """Whether column halves of a gemm have its bits under numpy's BLAS as
+    it is set now: OpenBLAS on one thread with a kernel checked for it."""
+    core, threads = _openblas("get_corename", ctypes.c_char_p), _openblas("get_num_threads")
+    return core is not None and threads() == 1 and core().decode() in _EXACT_SPLIT_CORES
 
 
 def _split_point(rows, fan_in: int, fan_out: int) -> int:
@@ -271,10 +293,11 @@ def _split_point(rows, fan_in: int, fan_out: int) -> int:
 
 def _split_helper(spec: LayerSpec, rows=float("inf")):
     """A ``_BackgroundThread`` to split ``spec``'s layers on ``rows`` rows
-    with, or, if none of them would split, a context that gives None. By
-    default a layer counts if it splits on enough rows."""
+    with, or, if none of them would split or the BLAS in effect does not
+    split exactly, a context that gives None. By default a layer counts if
+    it splits on enough rows."""
     split = any(_split_point(rows, *shape) for shape in zip(spec.sizes[:-1], spec.sizes[1:]))
-    return _BackgroundThread("pfge-layer-half") if split else nullcontext()
+    return _BackgroundThread("pfge-layer-half") if split and _splits_exactly() else nullcontext()
 
 
 def _dense(h: np.ndarray, W: np.ndarray, b: np.ndarray, activation, out=None) -> np.ndarray:

@@ -24,11 +24,13 @@ optimizer state): rerunning with the same inputs reproduces every iterate
 bit-for-bit.
 
 A loop with the built-in gradient on a model with a wide layer (see
-``nn._split_point``) runs on two cores: it opens one helper thread for its
-whole run, and the main thread hands it half of each step's work, a wide
-layer's right columns or its weight gradient, and the second half of each
-SGD update, waiting for it before moving on. Every half is whole columns of
-a gemm or elementwise, so the iterates have the bits of a one-thread loop.
+``nn._split_point``) runs on two cores where OpenBLAS runs on one thread
+(see ``nn._splits_exactly``): it opens one helper thread for its whole run,
+and the main thread hands it half of each step's work, a wide layer's right
+columns or its weight gradient, waiting for it before moving on. Every half
+is a whole gemm or whole columns of one, and which steps split depends only
+on the shapes and the BLAS setting, never on timing, so the iterates have
+the bits of a one-thread loop.
 """
 
 import math
@@ -123,27 +125,11 @@ class RunTrace:
 _BLOCK = 1 << 15
 
 
-def _sgd_update(w, velocity, grad, alpha, momentum, weight_decay, scratch,
-                helper=None) -> bool:
+def _sgd_update(w, velocity, grad, alpha, momentum, weight_decay, scratch) -> bool:
     """In place: ``velocity <- momentum*velocity + (grad + weight_decay*w)``,
     then ``w <- w - alpha*velocity``, block by block; ``scratch`` holds at
     least ``min(w.size, _BLOCK)`` elements. Returns whether every updated
-    weight is finite, checked while each block is still in cache. Given a
-    ``helper`` thread and a ``scratch`` of two blocks, a vector of at least
-    two blocks is updated in two halves at a block boundary, the second on
-    the helper in the second block; the update is elementwise, so the bits
-    are the same."""
-    mid = 0 if helper is None else w.size // 2 // _BLOCK * _BLOCK
-    if not mid:
-        return _update_blocks(w, velocity, grad, alpha, momentum, weight_decay, scratch)
-    right, args = slice(mid, None), (alpha, momentum, weight_decay)
-    helper.submit(_update_blocks, w[right], velocity[right], grad[right], *args, scratch[_BLOCK:])
-    finite = _update_blocks(w[:mid], velocity[:mid], grad[:mid], *args, scratch)
-    return all([finite, *helper.wait()])
-
-
-def _update_blocks(w, velocity, grad, alpha, momentum, weight_decay, scratch) -> bool:
-    """``_sgd_update`` of the whole of ``w`` on the calling thread."""
+    weight is finite, checked while each block is still in cache."""
     finite = True
     for lo in range(0, w.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
@@ -206,7 +192,7 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
            lr: Callable[[int], float], cycle_len: int, period: int, average: bool = False,
            loss_grad_fn: Optional[LossGradFn] = None, l2_coeff: float = 0.0,
            on_member: Optional[Callable[[ModelWeights, int], None]] = None,
-           busy: Optional[Callable[[], bool]] = None):
+           split: bool = True):
     """Run ``n_iters`` SGD steps from ``w0`` with step size ``lr(i)`` under the
     ``(average, period)`` rule of the module docstring; ``period`` is a
     multiple of ``cycle_len``, and every multiple of ``cycle_len`` is a cycle
@@ -216,10 +202,9 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
     non-finite loss or weight raises ``NumericError`` naming the iteration.
     ``on_member(weights, recorded_at)``, if given, is called with each member
     (a frozen copy) as it is collected; what it raises stops the loop. A
-    stream that runs out first raises ``InvalidArgumentError``. The built-in
-    step of a model with a wide layer shares each step's and each update's
-    work with one helper thread, which lives as long as the loop, except
-    while ``busy()``, if given, says the second core has other work.
+    stream that runs out first raises ``InvalidArgumentError``. Unless
+    ``split`` is false, the built-in step of a model with a wide layer shares
+    each step's work with one helper thread, which lives as long as the loop.
     Returns ``(EnsembleSet, trace)``.
     """
     spec = w0.spec
@@ -228,26 +213,23 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
         raise ShapeError(f"velocity shape {velocity.shape} != weights {w.shape}")
     avg = w0.values.copy() if average else None
     n_models = 1
-    grad = np.empty_like(w)
+    grad, scratch = np.empty_like(w), np.empty(min(w.size, _BLOCK))
     step = _grad_step(spec, w, grad, l2_coeff, loss_grad_fn)
     lrs, losses = np.empty(n_iters), np.empty(n_iters)
     cycle_end_iters, members = [], []
     i = 0
     with np.errstate(all="ignore"), (
-            nullcontext() if loss_grad_fn is not None else _split_helper(spec)) as helper:
-        # The helper's half of the update gets a block of its own.
-        scratch = np.empty(min(w.size, _BLOCK) * (1 if helper is None else 2))
+            _split_helper(spec) if split and loss_grad_fn is None else nullcontext()) as helper:
         for i, batch in zip(range(1, n_iters + 1), stream):
             alpha = lr(i)
-            half = None if busy is not None and busy() else helper
-            data_loss, l2_penalty = step(batch, half)
+            data_loss, l2_penalty = step(batch, helper)
             loss = data_loss + l2_penalty
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at iteration {i}")
             lrs[i - 1] = alpha
             losses[i - 1] = loss
             if not _sgd_update(w, velocity, grad, alpha, opt.momentum,
-                               opt.weight_decay, scratch, half):
+                               opt.weight_decay, scratch):
                 raise NumericError(f"non-finite weights after SGD update (iteration {i})")
             if i % cycle_len:
                 continue

@@ -7,13 +7,12 @@ Haswell kernel forced. The "wide" variant's do, whether or not a layer is
 split, because a 256-wide gemm rounds differently under Haswell than under
 SkylakeX; so under Haswell, and under Sandybridge, whose kernel has no FMA,
 ``tests/test_layer_split.py`` checks instead that split forwards, training
-steps and loops have the bits of unsplit ones. Under Haswell that check runs
-with one BLAS thread: with two, OpenBLAS splits a gemm's rows between its
-threads or its columns, whichever dimension is longer, and Haswell computes
-the last rows of a share in another order, so a layer and its column halves
-can differ (already at 500 x 300 x 520) and so can one gemm run with one
-thread and with two. Where a pin fails, its message names OpenBLAS's kernel
-and numpy's CPU features."""
+steps and loops have the bits of unsplit ones. It runs at the default
+thread count, two on a two-core machine, at which a loop must not split:
+OpenBLAS then gives each thread a share of a gemm's rows or of its columns,
+whichever is longer, and Haswell computes the last rows of a share in
+another order, so a layer and its column halves can differ. Where a pin
+fails, its message names OpenBLAS's kernel and numpy's CPU features."""
 
 import os
 import subprocess
@@ -39,10 +38,9 @@ WIDE_PINS = [f"--deselect=tests/test_golden.py::{test}[wide]" for test in (
 
 @pytest.mark.parametrize("variables, core, tests", [
     ({"OPENBLAS_NUM_THREADS": "2"}, None, ["tests/test_golden.py", "tests/test_layer_split.py"]),
-    ({"OPENBLAS_CORETYPE": "Haswell"}, "Haswell", ["tests/test_golden.py", *WIDE_PINS]),
+    ({"OPENBLAS_CORETYPE": "Haswell"}, "Haswell",
+     ["tests/test_golden.py", *WIDE_PINS, "tests/test_layer_split.py"]),
     ({"OPENBLAS_CORETYPE": "Sandybridge"}, "Sandybridge", ["tests/test_layer_split.py"]),
-    ({"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}, "Haswell",
-     ["tests/test_layer_split.py"]),
 ])
 def test_pins_and_split_hold(tmp_path, variables, core, tests):
     src = str(ROOT / "src")

@@ -1,7 +1,9 @@
 """A loop handed a helper thread splits the work of each wide layer with it:
 a forward computes a layer's right columns there, and a training step also
-its weight gradients and half of the SGD update. Logits, gradients, members
-and traces must equal the unsplit ones bit for bit, an error in the helper's
+its weight gradients. A loop gets a helper only where OpenBLAS runs on one
+thread, and there logits, gradients, members and traces must equal the
+unsplit ones bit for bit; at the BLAS thread count in effect, whatever it
+is, a loop's members must equal a whole loop's. An error in the helper's
 half must reach the caller unchanged with no thread left behind, and
 forwards that already run on a background thread (the run's member scorer,
 the curve's endpoint scorer) never split."""
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import blas_threads
 from pfge import harness, nn, training
 from pfge.config import config_from_dict
 from pfge.schedule import BudgetSpec, LrSchedule, lr_at
@@ -80,10 +83,12 @@ def test_split_forward_equals_unsplit_bit_for_bit(case):
     x = rng.normal(size=(rows, spec.sizes[0]))
     layers = nn.unpack(weights)
     workspace = nn._Workspace(spec, rows)
-    with dense_calls() as calls, nn._BackgroundThread("pfge-layer-half") as helper:
+    with blas_threads(1), dense_calls() as calls, \
+            nn._BackgroundThread("pfge-layer-half") as helper:
         split = nn._forward(layers, x, spec.activation, workspace=workspace, helper=helper)
+        whole = nn._forward(layers, x, spec.activation)
     assert splits(calls) == expected_splits(spec, rows)
-    assert split.tobytes() == nn._forward(layers, x, spec.activation).tobytes()
+    assert split.tobytes() == whole.tobytes()
     # Without a helper a forward never splits, in a workspace or not.
     with dense_calls() as calls:
         nn._forward(layers, x, spec.activation, workspace=workspace)
@@ -115,17 +120,18 @@ def test_split_step_equals_unsplit_bit_for_bit(case):
     values = rng.normal(0.0, 0.05, spec.param_count)
     batch = nn.Batch(rng.normal(size=(rows, 784)), rng.integers(0, spec.n_classes, rows))
     whole, split = np.empty(spec.param_count), np.empty(spec.param_count)
-    expected = nn._GradStep(spec, values, whole, l2_coeff)(batch)
-    with dense_calls() as calls, nn._BackgroundThread("pfge-layer-half") as helper:
-        got = nn._GradStep(spec, values, split, l2_coeff)(batch, helper)
+    with blas_threads(1):
+        expected = nn._GradStep(spec, values, whole, l2_coeff)(batch)
+        with dense_calls() as calls, nn._BackgroundThread("pfge-layer-half") as helper:
+            got = nn._GradStep(spec, values, split, l2_coeff)(batch, helper)
     assert splits(calls) == expected_splits(spec, rows)
     assert got == expected
     assert split.tobytes() == whole.tobytes()
 
 
-# Both hidden layers split at 128 rows, the output layer stays whole, and
-# the 147,554 parameters update in two halves. The stream's third batch is
-# a short one of 44 rows, at which only the first layer splits.
+# Both hidden layers split at 128 rows and the output layer stays whole. The
+# stream's third batch is a short one of 44 rows, at which only the first
+# layer splits.
 WIDE_SPEC = nn.LayerSpec((300, 256, 264, 10))
 
 
@@ -135,8 +141,11 @@ def wide_stream(seed: int):
     return itertools.cycle([nn.Batch(x[lo:lo + 128], y[lo:lo + 128]) for lo in (0, 128, 256)])
 
 
+@pytest.mark.parametrize("threads", [1, None])
 @pytest.mark.parametrize("algorithm", ["sgd", "swa", "fge", "pfge"])
-def test_split_drive_equals_unsplit_bit_for_bit(algorithm):
+def test_split_drive_equals_unsplit_bit_for_bit(algorithm, threads):
+    # With one BLAS thread the loop splits; with the count in effect, it
+    # splits only if that count is one.
     sched = LrSchedule(0.05, 0.005, 2)
     average, period = training._collection_rule(algorithm, sched, BudgetSpec(8, 4))
     w0 = nn.init_model(WIDE_SPEC, 3)
@@ -146,12 +155,12 @@ def test_split_drive_equals_unsplit_bit_for_bit(algorithm):
         return training._drive(w0, opt, wide_stream(3), 8, lambda i: lr_at(sched, i),
                                sched.cycle_len, period, average, l2_coeff=1e-3)
 
-    with dense_calls() as calls:
+    with blas_threads(threads) if threads else nullcontext(), dense_calls() as calls:
         ensemble, trace = drive()
-    assert splits(calls) > 0
-    with mock.patch.object(training, "_split_helper", lambda spec: nullcontext()), \
-            dense_calls() as calls:
-        whole, whole_trace = drive()
+        assert (splits(calls) > 0) is nn._splits_exactly()
+        with mock.patch.object(training, "_split_helper", lambda spec: nullcontext()), \
+                dense_calls() as calls:
+            whole, whole_trace = drive()
     assert splits(calls) == 0
     assert ensemble.recorded_at == whole.recorded_at
     assert [m.values.tobytes() for m in ensemble.members] == [
@@ -186,13 +195,13 @@ def test_member_scorer_never_splits(wide_run):
 def test_evaluate_and_connectivity_split_and_join(wide_run):
     cfg, _ = wide_run
     threads = threading.active_count()
-    with dense_calls() as calls:
+    with blas_threads(1), dense_calls() as calls:
         harness.evaluate(cfg)
     # Three members; only the 256x256 layer reaches 2**23 multiply-adds.
     assert splits(calls) == 3
     assert max(live for _, _, live in calls) == threads + 1
     assert threading.active_count() == threads
-    with dense_calls() as calls:
+    with blas_threads(1), dense_calls() as calls:
         harness.connectivity_run(cfg)
     by_thread = {}
     for name, fan_out, _ in calls:
@@ -210,7 +219,7 @@ def test_helper_error_reaches_the_caller_unchanged(wide_run):
     test = harness.load_split(cfg, "test", harness.load_checkpoint(cfg.w0_path).standardization)
     member = harness.load_checkpoint(harness.member_checkpoint_paths(cfg.run_dir)[0]).weights
     threads = threading.active_count()
-    with dense_calls(fail_on_helper=True), pytest.raises(Injected) as caught:
+    with blas_threads(1), dense_calls(fail_on_helper=True), pytest.raises(Injected) as caught:
         ensemble_predict(EnsembleSet((member,), (1,)), test.inputs)
     assert type(caught.value) is Injected
     assert str(caught.value) == "the right half failed"
@@ -221,6 +230,6 @@ def test_helper_error_reaches_the_caller_unchanged(wide_run):
 def test_a_failed_half_leaves_no_thread(wide_run, verb):
     cfg, _ = wide_run
     threads = threading.active_count()
-    with dense_calls(fail_on_helper=True), pytest.raises(Injected):
+    with blas_threads(1), dense_calls(fail_on_helper=True), pytest.raises(Injected):
         verb(cfg)
     assert threading.active_count() == threads

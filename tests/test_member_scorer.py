@@ -6,6 +6,7 @@ see the main thread, in ``run``, ``evaluate`` and ``connectivity``, also where
 a wide layer's columns are split over two threads."""
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -231,8 +232,10 @@ def test_tracer_sees_only_the_main_thread(tmp_path):
     wide.update(CURVE_VARIANTS["wide"])
     wide_path = tmp_path / "wide.json"
     wide_path.write_text(json.dumps(wide))
+    # One BLAS thread, under which the wide model's loops split.
     result = subprocess.run([sys.executable, "-c", TRACED_RUNS, str(path), str(wide_path)],
-                            cwd=ROOT, capture_output=True, text=True, timeout=120)
+                            cwd=ROOT, capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout.strip().splitlines()[-1])
     assert out["main_only"]
