@@ -26,8 +26,7 @@ import numpy as np
 from . import files
 from .data import Dataset
 from .errors import ConfigurationError, InvalidArgumentError, NumericError, ShapeError
-from .nn import (Batch, ModelWeights, _grad_step, _split_helper, _Workspace, forward,
-                 linear_combine, mean_loss)
+from .nn import Batch, ModelWeights, _grad_step, _Workspace, forward, linear_combine, mean_loss
 # Not called here, but importable from this module for callers (and
 # perfbench's tracer) that look it up under this name.
 from .nn import loss_and_grad  # noqa: F401
@@ -223,12 +222,11 @@ def _profile_workspace(spec, train: Dataset, test: Dataset) -> _Workspace:
 
 
 def _sweep(curve: CurveSpec, ts, train: Dataset, test: Dataset, l2_coeff: float,
-           workspace: _Workspace) -> list:
+           workspace: _Workspace, helper=None) -> list:
     """``_point_scores`` of the curve point at each t of ``ts``, all splitting
-    their wide layers with one helper thread."""
-    with _split_helper(curve.spec, workspace.rows) as helper:
-        return [_point_scores(curve_point(curve, float(t)), train, test, l2_coeff, workspace,
-                              helper=helper) for t in ts]
+    their wide layers with ``helper`` if given."""
+    return [_point_scores(curve_point(curve, float(t)), train, test, l2_coeff, workspace,
+                          helper=helper) for t in ts]
 
 
 def _point_scores(point: ModelWeights, train: Dataset, test: Dataset, l2_coeff: float,

@@ -7,6 +7,12 @@ data from ``load_split``, one split at a time, checked against the model and
 standardized there with the checkpoint's statistics, in the array the loader
 returned, so no verb holds a raw split next to its standardized copy.
 
+The verbs are the only code that starts a thread, and each has at most one
+background thread alive at a time: ``run`` its member scorer,
+``connectivity_run`` its endpoint scorer and then a helper for the curve's
+interior points, and ``pretrain`` and ``evaluate`` a helper that splits a
+wide model's layers (see ``nn._split_helper``).
+
 Directory layout per run: ``{output_dir}/{run_id}/member-{idx}.ckpt`` plus
 ``report.json`` and CSV side-files; parsed CSV splits are cached in
 ``{output_dir}/split-cache/``. Every file is written and read through
@@ -142,7 +148,8 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     """Train the shared starting point with decaying-LR SGD and save it.
 
     Feature standardization statistics are computed on the training split
-    here and stored in the checkpoint; every later phase reuses them.
+    here and stored in the checkpoint; every later phase reuses them. The
+    training loop and the train-accuracy forward share one helper thread.
     """
     train = load_split(cfg, "train")
     mean, std = feature_stats(train)
@@ -152,10 +159,11 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     total = cfg.resolve_pretrain(e)
     w_init = init_model(cfg.model_spec, cfg.seed)
     opt = MomentumState.initial(w_init, settings["momentum"], settings["weight_decay"])
-    final, _ = _drive(w_init, opt, batches(train, cfg.batch_size, cfg.seed), total,
-                      lambda i: settings["lr"] * _pretrain_lr_factor((i - 1) / total),
-                      total, total, l2_coeff=settings["l2_coeff"])
-    train_preds = ensemble_predict(final, train.inputs)[1]
+    with nn._split_helper(cfg.model_spec) as helper:
+        final, _ = _drive(w_init, opt, batches(train, cfg.batch_size, cfg.seed), total,
+                          lambda i: settings["lr"] * _pretrain_lr_factor((i - 1) / total),
+                          total, total, l2_coeff=settings["l2_coeff"], helper=helper)
+        train_preds = ensemble_predict(final, train.inputs, helper=helper)[1]
     ckpt = Checkpoint(
         weights=final.members[0],
         standardization={"mean": mean.tolist(), "std": std.tolist()},
@@ -222,11 +230,8 @@ class _MemberScorer:
 def run(cfg: ExperimentConfig, w0: Checkpoint):
     """Train the configured algorithm, persist members, write the report.
     Each member is scored on the test split by a ``_MemberScorer`` on a
-    ``_BackgroundThread`` as soon as it is collected, while training goes on.
-    Training steps split their wide layers (see ``nn._split_point``) only if
-    the scorer leaves the second core idle for most of each collection
-    period: a step costs about three forwards of its batch, so one member's
-    scoring takes the share ``len(test) / (3 * period * batch_size)``.
+    ``_BackgroundThread`` as soon as it is collected, while training goes on
+    whole on the main thread: the second core is the scorer's alone.
 
     Returns ``(EnsembleSet, report dict)``.
     """
@@ -253,8 +258,7 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
         ensemble, _ = _drive(w0.weights, opt, batches(train, cfg.batch_size, cfg.seed),
                              budget.total_iters, partial(lr_at, sched), sched.cycle_len, period,
                              average, l2_coeff=opt_cfg["l2_coeff"],
-                             on_member=lambda member, _: thread.submit(scorer.score, member),
-                             split=2 * len(test) <= 3 * period * cfg.batch_size)
+                             on_member=lambda member, _: thread.submit(scorer.score, member))
 
     run_dir = cfg.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -373,7 +377,8 @@ def evaluate(cfg: ExperimentConfig) -> dict:
     ensemble = EnsembleSet(
         tuple(c.weights for c in members), tuple(range(1, len(members) + 1))
     )
-    probs, _ = ensemble_predict(ensemble, test.inputs, cfg.last_k)
+    with nn._split_helper(cfg.model_spec, len(test)) as helper:
+        probs, _ = ensemble_predict(ensemble, test.inputs, cfg.last_k, helper=helper)
     reliability_csv = run_dir / EVALUATION_RELIABILITY_CSV
     record = {
         "n_members": len(members),
@@ -430,7 +435,8 @@ def connectivity_run(cfg: ExperimentConfig) -> dict:
     The profile's endpoints are the two checkpoints themselves, so a
     ``_BackgroundThread`` scores them while the curve trains and its controls
     are saved; the interior points are scored after it, in the same
-    workspace. The numbers are ``profile_curve``'s."""
+    workspace, with a helper thread that splits a wide model's layers. The
+    numbers are ``profile_curve``'s."""
     settings = cfg.connectivity
     member_a, member_b = settings.get("member_a"), settings.get("member_b")
     if (member_a is None) != (member_b is None):
@@ -473,9 +479,10 @@ def connectivity_run(cfg: ExperimentConfig) -> dict:
             )
             for j, control in enumerate(curve.controls)
         ))
-    first, last = endpoints.results
-    profile = CurveProfile._of(
-        grid, [first, *_sweep(curve, grid[1:-1], train, test, l2_coeff, workspace), last])
+        first, last = endpoints.result(), endpoints.result()
+    with nn._split_helper(cfg.model_spec, workspace.rows) as helper:
+        interior = _sweep(curve, grid[1:-1], train, test, l2_coeff, workspace, helper)
+    profile = CurveProfile._of(grid, [first, *interior, last])
     mc, t_star = profile.mc
     profile.write_csv(outdir / "curve_profile.csv")
     record = {

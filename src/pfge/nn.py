@@ -186,63 +186,58 @@ class _Workspace:
 
 class _BackgroundThread:
     """Runs the calls given to ``submit`` one at a time, first in, first out,
-    on one background thread, and keeps what they return in ``results``.
+    on one background thread; ``result`` returns what the oldest call whose
+    result was not yet taken returned, waiting for it if need be.
 
     The calls must enter no name that a tracer wraps in ``harness``,
     ``training`` or ``connectivity``: such a tracer keeps one span stack, for
     the main thread alone. So they call ``nn`` and ``metrics`` directly. As a
-    context manager it starts the thread on entry and joins it on exit; the
-    calls run under numpy's error state as it was on entry. An exception
-    leaving the block cancels the calls still queued. Without one, the first
-    error a call raised is raised on exit, and the calls queued after it do
-    not run; ``wait`` raises it as soon as it is known."""
+    context manager it starts the thread on entry and joins it on exit. Each
+    call runs under numpy's error state as it was where it was submitted.
+    Once a call raises, the calls queued after it do not run, and ``result``
+    raises its error for each of them. An exception leaving the block
+    cancels the calls still queued; without one, the first error among the
+    results not taken is raised on exit."""
 
     def __init__(self, name: str):
-        self.results = []
-        self._queue = queue.SimpleQueue()
-        self._error = None
-        self._pending = 0
-        self._idle = threading.Condition()
+        self._calls, self._replies = queue.SimpleQueue(), queue.SimpleQueue()
+        self._cancelled = False
         self._thread = threading.Thread(target=self._work, name=name)
 
     def __enter__(self):
-        self._errstate = np.geterr()
         self._thread.start()
         return self
 
     def submit(self, call, *args) -> None:
-        with self._idle:
-            self._pending += 1
-        self._queue.put(partial(call, *args))
+        self._calls.put((np.geterr(), partial(call, *args)))
 
-    def wait(self) -> None:
-        """Block until every call submitted so far has run and drop what
-        they returned from ``results``; raise the first error a call raised
-        instead."""
-        with self._idle:
-            self._idle.wait_for(lambda: not self._pending)
-        if self._error is not None:
-            raise self._error
-        self.results.clear()
+    def result(self):
+        error, value = self._replies.get()
+        if error is not None:
+            raise error
+        return value
 
     def _work(self) -> None:
-        with np.errstate(**self._errstate):
-            while (call := self._queue.get()) is not None:
+        error = None
+        while (item := self._calls.get()) is not None:
+            errstate, call = item
+            value = None
+            if error is None and not self._cancelled:
                 try:
-                    if self._error is None:
-                        self.results.append(call())
+                    with np.errstate(**errstate):
+                        value = call()
                 except Exception as exc:
-                    self._error = exc
-                with self._idle:
-                    self._pending -= 1
-                    self._idle.notify()
+                    error = exc
+            self._replies.put((error, value))
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._error = exc or self._error  # an error in the block cancels what is queued
-        self._queue.put(None)
+        self._cancelled = exc is not None
+        self._calls.put(None)
         self._thread.join()
-        if exc is None and self._error is not None:
-            raise self._error
+        while exc is None and not self._replies.empty():
+            error, _ = self._replies.get()
+            if error is not None:
+                raise error
 
 
 # Each output column of a gemm is its own dot products, so a layer computed
@@ -328,7 +323,7 @@ def _forward(layers, x: np.ndarray, activation: str, acts=None, workspace=None,
             out = np.empty((rows, W.shape[1])) if out is None else out
             helper.submit(_dense, h, W[:, m:], b[m:], act, out[:, m:])
             _dense(h, W[:, :m], b[:m], act, out[:, :m])
-            helper.wait()
+            helper.result()
         h = out if m else _dense(h, W, b, act, out)
         if idx == last:
             return h
@@ -495,7 +490,7 @@ class _GradStep:
                 else:
                     delta *= 1.0 - acts[idx] ** 2
             if m:
-                helper.wait()
+                helper.result()
         return data_loss, _l2_penalty(layers, l2_coeff)
 
 

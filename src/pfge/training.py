@@ -23,18 +23,15 @@ Drivers are deterministic given (initial weights, schedule, batch stream,
 optimizer state): rerunning with the same inputs reproduces every iterate
 bit-for-bit.
 
-A loop with the built-in gradient on a model with a wide layer (see
-``nn._split_point``) runs on two cores where OpenBLAS runs on one thread
-(see ``nn._splits_exactly``): it opens one helper thread for its whole run,
-and the main thread hands it half of each step's work, a wide layer's right
-columns or its weight gradient, waiting for it before moving on. Every half
-is a whole gemm or whole columns of one, and which steps split depends only
-on the shapes and the BLAS setting, never on timing, so the iterates have
-the bits of a one-thread loop.
+``_drive`` and ``ensemble_predict`` start no thread. Handed a helper thread
+(which only the harness verbs open, see ``nn._split_helper``), they share the
+work of each wide layer with it (see ``nn._split_point``): a forward's right
+columns, or a training step's weight gradient, waiting for it before moving
+on. Every half is a whole gemm or whole columns of one, so the results have
+the bits of a one-thread call.
 """
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional
@@ -42,8 +39,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError, ShapeError
-from .nn import (Batch, ModelWeights, _grad_step, _softmax_inplace, _split_helper, _Workspace,
-                 forward)
+from .nn import Batch, ModelWeights, _grad_step, _softmax_inplace, _Workspace, forward
 # Not called here, but importable from this module for callers (and
 # perfbench's tracer) that look it up under this name.
 from .nn import loss_and_grad  # noqa: F401
@@ -192,7 +188,7 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
            lr: Callable[[int], float], cycle_len: int, period: int, average: bool = False,
            loss_grad_fn: Optional[LossGradFn] = None, l2_coeff: float = 0.0,
            on_member: Optional[Callable[[ModelWeights, int], None]] = None,
-           split: bool = True):
+           helper=None):
     """Run ``n_iters`` SGD steps from ``w0`` with step size ``lr(i)`` under the
     ``(average, period)`` rule of the module docstring; ``period`` is a
     multiple of ``cycle_len``, and every multiple of ``cycle_len`` is a cycle
@@ -202,10 +198,9 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
     non-finite loss or weight raises ``NumericError`` naming the iteration.
     ``on_member(weights, recorded_at)``, if given, is called with each member
     (a frozen copy) as it is collected; what it raises stops the loop. A
-    stream that runs out first raises ``InvalidArgumentError``. Unless
-    ``split`` is false, the built-in step of a model with a wide layer shares
-    each step's work with one helper thread, which lives as long as the loop.
-    Returns ``(EnsembleSet, trace)``.
+    stream that runs out first raises ``InvalidArgumentError``. Given a
+    ``helper`` thread, the built-in step splits its wide layers with it; a
+    ``loss_grad_fn`` step ignores it. Returns ``(EnsembleSet, trace)``.
     """
     spec = w0.spec
     w, velocity = w0.values.copy(), opt.velocity.copy()
@@ -218,8 +213,7 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
     lrs, losses = np.empty(n_iters), np.empty(n_iters)
     cycle_end_iters, members = [], []
     i = 0
-    with np.errstate(all="ignore"), (
-            _split_helper(spec) if split and loss_grad_fn is None else nullcontext()) as helper:
+    with np.errstate(all="ignore"):
         for i, batch in zip(range(1, n_iters + 1), stream):
             alpha = lr(i)
             data_loss, l2_penalty = step(batch, helper)
@@ -321,12 +315,14 @@ def run_pfge(
                   average, loss_grad_fn, l2_coeff)
 
 
-def ensemble_predict(ensemble: EnsembleSet, inputs: np.ndarray, last_k: Optional[int] = None):
+def ensemble_predict(ensemble: EnsembleSet, inputs: np.ndarray, last_k: Optional[int] = None,
+                     helper=None):
     """Average the members' softmax outputs and take the per-row argmax.
 
     ``last_k`` restricts the average to the most recently recorded models.
-    Ties in the argmax resolve to the lowest class index. Returns
-    ``(avg_probs, labels)``.
+    Ties in the argmax resolve to the lowest class index. Every member's
+    forward writes into one workspace and, given a ``helper`` thread, splits
+    its wide layers with it. Returns ``(avg_probs, labels)``.
     """
     if last_k is not None:
         if not (1 <= last_k <= len(ensemble)):
@@ -337,14 +333,11 @@ def ensemble_predict(ensemble: EnsembleSet, inputs: np.ndarray, last_k: Optional
     else:
         members = ensemble.members
     x = np.asarray(inputs, dtype=np.float64)
-    # Every member's forward writes into one workspace and splits its wide
-    # layers with one helper thread.
     workspace = _Workspace(members[0].spec, x.shape[0] if x.ndim == 2 else 0)
     total = None
-    with _split_helper(workspace.spec, workspace.rows) as helper:
-        for member in members:
-            logits = forward(member, x, workspace=workspace, helper=helper)
-            total = _accumulate(total, _softmax_inplace(logits))
+    for member in members:
+        logits = forward(member, x, workspace=workspace, helper=helper)
+        total = _accumulate(total, _softmax_inplace(logits))
     total /= len(members)
     return total, np.argmax(total, axis=1)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pfge import nn
+from pfge import harness, nn
 
 # Every run draws the same examples, so a property test that fails fails the
 # same way each time; example timings on a loaded machine are not a
@@ -38,3 +38,52 @@ def blas_threads(threads: int):
         yield
     finally:
         set_threads(before)
+
+
+class SerialThread:
+    """``nn._BackgroundThread``'s contract with no thread: ``submit`` runs the
+    call at once, under the error state in effect, and keeps its reply for
+    ``result``, which hands the replies out in submission order. Once a call
+    raises, the calls submitted after it do not run and reply with its
+    error. An exception leaving the block drops the replies; without one,
+    the first error among the replies not taken is raised on exit."""
+
+    def __init__(self, name: str):
+        self.name, self._replies, self._error = name, [], None
+
+    def __enter__(self):
+        return self
+
+    def submit(self, call, *args) -> None:
+        value = None
+        if self._error is None:
+            try:
+                value = call(*args)
+            except Exception as exc:
+                self._error = exc
+        self._replies.append((self._error, value))
+
+    def result(self):
+        error, value = self._replies.pop(0)
+        if error is not None:
+            raise error
+        return value
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        replies, self._replies = self._replies, []
+        for error, _ in replies if exc is None else ():
+            if error is not None:
+                raise error
+
+
+@pytest.fixture
+def serial_threads(monkeypatch):
+    """A context manager under which every ``_BackgroundThread`` the package
+    opens, in ``nn`` and in ``harness``, is a ``SerialThread``."""
+    @contextmanager
+    def swapped():
+        with monkeypatch.context() as patch:
+            patch.setattr(nn, "_BackgroundThread", SerialThread)
+            patch.setattr(harness, "_BackgroundThread", SerialThread)
+            yield
+    return swapped

@@ -4,6 +4,7 @@ more than the parent's q3 - q1, and a metric whose parent spread is wider
 than its bound is unresolved unless the two sides do not overlap."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +71,16 @@ def test_bound_is_a_share_of_the_parents_median():
 
 def test_parent_tree_is_extracted_from_the_commit(tmp_path):
     # The parent copy comes from ``git archive``, so it needs no worktree
-    # entry in the repository and holds what the benchmark runs.
-    bench_pairs.extract_tree(ROOT, "HEAD", tmp_path / "parent")
+    # entry in the repository and holds what the benchmark runs. The
+    # repository is built here, so the test runs in a copy without ``.git``.
+    repo = tmp_path / "repo"
+    for name in ("src/pfge/harness.py", "perfbench/run.py"):
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text("# committed\n")
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run([*git, *args], cwd=repo, check=True, capture_output=True)
+    bench_pairs.extract_tree(repo, "HEAD", tmp_path / "parent")
     assert (tmp_path / "parent" / "src" / "pfge" / "harness.py").is_file()
     assert (tmp_path / "parent" / "perfbench" / "run.py").is_file()
     assert not (tmp_path / "parent" / ".git").exists()

@@ -1,14 +1,19 @@
-"""A training loop on a model with a wide layer opens one helper thread for
-its whole run where OpenBLAS runs on one thread; however the loop ends, the
-helper is joined, and an error in the helper's half reaches the caller with
-its type and message. A loop on a narrower model, or under a BLAS setting
-whose column halves may differ from the whole gemm, starts no thread at
-all, and whether ``run`` splits its steps does not depend on how long its
-member scorer takes."""
+"""Only the harness verbs start threads, and each verb has at most one
+background thread alive at a time. A training loop handed a helper thread
+splits a wide model's steps with it; however the loop ends, the helper's
+owner joins it, and an error in the helper's half reaches the caller with
+its type and message. A loop handed no helper, on a narrower model, or
+under a BLAS setting whose column halves may differ from the whole gemm,
+starts no thread at all, and ``run`` trains whole beside its member scorer
+whatever the scorer's timing. ``nn._BackgroundThread`` replies in
+submission order, keeps each caller's numpy error state, and passes a
+failed call's error to its successors and to a clean exit."""
 
 import itertools
+import json
 import threading
 import time
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -16,15 +21,24 @@ import pytest
 
 from conftest import blas_threads
 from pfge import harness, nn, training
+from pfge.cli import main
 from pfge.config import config_from_dict
 from pfge.errors import InvalidArgumentError, NumericError
 from pfge.training import MomentumState
+from test_golden import CURVE_VARIANTS, golden_doc
 
 WIDE = nn.LayerSpec((300, 256, 264, 10))
 
 
 class Injected(Exception):
     pass
+
+
+def raising(message: str):
+    """A call that raises ``Injected(message)``."""
+    def call():
+        raise Injected(message)
+    return call
 
 
 @pytest.fixture(autouse=True)
@@ -41,9 +55,11 @@ def stream(spec: nn.LayerSpec, rows: int = 128, batches: int = 2):
 
 
 def drive(spec: nn.LayerSpec, lr: float = 0.05, on_member=None, batch_stream=None, split=True):
+    """A four-step loop, handed a ``_split_helper`` for ``spec`` if ``split``."""
     w0 = nn.init_model(spec, 1)
-    return training._drive(w0, MomentumState.initial(w0), batch_stream or stream(spec), 4,
-                           lambda i: lr, 2, 2, on_member=on_member, split=split)
+    with nn._split_helper(spec) if split else nullcontext() as helper:
+        return training._drive(w0, MomentumState.initial(w0), batch_stream or stream(spec), 4,
+                               lambda i: lr, 2, 2, on_member=on_member, helper=helper)
 
 
 def fail_on_helper(owner, name: str):
@@ -56,6 +72,23 @@ def fail_on_helper(owner, name: str):
         return original(*args)
 
     return mock.patch.object(owner, name, failing)
+
+
+@contextmanager
+def layer_calls():
+    """Record ``(thread name, live threads)`` at every ``nn._dense`` and
+    ``nn._param_grad`` call, the layer work any thread does."""
+    calls = []
+
+    def recording(original):
+        def call(*args):
+            calls.append((threading.current_thread().name, threading.active_count()))
+            return original(*args)
+        return call
+
+    with mock.patch.object(nn, "_dense", recording(nn._dense)), \
+            mock.patch.object(nn, "_param_grad", recording(nn._param_grad)):
+        yield calls
 
 
 def test_a_numeric_error_joins_the_helper():
@@ -106,6 +139,14 @@ def test_only_a_wide_model_trains_with_a_helper(spec, split, helpers):
         m.values.tobytes() for m in drive(spec, split=not split)[0].members]
 
 
+def test_drive_without_a_helper_starts_no_thread():
+    threads = threading.active_count()
+    w0 = nn.init_model(WIDE, 1)
+    with layer_calls() as calls:
+        training._drive(w0, MomentumState.initial(w0), stream(WIDE), 4, lambda i: 0.05, 2, 2)
+    assert calls and calls == [("MainThread", threads)] * len(calls)
+
+
 def test_no_helper_where_column_halves_may_differ():
     # With two BLAS threads, OpenBLAS's Haswell kernel gives column halves
     # other bits than the whole gemm; no loop splits under such a setting.
@@ -119,12 +160,18 @@ def test_no_helper_where_column_halves_may_differ():
 
 
 def test_a_caller_gradient_trains_without_a_helper():
-    threads, seen = threading.active_count(), []
+    # Handed a helper, a loop with a caller's ``loss_grad_fn`` puts no work on it.
     w0 = nn.init_model(WIDE, 1)
-    training._drive(w0, MomentumState.initial(w0), stream(WIDE), 2, lambda i: 0.05, 2, 2,
-                    loss_grad_fn=nn.loss_and_grad,
-                    on_member=lambda member, recorded_at: seen.append(threading.active_count()))
-    assert seen == [threads]
+
+    def train(helper):
+        return training._drive(w0, MomentumState.initial(w0), stream(WIDE), 2, lambda i: 0.05,
+                               2, 2, loss_grad_fn=nn.loss_and_grad, helper=helper)[0]
+
+    with layer_calls() as calls, nn._split_helper(WIDE) as helper:
+        assert helper is not None
+        handed = train(helper)
+    assert {name for name, _ in calls} == {"MainThread"}
+    assert handed.members[0].values.tobytes() == train(None).members[0].values.tobytes()
 
 
 def run_doc(outdir, algorithm: str) -> dict:
@@ -139,38 +186,74 @@ def run_doc(outdir, algorithm: str) -> dict:
         "pretrain": {"epochs": 1, "lr": 0.05},
         "schedule": {"alpha1": 0.05, "alpha2": 0.005, "cycle_epochs": 1},
         "budget": {"total_epochs": 4, "record_epochs": 2},
+        "connectivity": {"iters": 4, "grid_size": 5},
     }
 
 
-@pytest.mark.parametrize("algorithm, splits", [("pfge", True), ("fge", False)])
-def test_run_splits_by_its_collection_period_not_by_scorer_timing(tmp_path, algorithm, splits):
-    # A member's scoring takes about 512 / (3 * 4 * 128) of a pfge period
-    # and 512 / (3 * 2 * 128) of an fge one: only pfge's leaves the second
-    # core idle for most of the period.
+@pytest.mark.parametrize("algorithm", ["pfge", "fge"])
+def test_run_trains_whole_whatever_its_scorer_takes(tmp_path, algorithm):
+    # Every step's 256x256 layer would split on these batches, but the
+    # second core is the member scorer's alone.
     cfg = config_from_dict(run_doc(tmp_path, algorithm))
     w0 = harness.pretrain(cfg)
-    score, param_grad = harness._MemberScorer.score, nn._param_grad
+    score = harness._MemberScorer.score
 
     def run(scorer_seconds: float):
-        names = []
-
         def slow_score(self, member):
             time.sleep(scorer_seconds)
             score(self, member)
 
-        def recording(*args):
-            names.append(threading.current_thread().name)
-            param_grad(*args)
-
         with mock.patch.object(harness._MemberScorer, "score", slow_score), \
-                mock.patch.object(nn, "_param_grad", recording):
+                layer_calls() as calls:
             ensemble, _ = harness.run(cfg, w0)
-        return names.count("pfge-layer-half"), [m.values.tobytes() for m in ensemble.members]
+        return {name for name, _ in calls}, [m.values.tobytes() for m in ensemble.members]
 
     quick, slow = run(0.0), run(0.2)
-    # One 256x256 weight gradient per step on the helper, or none.
-    assert quick[0] == (8 if splits else 0)
+    assert quick[0] == {"MainThread", "pfge-member-scorer"}
     assert slow == quick
+
+
+def verb_docs(outdir) -> dict:
+    """The golden "wide" variant, whose batches of 10 rows never split, and
+    ``run_doc``'s batches of 128 rows, which do."""
+    golden = golden_doc(outdir / "golden", "wide", "fge")
+    golden.update(json.loads(json.dumps(CURVE_VARIANTS["wide"])))
+    return {"golden-wide": golden, "batches-of-128": run_doc(outdir / "batches", "pfge")}
+
+
+@pytest.mark.parametrize("name", ["golden-wide", "batches-of-128"])
+def test_no_verb_has_more_than_one_background_thread(tmp_path, name, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(verb_docs(tmp_path)[name]))
+    threads = threading.active_count()
+
+    def verb(*argv, code=0):
+        with layer_calls() as calls:
+            assert main([*argv[:1], str(path), *argv[1:]]) == code
+        assert max(live for _, live in calls) <= threads + 1, argv
+        assert threading.active_count() == threads, argv
+        return calls
+
+    # Pretraining opens a helper whether or not its batches split.
+    assert max(live for _, live in verb("pretrain")) == threads + 1
+    verb("pretrain", "pretrain.lr=1e50", "pretrain.epochs=6", code=4)
+    verb("pretrain")
+    calls = verb("run")
+    assert {name for name, _ in calls} == {"MainThread", "pfge-member-scorer"}
+    verb("run", "schedule.alpha1=1e50", "schedule.alpha2=1.0", code=4)
+
+    def failing_score(self, member):
+        raise Injected("the scorer failed")
+
+    with mock.patch.object(harness._MemberScorer, "score", failing_score), \
+            pytest.raises(Injected, match="the scorer failed"):
+        verb("run")
+    assert threading.active_count() == threads
+    verb("run")
+    verb("evaluate")
+    verb("connectivity")
+    verb("connectivity", "connectivity.lr=1e50", code=4)
+    capsys.readouterr()
 
 
 def test_helper_calls_keep_the_callers_numpy_error_state():
@@ -178,4 +261,78 @@ def test_helper_calls_keep_the_callers_numpy_error_state():
     with pytest.raises(FloatingPointError), np.errstate(over="raise"), \
             nn._BackgroundThread("pfge-layer-half") as helper:
         helper.submit(np.multiply, np.array([1e308]), 10.0)
-        helper.wait()
+        helper.result()
+
+
+def test_each_call_runs_under_the_error_state_it_was_submitted_in():
+    # The helper outlives a loop's ``np.errstate``: pretraining opens it
+    # before the loop ignores warnings, and its train-accuracy forward runs
+    # after.
+    with nn._BackgroundThread("pfge-layer-half") as helper:
+        with np.errstate(over="ignore"):
+            helper.submit(np.multiply, np.array([1e308]), 10.0)
+        with np.errstate(over="raise"):
+            helper.submit(np.multiply, np.array([1e308]), 10.0)
+        assert helper.result()[0] == np.inf
+        with pytest.raises(FloatingPointError):
+            helper.result()
+
+
+def test_replies_come_back_in_submission_order():
+    with nn._BackgroundThread("pfge-test") as thread:
+        for value in range(5):
+            thread.submit(lambda v: (time.sleep(0.001 * (5 - v)), v)[1], value)
+        assert [thread.result() for _ in range(5)] == list(range(5))
+        thread.submit(int, "7")
+        assert thread.result() == 7
+
+
+def test_a_failed_call_fails_its_successors_without_running_them():
+    ran = []
+    with nn._BackgroundThread("pfge-test") as thread:
+        thread.submit(ran.append, 1)
+        thread.submit(raising("the second call failed"))
+        thread.submit(ran.append, 3)
+        assert thread.result() is None
+        for _ in range(2):
+            with pytest.raises(Injected, match="the second call failed"):
+                thread.result()
+    assert ran == [1]
+
+
+def test_an_untaken_error_is_raised_on_exit():
+    threads = threading.active_count()
+    with pytest.raises(Injected, match="nobody took me"):
+        with nn._BackgroundThread("pfge-test") as thread:
+            thread.submit(int, "1")
+            thread.submit(raising("nobody took me"))
+            assert thread.result() == 1
+    assert threading.active_count() == threads
+    # An error already taken is not raised again.
+    with nn._BackgroundThread("pfge-test") as thread:
+        thread.submit(raising("taken"))
+        with pytest.raises(Injected, match="taken"):
+            thread.result()
+
+
+def test_an_error_in_the_block_cancels_the_queued_calls():
+    ran, started = [], threading.Event()
+
+    def first():
+        # Runs on until the block's exception reaches ``__exit__``.
+        started.set()
+        deadline = time.monotonic() + 5.0
+        while not thread._cancelled and time.monotonic() < deadline:
+            time.sleep(0.001)
+        ran.append(1)
+
+    threads = threading.active_count()
+    with pytest.raises(Injected, match="the block failed"):
+        with nn._BackgroundThread("pfge-test") as thread:
+            thread.submit(first)
+            thread.submit(ran.append, 2)
+            thread.submit(raising("a queued call failed"))
+            assert started.wait(5.0)
+            raise Injected("the block failed")
+    assert ran == [1]
+    assert threading.active_count() == threads

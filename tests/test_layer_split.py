@@ -1,12 +1,12 @@
 """A loop handed a helper thread splits the work of each wide layer with it:
 a forward computes a layer's right columns there, and a training step also
-its weight gradients. A loop gets a helper only where OpenBLAS runs on one
-thread, and there logits, gradients, members and traces must equal the
-unsplit ones bit for bit; at the BLAS thread count in effect, whatever it
-is, a loop's members must equal a whole loop's. An error in the helper's
-half must reach the caller unchanged with no thread left behind, and
-forwards that already run on a background thread (the run's member scorer,
-the curve's endpoint scorer) never split."""
+its weight gradients. ``nn._split_helper`` gives a helper only where
+OpenBLAS runs on one thread, and there logits, gradients, members and traces
+must equal the unsplit ones bit for bit; at the BLAS thread count in effect,
+whatever it is, a loop's members must equal a whole loop's. An error in the
+helper's half must reach the caller unchanged with no thread left behind,
+and forwards that already run on a background thread (the run's member
+scorer, the curve's endpoint scorer) never split."""
 
 import itertools
 import json
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import blas_threads
-from pfge import harness, nn, training
+from pfge import connectivity, harness, nn, training
 from pfge.config import config_from_dict
 from pfge.schedule import BudgetSpec, LrSchedule, lr_at
 from pfge.training import EnsembleSet, MomentumState, ensemble_predict
@@ -144,22 +144,22 @@ def wide_stream(seed: int):
 @pytest.mark.parametrize("threads", [1, None])
 @pytest.mark.parametrize("algorithm", ["sgd", "swa", "fge", "pfge"])
 def test_split_drive_equals_unsplit_bit_for_bit(algorithm, threads):
-    # With one BLAS thread the loop splits; with the count in effect, it
-    # splits only if that count is one.
+    # With one BLAS thread the loop gets a helper and splits; with the count
+    # in effect, only if that count is one.
     sched = LrSchedule(0.05, 0.005, 2)
     average, period = training._collection_rule(algorithm, sched, BudgetSpec(8, 4))
     w0 = nn.init_model(WIDE_SPEC, 3)
     opt = MomentumState.initial(w0, 0.9, 5e-4)
 
-    def drive():
+    def drive(helper=None):
         return training._drive(w0, opt, wide_stream(3), 8, lambda i: lr_at(sched, i),
-                               sched.cycle_len, period, average, l2_coeff=1e-3)
+                               sched.cycle_len, period, average, l2_coeff=1e-3, helper=helper)
 
     with blas_threads(threads) if threads else nullcontext(), dense_calls() as calls:
-        ensemble, trace = drive()
+        with nn._split_helper(WIDE_SPEC) as helper:
+            ensemble, trace = drive(helper)
         assert (splits(calls) > 0) is nn._splits_exactly()
-        with mock.patch.object(training, "_split_helper", lambda spec: nullcontext()), \
-                dense_calls() as calls:
+        with dense_calls() as calls:
             whole, whole_trace = drive()
     assert splits(calls) == 0
     assert ensemble.recorded_at == whole.recorded_at
@@ -219,8 +219,9 @@ def test_helper_error_reaches_the_caller_unchanged(wide_run):
     test = harness.load_split(cfg, "test", harness.load_checkpoint(cfg.w0_path).standardization)
     member = harness.load_checkpoint(harness.member_checkpoint_paths(cfg.run_dir)[0]).weights
     threads = threading.active_count()
-    with blas_threads(1), dense_calls(fail_on_helper=True), pytest.raises(Injected) as caught:
-        ensemble_predict(EnsembleSet((member,), (1,)), test.inputs)
+    with blas_threads(1), dense_calls(fail_on_helper=True), pytest.raises(Injected) as caught, \
+            nn._split_helper(member.spec, len(test)) as helper:
+        ensemble_predict(EnsembleSet((member,), (1,)), test.inputs, helper=helper)
     assert type(caught.value) is Injected
     assert str(caught.value) == "the right half failed"
     assert threading.active_count() == threads
@@ -233,3 +234,30 @@ def test_a_failed_half_leaves_no_thread(wide_run, verb):
     with blas_threads(1), dense_calls(fail_on_helper=True), pytest.raises(Injected):
         verb(cfg)
     assert threading.active_count() == threads
+
+
+def test_public_calls_stay_on_the_callers_thread(wide_run):
+    # ``ensemble_predict`` and ``profile_curve`` split only with a helper
+    # their caller hands them, and whole they give the same bits.
+    cfg, _ = wide_run
+    stats = harness.load_checkpoint(cfg.w0_path).standardization
+    train, test = harness.load_split(cfg, "train", stats), harness.load_split(cfg, "test", stats)
+    members = tuple(harness.load_checkpoint(p).weights
+                    for p in harness.member_checkpoint_paths(cfg.run_dir))
+    ensemble = EnsembleSet(members, tuple(range(1, len(members) + 1)))
+    curve = connectivity.initial_curve(members[0], members[1], 2)
+    grid = np.linspace(0.0, 1.0, 5)
+    workspace = connectivity._profile_workspace(cfg.model_spec, train, test)
+    threads = threading.active_count()
+    with blas_threads(1):
+        with dense_calls() as calls:
+            probs = ensemble_predict(ensemble, test.inputs)[0]
+            profile = connectivity.profile_curve(curve, len(grid), train, test)
+        assert {(name, live) for name, _, live in calls} == {("MainThread", threads)}
+        with dense_calls() as calls, nn._split_helper(cfg.model_spec, len(test)) as helper:
+            split_probs = ensemble_predict(ensemble, test.inputs, helper=helper)[0]
+            split_scores = connectivity._sweep(curve, grid, train, test, 0.0, workspace, helper)
+    assert splits(calls) == len(members) + len(grid)
+    assert probs.tobytes() == split_probs.tobytes()
+    assert profile.train_loss.tobytes() == np.array([s[0] for s in split_scores]).tobytes()
+    assert profile.test_error.tobytes() == np.array([s[1] for s in split_scores]).tobytes()
