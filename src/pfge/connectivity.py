@@ -223,8 +223,8 @@ def _profile_workspace(spec, train: Dataset, test: Dataset) -> _Workspace:
 
 def _sweep(curve: CurveSpec, ts, train: Dataset, test: Dataset, l2_coeff: float,
            workspace: _Workspace, helper=None) -> list:
-    """``_point_scores`` of the curve point at each t of ``ts``, all splitting
-    their wide layers with ``helper`` if given."""
+    """``_point_scores`` of the curve point at each t of ``ts``, all sharing
+    their forwards' row tiles with ``helper`` if given."""
     return [_point_scores(curve_point(curve, float(t)), train, test, l2_coeff, workspace,
                           helper=helper) for t in ts]
 
@@ -232,7 +232,8 @@ def _sweep(curve: CurveSpec, ts, train: Dataset, test: Dataset, l2_coeff: float,
 def _point_scores(point: ModelWeights, train: Dataset, test: Dataset, l2_coeff: float,
                   workspace: _Workspace, fns=None, helper=None) -> tuple:
     """``(train_loss, test_error)`` of ``point`` over the whole of both
-    splits, forwarded in ``workspace`` and split with ``helper`` if given.
+    splits, forwarded in ``workspace``, sharing row tiles with ``helper`` if
+    given.
     ``fns`` is the ``(mean_loss, forward)`` to call, by default this
     module's."""
     mean_loss_of, forward_of = fns or (mean_loss, forward)

@@ -10,8 +10,11 @@ returned, so no verb holds a raw split next to its standardized copy.
 The verbs are the only code that starts a thread, and each has at most one
 background thread alive at a time: ``run`` its member scorer,
 ``connectivity_run`` its endpoint scorer and then a helper for the curve's
-interior points, and ``pretrain`` and ``evaluate`` a helper that splits a
-wide model's layers (see ``nn._split_helper``).
+interior points, ``pretrain`` a helper for a wide model's training steps and
+its train-accuracy forward, and ``evaluate`` a helper for its forwards (see
+``nn._split_helper``). A forward over enough rows runs in row tiles, half of
+them on the verb's helper, or all on the scorer's own thread (see
+``nn.forward``).
 
 Directory layout per run: ``{output_dir}/{run_id}/member-{idx}.ckpt`` plus
 ``report.json`` and CSV side-files; parsed CSV splits are cached in
@@ -57,7 +60,7 @@ from .data import (  # noqa: F401
     load_csv,
     load_idx,
 )
-from .errors import ConfigurationError, DataFormatError, InvalidArgumentError
+from .errors import ConfigurationError, DataFormatError, InvalidArgumentError, NumericError
 from .files import read_json, write_csv, write_json
 # ``apply_standardization``, ``ece``, ``loss_and_grad``, ``sgd_step``,
 # ``mc_value``, ``profile_curve``, ``run_swa``, ``run_fge`` and ``run_pfge``
@@ -150,6 +153,8 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     Feature standardization statistics are computed on the training split
     here and stored in the checkpoint; every later phase reuses them. The
     training loop and the train-accuracy forward share one helper thread.
+    Weights whose train-accuracy forward is not finite raise
+    ``NumericError``, and no checkpoint is written.
     """
     train = load_split(cfg, "train")
     mean, std = feature_stats(train)
@@ -159,11 +164,15 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     total = cfg.resolve_pretrain(e)
     w_init = init_model(cfg.model_spec, cfg.seed)
     opt = MomentumState.initial(w_init, settings["momentum"], settings["weight_decay"])
-    with nn._split_helper(cfg.model_spec) as helper:
+    with nn._split_helper(cfg.model_spec, len(train)) as helper:
         final, _ = _drive(w_init, opt, batches(train, cfg.batch_size, cfg.seed), total,
                           lambda i: settings["lr"] * _pretrain_lr_factor((i - 1) / total),
                           total, total, l2_coeff=settings["l2_coeff"], helper=helper)
-        train_preds = ensemble_predict(final, train.inputs, helper=helper)[1]
+        # Finite weights can still overflow in a forward over the whole split.
+        with np.errstate(all="ignore"):
+            train_probs, train_preds = ensemble_predict(final, train.inputs, helper=helper)
+    if not np.all(np.isfinite(train_probs)):
+        raise NumericError("the pretrained weights give non-finite outputs on the train split")
     ckpt = Checkpoint(
         weights=final.members[0],
         standardization={"mean": mean.tolist(), "std": std.tolist()},
@@ -231,7 +240,8 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
     """Train the configured algorithm, persist members, write the report.
     Each member is scored on the test split by a ``_MemberScorer`` on a
     ``_BackgroundThread`` as soon as it is collected, while training goes on
-    whole on the main thread: the second core is the scorer's alone.
+    whole on the main thread: the second core is the scorer's alone, and the
+    scorer's forwards run in row tiles there where they tile.
 
     Returns ``(EnsembleSet, report dict)``.
     """
@@ -377,7 +387,7 @@ def evaluate(cfg: ExperimentConfig) -> dict:
     ensemble = EnsembleSet(
         tuple(c.weights for c in members), tuple(range(1, len(members) + 1))
     )
-    with nn._split_helper(cfg.model_spec, len(test)) as helper:
+    with nn._split_helper(cfg.model_spec, len(test), steps=False) as helper:
         probs, _ = ensemble_predict(ensemble, test.inputs, cfg.last_k, helper=helper)
     reliability_csv = run_dir / EVALUATION_RELIABILITY_CSV
     record = {
@@ -434,9 +444,10 @@ def connectivity_run(cfg: ExperimentConfig) -> dict:
 
     The profile's endpoints are the two checkpoints themselves, so a
     ``_BackgroundThread`` scores them while the curve trains and its controls
-    are saved; the interior points are scored after it, in the same
-    workspace, with a helper thread that splits a wide model's layers. The
-    numbers are ``profile_curve``'s."""
+    are saved, each forward in row tiles on that thread where it tiles; the
+    interior points are scored after it, in the same workspace, with a helper
+    thread that takes half of each forward's tiles. The numbers are
+    ``profile_curve``'s."""
     settings = cfg.connectivity
     member_a, member_b = settings.get("member_a"), settings.get("member_b")
     if (member_a is None) != (member_b is None):
@@ -480,7 +491,7 @@ def connectivity_run(cfg: ExperimentConfig) -> dict:
             for j, control in enumerate(curve.controls)
         ))
         first, last = endpoints.result(), endpoints.result()
-    with nn._split_helper(cfg.model_spec, workspace.rows) as helper:
+    with nn._split_helper(cfg.model_spec, workspace.rows, steps=False) as helper:
         interior = _sweep(curve, grid[1:-1], train, test, l2_coeff, workspace, helper)
     profile = CurveProfile._of(grid, [first, *interior, last])
     mc, t_star = profile.mc

@@ -6,6 +6,12 @@ vector arithmetic. The flat layout is, per layer ``l``: the weight matrix
 ``W_l`` of shape (sizes[l], sizes[l+1]) in row-major order, followed by the
 bias ``b_l`` of length sizes[l+1]. Hidden layers apply the configured
 activation; the output layer is linear and produces logits.
+
+Where OpenBLAS runs one thread on a kernel checked for it
+(``_splits_exactly``), work is split only into parts with the bits of the
+whole: a training step shares the columns of its wide layers with a helper
+thread (``_split_point``), and a forward over many rows runs in row tiles,
+half of them on a helper if it has one (``forward``).
 """
 
 import ctypes
@@ -166,21 +172,56 @@ def unpack(w: ModelWeights) -> list:
 
 
 class _Workspace:
-    """Forward buffers for up to ``rows`` input rows of ``spec``: two hidden
-    buffers, which the hidden layers write in turn, and one for the logits.
+    """Forward buffers for up to ``rows`` input rows of ``spec``, kept from
+    one forward to the next:
+
+    - the logits;
+    - two tile buffers per thread, of up to ``2 * _TILE_ROWS - 1`` rows,
+      which a thread's row tiles write in turn, layer by layer (see
+      ``forward``); a whole forward of fewer than ``2 * _TILE_ROWS`` rows
+      uses the caller's;
+    - full-row hidden buffers, for a forward of at least ``2 * _TILE_ROWS``
+      rows: where layers that run whole follow the tiled ones, one for the
+      last tiled layer's output and one more if a whole hidden layer
+      follows; two for a forward that runs whole.
+
     A call on fewer rows writes a row prefix of each, which is C-contiguous
-    like a fresh array, so the matmuls are the ones a fresh forward makes."""
+    like a fresh array, so the matmuls are the ones a fresh forward makes.
+
+    The buffers that a forward of ``rows`` rows writes on one thread are
+    made here, on the thread that makes the workspace; any other, such as a
+    helper's tile buffers, when a forward first asks for it. Made on a
+    scorer's thread, they would be freed into that thread's malloc arena,
+    which the main thread's later verbs do not reuse: the process's peak
+    RSS then grows."""
 
     def __init__(self, spec: LayerSpec, rows: int):
-        hidden = spec.sizes[1:-1]
         self.spec, self.rows = spec, rows
-        self.hidden = [np.empty(rows * max(hidden)) for _ in hidden[:2]]
-        self.logits = np.empty(rows * spec.n_classes)
+        self._width = max(spec.sizes[1:-1], default=0)
+        self._buffers = {}
+        tiled = _tiled_layers(spec, rows)
+        for layer in range(spec.n_layers):
+            if layer < tiled - 1:
+                self.out(layer, 0, thread=0)
+            else:
+                self.out(layer, rows)
 
-    def out(self, layer: int, rows: int) -> np.ndarray:
-        """The (rows, width) array that ``layer`` writes its output into."""
+    def out(self, layer: int, rows: int, thread=None) -> np.ndarray:
+        """The (rows, width) array that ``layer`` writes its output into: a
+        row prefix of the logits, of a full-row buffer, or, for a tile of
+        the thread numbered ``thread`` (0 the caller's, 1 its helper) or a
+        short whole forward, of that thread's tile buffer. A helper asks
+        only for its own tile buffers, so no buffer is made by two threads."""
         width = self.spec.sizes[layer + 1]
-        buf = self.logits if layer == self.spec.n_layers - 1 else self.hidden[layer % 2]
+        if layer == self.spec.n_layers - 1:
+            key, size = "logits", self.rows * width
+        elif thread is None and rows >= 2 * _TILE_ROWS:
+            key, size = layer % 2, self.rows * self._width
+        else:
+            key, size = (thread or 0, layer % 2), min(self.rows, 2 * _TILE_ROWS - 1) * self._width
+        buf = self._buffers.get(key)
+        if buf is None:
+            buf = self._buffers[key] = np.empty(size)
         return buf[: rows * width].reshape(rows, width)
 
 
@@ -241,21 +282,30 @@ class _BackgroundThread:
 
 
 # Each output column of a gemm is its own dot products, so a layer computed
-# as two gemms over its left and right columns can have the bits of one gemm
-# (row halves do not). With OpenBLAS's SkylakeX kernel that holds when both
-# the width and the split point are multiples of 8 (the last ``width % 8``
-# columns of a gemm come out differently) and when each half stays off the
-# small-matrix path, which halves of 5-9 rows x 784 x 256 took. A loop handed
-# a helper thread splits the work of a layer at least this wide and this
-# large with it; smaller layers lose more to the handoff than they gain.
+# as two gemms over its left and right columns can have the bits of one gemm.
+# With OpenBLAS's SkylakeX kernel that holds when both the width and the
+# split point are multiples of 8 (the last ``width % 8`` columns of a gemm
+# come out differently) and when each half stays off the small-matrix path,
+# which halves of 5-9 rows x 784 x 256 took. A training step handed a helper
+# thread splits the work of a layer at least this wide and this large with
+# it; smaller layers lose more to the handoff than they gain.
 _SPLIT_COLUMNS = 256
 _SPLIT_MULTIPLY_ADDS = 2**23
-# The OpenBLAS kernels under which such halves were checked to have the bits
-# of the whole gemm, all with one BLAS thread. With more, OpenBLAS gives each
-# thread a share of the rows or of the columns, whichever is longer, and
-# Haswell computes a share's last rows in another order, so a layer and its
-# halves can differ. Elsewhere no loop gets a helper.
+# The OpenBLAS kernels under which such halves, and the row tiles below, were
+# checked to have the bits of the whole gemm, all with one BLAS thread. With
+# more, OpenBLAS gives each thread a share of the rows or of the columns,
+# whichever is longer, and Haswell computes a share's last rows in another
+# order, so a layer and its parts can differ. Elsewhere nothing splits.
 _EXACT_SPLIT_CORES = ("SkylakeX", "Haswell", "Sandybridge")
+# Each row of a gemm is its own dot products too, and under these kernels at
+# one thread a tile of at least this many rows has the bits of the whole gemm
+# where the width is a multiple of 8: 0 of 450 random shapes differed, tiles
+# of 128-1,024 rows. Other widths (2 and 10 among them), tiles of 8-16 rows
+# and a short remainder left as its own tile do differ. A forward over at
+# least two tiles' rows runs its leading layers whose widths are multiples
+# of 8 in tiles of this many rows, the remainder joined to the last, which
+# keeps a tile's activations in cache and lets a helper take half of them.
+_TILE_ROWS = 512
 
 
 @cache
@@ -273,26 +323,42 @@ def _openblas(name: str, restype=ctypes.c_int):
 
 
 def _splits_exactly() -> bool:
-    """Whether column halves of a gemm have its bits under numpy's BLAS as
-    it is set now: OpenBLAS on one thread with a kernel checked for it."""
+    """Whether column halves and row tiles of a gemm have its bits under
+    numpy's BLAS as it is set now: OpenBLAS on one thread with a kernel
+    checked for it."""
     core, threads = _openblas("get_corename", ctypes.c_char_p), _openblas("get_num_threads")
     return core is not None and threads() == 1 and core().decode() in _EXACT_SPLIT_CORES
 
 
 def _split_point(rows, fan_in: int, fan_out: int) -> int:
-    """The output column at which a ``fan_in`` x ``fan_out`` layer on
-    ``rows`` rows splits between two threads, or 0 if it stays whole."""
+    """The output column at which a ``fan_in`` x ``fan_out`` layer of a
+    training step on ``rows`` rows splits between two threads, or 0 if it
+    stays whole."""
     wide = fan_out >= _SPLIT_COLUMNS and fan_out % 8 == 0
     return fan_out // 16 * 8 if wide and rows * fan_in * fan_out >= _SPLIT_MULTIPLY_ADDS else 0
 
 
-def _split_helper(spec: LayerSpec, rows=float("inf")):
-    """A ``_BackgroundThread`` to split ``spec``'s layers on ``rows`` rows
-    with, or, if none of them would split or the BLAS in effect does not
-    split exactly, a context that gives None. By default a layer counts if
-    it splits on enough rows."""
-    split = any(_split_point(rows, *shape) for shape in zip(spec.sizes[:-1], spec.sizes[1:]))
-    return _BackgroundThread("pfge-layer-half") if split and _splits_exactly() else nullcontext()
+def _tiled_layers(spec: LayerSpec, rows) -> int:
+    """How many leading layers of ``spec`` a forward of ``rows`` rows runs in
+    row tiles: those whose widths are multiples of 8, if it has at least
+    ``2 * _TILE_ROWS`` rows and the BLAS in effect splits exactly; else 0."""
+    if rows < 2 * _TILE_ROWS or not _splits_exactly():
+        return 0
+    widths = spec.sizes[1:]
+    return next((idx for idx, width in enumerate(widths) if width % 8), len(widths))
+
+
+def _split_helper(spec: LayerSpec, rows=0, steps=True):
+    """A ``_BackgroundThread`` to share ``spec``'s work with: with ``steps``,
+    a training step's wide layers (see ``_split_point``, on enough rows);
+    and a forward's row tiles on ``rows`` rows. Where it would get none of
+    that work, or the BLAS in effect does not split exactly, a context that
+    gives None."""
+    split = steps and any(_split_point(float("inf"), *shape)
+                          for shape in zip(spec.sizes[:-1], spec.sizes[1:]))
+    if (split and _splits_exactly()) or _tiled_layers(spec, rows):
+        return _BackgroundThread("pfge-layer-half")
+    return nullcontext()
 
 
 def _dense(h: np.ndarray, W: np.ndarray, b: np.ndarray, activation, out=None) -> np.ndarray:
@@ -308,14 +374,16 @@ def _dense(h: np.ndarray, W: np.ndarray, b: np.ndarray, activation, out=None) ->
 
 
 def _forward(layers, x: np.ndarray, activation: str, acts=None, workspace=None,
-             helper=None) -> np.ndarray:
-    """Logits of ``x``; each hidden layer's output is appended to ``acts`` if
+             helper=None, first=0) -> np.ndarray:
+    """Logits of ``x``, the input of ``layers[first]``, through
+    ``layers[first:]``; each hidden layer's output is appended to ``acts`` if
     given, and written into ``workspace`` if given instead of fresh arrays.
     Given a ``helper`` thread, a layer at a ``_split_point`` computes its
     right columns on it."""
     h = x
     rows, last = x.shape[0], len(layers) - 1
-    for idx, (W, b) in enumerate(layers):
+    for idx in range(first, last + 1):
+        W, b = layers[idx]
         act = activation if idx < last else None
         out = None if workspace is None else workspace.out(idx, rows)
         m = 0 if helper is None else _split_point(rows, *W.shape)
@@ -325,10 +393,26 @@ def _forward(layers, x: np.ndarray, activation: str, acts=None, workspace=None,
             _dense(h, W[:, :m], b[:m], act, out[:, :m])
             helper.result()
         h = out if m else _dense(h, W, b, act, out)
-        if idx == last:
-            return h
-        if acts is not None:
+        if acts is not None and idx < last:
             acts.append(h)
+    return h
+
+
+def _forward_tiles(layers, count: int, x: np.ndarray, activation: str, out: np.ndarray,
+                   workspace: _Workspace, thread: int, start: int, stop: int) -> None:
+    """Run rows ``start:stop`` of ``x`` through the first ``count`` of
+    ``layers`` in tiles of ``_TILE_ROWS`` rows, the remainder joined to the
+    last tile; the hidden outputs go into the tile buffers of ``workspace``'s
+    thread numbered ``thread``, and layer ``count - 1``'s into the same rows
+    of ``out``."""
+    last = len(layers) - 1
+    starts = range(start, stop - _TILE_ROWS + 1, _TILE_ROWS)
+    for lo, hi in zip(starts, [*starts[1:], stop]):
+        h = x[lo:hi]
+        for idx in range(count):
+            W, b = layers[idx]
+            dest = out[lo:hi] if idx == count - 1 else workspace.out(idx, hi - lo, thread)
+            h = _dense(h, W, b, activation if idx < last else None, dest)
 
 
 # numpy reduces a C-ordered (rows, classes) array along axis 1 at tens of
@@ -394,20 +478,41 @@ def _l2_penalty(layers, l2_coeff: float) -> float:
 
 
 def forward(w: ModelWeights, inputs: np.ndarray, *, workspace=None, helper=None) -> np.ndarray:
-    """Compute logits, shape (batch, classes). Given a ``_Workspace`` for
-    ``w.spec``, the logits are a view of its buffer, valid until its next use.
-    Given a ``helper`` thread, wide layers are split with it."""
+    """Compute logits, shape (batch, classes), into ``workspace``, a
+    ``_Workspace`` for ``w.spec``, or a fresh one; the logits are a view of
+    its buffer, valid until its next use.
+
+    Where ``_tiled_layers`` says so, the leading layers run in row tiles.
+    Given a ``helper`` thread, the rows then split into two halves at a
+    multiple of 8 near the middle, each tiled on its own, and the helper
+    runs the second half's tiles. The layers after the tiled ones run whole
+    on the caller's thread."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w.spec.sizes[0]:
         raise ShapeError(
             f"inputs of shape {x.shape} do not match input width {w.spec.sizes[0]}"
         )
-    if workspace is not None and (workspace.spec != w.spec or x.shape[0] > workspace.rows):
+    rows = x.shape[0]
+    if workspace is None:
+        workspace = _Workspace(w.spec, rows)
+    elif workspace.spec != w.spec or rows > workspace.rows:
         raise InvalidArgumentError(
             f"a workspace for {workspace.rows} rows of {workspace.spec.sizes} cannot "
-            f"hold {x.shape[0]} rows of {w.spec.sizes}"
+            f"hold {rows} rows of {w.spec.sizes}"
         )
-    return _forward(unpack(w), x, w.spec.activation, workspace=workspace, helper=helper)
+    layers, activation = unpack(w), w.spec.activation
+    count = _tiled_layers(w.spec, rows)
+    if not count:
+        return _forward(layers, x, activation, workspace=workspace)
+    h = workspace.out(count - 1, rows)
+    tiles = partial(_forward_tiles, layers, count, x, activation, h, workspace)
+    half = rows // 16 * 8 if helper is not None else rows
+    if helper is not None:
+        helper.submit(tiles, 1, half, rows)
+    tiles(0, 0, half)
+    if helper is not None:
+        helper.result()
+    return _forward(layers, h, activation, workspace=workspace, first=count)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

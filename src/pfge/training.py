@@ -24,10 +24,11 @@ optimizer state): rerunning with the same inputs reproduces every iterate
 bit-for-bit.
 
 ``_drive`` and ``ensemble_predict`` start no thread. Handed a helper thread
-(which only the harness verbs open, see ``nn._split_helper``), they share the
-work of each wide layer with it (see ``nn._split_point``): a forward's right
-columns, or a training step's weight gradient, waiting for it before moving
-on. Every half is a whole gemm or whole columns of one, so the results have
+(which only the harness verbs open, see ``nn._split_helper``), they share
+work with it and wait for it before moving on: a training step the right
+columns or the weight gradient of each wide layer (see ``nn._split_point``),
+a forward over enough rows half of its row tiles (see ``nn.forward``). Every
+part is a whole gemm, or whole columns or rows of one, so the results have
 the bits of a one-thread call.
 """
 
@@ -321,8 +322,8 @@ def ensemble_predict(ensemble: EnsembleSet, inputs: np.ndarray, last_k: Optional
 
     ``last_k`` restricts the average to the most recently recorded models.
     Ties in the argmax resolve to the lowest class index. Every member's
-    forward writes into one workspace and, given a ``helper`` thread, splits
-    its wide layers with it. Returns ``(avg_probs, labels)``.
+    forward writes into one workspace and, given a ``helper`` thread, runs
+    half of its row tiles there. Returns ``(avg_probs, labels)``.
     """
     if last_k is not None:
         if not (1 <= last_k <= len(ensemble)):

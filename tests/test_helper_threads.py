@@ -213,15 +213,33 @@ def test_run_trains_whole_whatever_its_scorer_takes(tmp_path, algorithm):
     assert slow == quick
 
 
+def tiling_doc(outdir) -> dict:
+    """A (32,128,128,8) model, every width a multiple of 8 and none wide
+    enough to split a training step, on 1,024 train and 1,200 test rows:
+    the forwards over a whole split run in row tiles."""
+    centers = (3.0 * np.random.default_rng(0).normal(size=(8, 32))).tolist()
+    return {
+        "seed": 3, "output_dir": str(outdir), "algorithm": "fge",
+        "dataset": {"kind": "blobs", "centers": centers, "n_per_class": 128, "sd": 1.0,
+                    "test_n_per_class": 150},
+        "model": {"sizes": [32, 128, 128, 8]}, "batch_size": 128,
+        "pretrain": {"epochs": 1, "lr": 0.05},
+        "schedule": {"alpha1": 0.05, "alpha2": 0.005, "cycle_epochs": 1},
+        "budget": {"total_epochs": 2},
+        "connectivity": {"iters": 4, "grid_size": 5},
+    }
+
+
 def verb_docs(outdir) -> dict:
-    """The golden "wide" variant, whose batches of 10 rows never split, and
-    ``run_doc``'s batches of 128 rows, which do."""
+    """The golden "wide" variant, whose batches of 10 rows never split,
+    ``run_doc``'s batches of 128 rows, which do, and ``tiling_doc``."""
     golden = golden_doc(outdir / "golden", "wide", "fge")
     golden.update(json.loads(json.dumps(CURVE_VARIANTS["wide"])))
-    return {"golden-wide": golden, "batches-of-128": run_doc(outdir / "batches", "pfge")}
+    return {"golden-wide": golden, "batches-of-128": run_doc(outdir / "batches", "pfge"),
+            "tiling": tiling_doc(outdir / "tiling")}
 
 
-@pytest.mark.parametrize("name", ["golden-wide", "batches-of-128"])
+@pytest.mark.parametrize("name", ["golden-wide", "batches-of-128", "tiling"])
 def test_no_verb_has_more_than_one_background_thread(tmp_path, name, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(verb_docs(tmp_path)[name]))
@@ -234,7 +252,8 @@ def test_no_verb_has_more_than_one_background_thread(tmp_path, name, capsys):
         assert threading.active_count() == threads, argv
         return calls
 
-    # Pretraining opens a helper whether or not its batches split.
+    # Pretraining opens a helper whether or not its batches split, and for
+    # "tiling" its train-accuracy forward alone.
     assert max(live for _, live in verb("pretrain")) == threads + 1
     verb("pretrain", "pretrain.lr=1e50", "pretrain.epochs=6", code=4)
     verb("pretrain")
@@ -250,10 +269,25 @@ def test_no_verb_has_more_than_one_background_thread(tmp_path, name, capsys):
         verb("run")
     assert threading.active_count() == threads
     verb("run")
-    verb("evaluate")
+    # Only "batches-of-128" has too few test rows to tile.
+    helped = "pfge-layer-half" in {thread for thread, _ in verb("evaluate")}
+    assert helped is (name != "batches-of-128")
     verb("connectivity")
     verb("connectivity", "connectivity.lr=1e50", code=4)
     capsys.readouterr()
+
+
+def test_pretrain_saves_no_weights_whose_train_forward_overflows(tmp_path, capsys):
+    # At this lr the two steps leave the loss and weights finite, but the
+    # train-accuracy forward overflows in its matmul.
+    doc = run_doc(tmp_path, "pfge")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    threads = threading.active_count()
+    assert main(["pretrain", str(path), "pretrain.lr=1e50"]) == 4
+    assert "non-finite outputs on the train split" in capsys.readouterr().err
+    assert not config_from_dict(doc).w0_path.exists()
+    assert threading.active_count() == threads
 
 
 def test_helper_calls_keep_the_callers_numpy_error_state():

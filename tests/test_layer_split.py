@@ -1,12 +1,13 @@
-"""A loop handed a helper thread splits the work of each wide layer with it:
-a forward computes a layer's right columns there, and a training step also
-its weight gradients. ``nn._split_helper`` gives a helper only where
-OpenBLAS runs on one thread, and there logits, gradients, members and traces
-must equal the unsplit ones bit for bit; at the BLAS thread count in effect,
-whatever it is, a loop's members must equal a whole loop's. An error in the
-helper's half must reach the caller unchanged with no thread left behind,
-and forwards that already run on a background thread (the run's member
-scorer, the curve's endpoint scorer) never split."""
+"""A training step handed a helper thread splits the work of each wide
+layer with it: a layer's right columns there, and its weight gradients. A
+forward over enough rows runs in row tiles instead, the helper taking half
+of them. ``nn._split_helper`` gives a helper only where OpenBLAS runs on one
+thread, and there logits, gradients, members and traces must equal the
+unsplit ones bit for bit; at the BLAS thread count in effect, whatever it
+is, a loop's members must equal a whole loop's. An error in the helper's
+part must reach the caller unchanged with no thread left behind, and
+forwards that already run on a background thread (the run's member scorer,
+the curve's endpoint scorer) tile on that thread alone."""
 
 import itertools
 import json
@@ -172,24 +173,38 @@ def test_split_drive_equals_unsplit_bit_for_bit(algorithm, threads):
 
 @pytest.fixture(scope="module")
 def wide_run(tmp_path_factory):
-    """An fge run of the "wide" golden model: a 256x256 layer on 1,024 test
-    rows, which a full-split forward on the main thread splits."""
+    """An fge run of the "wide" golden model, at one BLAS thread: a 256x256
+    layer on 1,024 test rows, two row tiles of 512, and 48 train rows,
+    which no forward tiles."""
     doc = golden_doc(tmp_path_factory.mktemp("wide"), "wide", "fge")
     doc.update(json.loads(json.dumps(CURVE_VARIANTS["wide"])))
     cfg = config_from_dict(doc)
-    w0 = harness.pretrain(cfg)
-    with dense_calls() as calls:
-        harness.run(cfg, w0)
+    with blas_threads(1):
+        w0 = harness.pretrain(cfg)
+        with dense_calls() as calls:
+            harness.run(cfg, w0)
     return cfg, calls
+
+
+def by_thread(calls) -> dict:
+    """The output widths of each thread's ``nn._dense`` calls, in order."""
+    widths = {}
+    for name, fan_out, _ in calls:
+        widths.setdefault(name, []).append(fan_out)
+    return widths
+
+
+# A test forward of the "wide" model: the two 256-wide layers tile by tile,
+# then the 2-wide output layer whole. Halved, each half is one tile.
+TWO_TILES = [256, 256, 256, 256, 2]
 
 
 def test_member_scorer_never_splits(wide_run):
     cfg, calls = wide_run
-    width = cfg.model_spec.sizes[1:]
-    # Beside the main thread's training steps, four members of three layers
-    # each, all on the scorer's thread, whole.
-    assert [(name, fan_out) for name, fan_out, _ in calls if name != "MainThread"] == [
-        ("pfge-member-scorer", fan_out) for _ in range(4) for fan_out in width]
+    # Beside the main thread's training steps, four members' test forwards,
+    # all on the scorer's thread, in tiles there.
+    assert set(by_thread(calls)) == {"MainThread", "pfge-member-scorer"}
+    assert by_thread(calls)["pfge-member-scorer"] == TWO_TILES * 4
 
 
 def test_evaluate_and_connectivity_split_and_join(wide_run):
@@ -197,19 +212,19 @@ def test_evaluate_and_connectivity_split_and_join(wide_run):
     threads = threading.active_count()
     with blas_threads(1), dense_calls() as calls:
         harness.evaluate(cfg)
-    # Three members; only the 256x256 layer reaches 2**23 multiply-adds.
-    assert splits(calls) == 3
+    # Three members: the helper takes the second tile, the main thread the
+    # first and then the output layer.
+    assert by_thread(calls) == {"MainThread": [256, 256, 2] * 3,
+                                "pfge-layer-half": [256, 256] * 3}
     assert max(live for _, _, live in calls) == threads + 1
     assert threading.active_count() == threads
     with blas_threads(1), dense_calls() as calls:
         harness.connectivity_run(cfg)
-    by_thread = {}
-    for name, fan_out, _ in calls:
-        by_thread.setdefault(name, []).append(fan_out)
-    # The endpoint thread runs each endpoint's train and test forwards whole;
-    # the main thread splits the three interior points' test forwards.
-    assert by_thread["pfge-endpoint-scorer"] == [256, 256, 2] * 4
-    assert splits(calls) == 3
+    # The endpoint thread runs each endpoint's train forward whole and its
+    # test forward in tiles on its own; the helper takes the second tile of
+    # the three interior points' test forwards.
+    assert by_thread(calls)["pfge-endpoint-scorer"] == ([256, 256, 2] + TWO_TILES) * 2
+    assert by_thread(calls)["pfge-layer-half"] == [256, 256] * 3
     assert max(live for _, _, live in calls) == threads + 1
     assert threading.active_count() == threads
 
@@ -237,8 +252,9 @@ def test_a_failed_half_leaves_no_thread(wide_run, verb):
 
 
 def test_public_calls_stay_on_the_callers_thread(wide_run):
-    # ``ensemble_predict`` and ``profile_curve`` split only with a helper
-    # their caller hands them, and whole they give the same bits.
+    # ``ensemble_predict`` and ``profile_curve`` share their tiles only with
+    # a helper their caller hands them, and on one thread they give the same
+    # bits.
     cfg, _ = wide_run
     stats = harness.load_checkpoint(cfg.w0_path).standardization
     train, test = harness.load_split(cfg, "train", stats), harness.load_split(cfg, "test", stats)
@@ -257,7 +273,8 @@ def test_public_calls_stay_on_the_callers_thread(wide_run):
         with dense_calls() as calls, nn._split_helper(cfg.model_spec, len(test)) as helper:
             split_probs = ensemble_predict(ensemble, test.inputs, helper=helper)[0]
             split_scores = connectivity._sweep(curve, grid, train, test, 0.0, workspace, helper)
-    assert splits(calls) == len(members) + len(grid)
+    # Each test forward puts its second tile of both hidden layers there.
+    assert splits(calls) == 2 * (len(members) + len(grid))
     assert probs.tobytes() == split_probs.tobytes()
     assert profile.train_loss.tobytes() == np.array([s[0] for s in split_scores]).tobytes()
     assert profile.test_error.tobytes() == np.array([s[1] for s in split_scores]).tobytes()

@@ -1,9 +1,10 @@
 """Every threaded path writes what a serial one writes: the four verbs on
-the golden "relu" and "wide" variants, at one BLAS thread, where the wide
-model's verbs split its layers with a helper, leave byte-identical files
-with real threads and with ``conftest.SerialThread`` in their place. Only
-the checkpoint sidecars' ``created_at`` and ``report.json``'s ``timing``
-may differ."""
+the golden "relu" and "wide" variants and on ``tiling_doc``'s model, at one
+BLAS thread, where the wide model's verbs split its layers with a helper and
+the forwards over a whole split of "wide" and "tiling" run in row tiles,
+leave byte-identical files with real threads and with
+``conftest.SerialThread`` in their place. Only the checkpoint sidecars'
+``created_at`` and ``report.json``'s ``timing`` may differ."""
 
 import json
 import re
@@ -17,6 +18,7 @@ from conftest import blas_threads
 from pfge import harness, nn
 from pfge.config import config_from_dict
 from test_golden import CURVE_VARIANTS, golden_doc
+from test_helper_threads import tiling_doc
 
 # The two values a rerun may change, blanked before comparing.
 TIMESTAMPS = re.compile(rb'"created_at": "[^"]*"|"timing": \{[^}]*\}')
@@ -44,10 +46,14 @@ def pipeline(cfg) -> tuple:
 
 @pytest.mark.parametrize("variant, threads", [
     ("relu", {"MainThread", "pfge-member-scorer", "pfge-endpoint-scorer"}),
-    ("wide", {"MainThread", "pfge-member-scorer", "pfge-endpoint-scorer", "pfge-layer-half"})])
+    ("wide", {"MainThread", "pfge-member-scorer", "pfge-endpoint-scorer", "pfge-layer-half"}),
+    ("tiling", {"MainThread", "pfge-member-scorer", "pfge-endpoint-scorer", "pfge-layer-half"})])
 def test_threads_write_what_the_serial_twin_writes(tmp_path, serial_threads, variant, threads):
-    doc = golden_doc(tmp_path, variant, "fge")
-    doc.update(json.loads(json.dumps(CURVE_VARIANTS[variant])))
+    if variant == "tiling":
+        doc = tiling_doc(tmp_path)
+    else:
+        doc = golden_doc(tmp_path, variant, "fge")
+        doc.update(json.loads(json.dumps(CURVE_VARIANTS[variant])))
     cfg = config_from_dict(doc)
     with blas_threads(1):
         threaded, names = pipeline(cfg)
