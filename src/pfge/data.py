@@ -124,52 +124,57 @@ def load_csv(path, cache_dir=None) -> Dataset:
     Row order is preserved. Labels must be nonnegative integers; the class
     count is inferred as ``max(label) + 1``.
 
-    The file is read once. A body of plain numeric ASCII is parsed in C by
-    ``_load_plain_csv``; any other file, and any plain one that fails a
-    check, goes through ``_load_csv_checked``, which accepts it or names the
-    offending line.
+    A file whose body is plain numeric ASCII is read once, in chunks of
+    ``_CHUNK_BYTES``, and parsed by ``_load_plain_csv`` as it is read, so a
+    load holds one chunk of the file plus the parsed arrays. Any other file,
+    and any plain one that fails a check, is read whole by
+    ``_load_csv_checked``, which accepts it or names the offending line.
 
     Given ``cache_dir``, a parsed split is kept there as one ``.npz`` entry
     per source path (named by the SHA-256 of the resolved path) holding the
-    SHA-256 of the file's bytes, ``inputs`` and ``labels``. A later call on
-    the same bytes takes the arrays from that entry, through the same
-    finite and label checks, instead of parsing the text again. An entry
-    that cannot be read or does not match counts as a miss and is rewritten;
-    a file that fails to parse leaves no entry; and a failed write does not
-    fail the load. Deleting ``cache_dir`` is always safe.
+    SHA-256 of the bytes parsed, ``inputs`` and ``labels``. A later call
+    whose file hashes, chunk by chunk, to the same digest takes the arrays
+    from that entry, through the same finite and label checks, instead of
+    parsing the text again. An entry that cannot be read or does not match
+    counts as a miss and is rewritten; a file that fails to parse leaves no
+    entry; and a failed write does not fail the load. Deleting ``cache_dir``
+    is always safe.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     if cache_dir is None:
-        return _parse_csv(raw, path)
-    digest = hashlib.sha256(raw).hexdigest()
+        return _parse_csv(path)[0]
     entry = Path(cache_dir) / (
         hashlib.sha256(str(Path(path).resolve()).encode()).hexdigest() + ".npz")
-    ds = _read_cache_entry(entry, digest, path)
+    ds = _read_cache_entry(entry, path)
     if ds is None:
-        ds = _parse_csv(raw, path)
+        ds, digest = _parse_csv(path)
         _write_cache_entry(entry, digest, ds)
     return ds
 
 
-def _parse_csv(raw: bytes, path) -> Dataset:
-    ds = _load_plain_csv(raw, path)
-    return ds if ds is not None else _load_csv_checked(raw, path)
+def _parse_csv(path) -> tuple:
+    """The dataset in the CSV file ``path`` and the SHA-256 (hex) of the
+    bytes it was parsed from."""
+    with open(path, "rb") as fh:
+        if (parsed := _load_plain_csv(fh, path)) is None:
+            fh.seek(0)
+            raw = fh.read()
+            parsed = _load_csv_checked(raw, path), hashlib.sha256(raw).hexdigest()
+    return parsed
 
 
-def _read_cache_entry(entry: Path, digest: str, path) -> Optional[Dataset]:
-    """The split cached in ``entry`` if it was parsed from bytes with SHA-256
-    ``digest`` and passes every check, else None."""
+def _read_cache_entry(entry: Path, path) -> Optional[Dataset]:
+    """The split cached in ``entry`` if it was parsed from bytes with the
+    SHA-256 of the file ``path`` now and passes every check, else None."""
     try:
-        with open(entry, "rb") as fh:
+        with open(entry, "rb") as fh, open(path, "rb") as csv_fh:
             npz = np.load(fh, allow_pickle=False)
-            if str(npz["digest"]) != digest:
+            if str(npz["digest"]) != hashlib.file_digest(csv_fh, "sha256").hexdigest():
                 return None
             inputs, labels = npz["inputs"], npz["labels"]
     except Exception:
         # A missing, truncated or damaged entry can fail in the zip reader, a
         # decompressor or the array parser in many ways; each only means the
-        # split is parsed again.
+        # split is parsed again, which also reports an unreadable ``path``.
         return None
     if inputs.dtype != np.float64 or labels.dtype != np.int64 or not inputs.flags.c_contiguous:
         return None
@@ -190,36 +195,62 @@ def _write_cache_entry(entry: Path, digest: str, ds: Dataset) -> None:
 
 # The only bytes a plain CSV body may hold. On such cells ``np.loadtxt`` and
 # ``float()`` both hand the text to CPython's ``PyOS_string_to_double``, so
-# they accept the same cells and round them to the same doubles, and
+# they accept the same cells and round them to the same doubles; numpy's
+# int64 parser accepts the label cells ``int()`` accepts and can store; and
 # ``bytes.splitlines`` ends lines where ``csv.reader`` ends rows.
 _PLAIN_BODY_BYTES = b"0123456789+-.eE,\r\n"
 
+# How many bytes of a CSV file ``_csv_lines`` reads at a time.
+_CHUNK_BYTES = 1 << 20
 
-def _load_plain_csv(raw: bytes, path) -> Optional[Dataset]:
-    """Parse ``raw`` with one ``np.loadtxt`` call if its body is plain
-    numeric ASCII and passes every check ``_load_csv_checked`` makes; return
-    None otherwise, so that parser can accept or reject it."""
-    lines = raw.splitlines()
-    if len(lines) < 2:
-        return None
-    header, body = lines[0], lines[1:]
-    n_features = header.count(b",")
-    expected = ",".join([f"f{i}" for i in range(n_features)] + ["label"]).encode()
-    if (n_features < 1 or header != expected
-            or raw[len(header):].translate(None, _PLAIN_BODY_BYTES) or not all(body)):
-        return None
+
+def _csv_lines(fh, digest):
+    """The lines of the binary file ``fh``, read once in chunks of
+    ``_CHUNK_BYTES`` that each update ``digest`` and are cut at their last
+    line end. Raises ``ValueError`` on a file of fewer than two lines, an
+    empty line, or a byte outside ``_PLAIN_BODY_BYTES`` after the first line."""
+    tail, after_cr, odd, header, count = b"", False, b"", None, 0
+    while chunk := fh.read(_CHUNK_BYTES):
+        digest.update(chunk)
+        odd += chunk.translate(None, _PLAIN_BODY_BYTES)
+        lines = chunk.splitlines()
+        if after_cr and chunk.startswith(b"\n"):
+            del lines[0]  # the \n of a \r\n that the chunk boundary cut in two
+        elif tail:
+            lines[0] = tail + lines[0]
+        after_cr = chunk.endswith(b"\r")
+        tail = b"" if after_cr or chunk.endswith(b"\n") else lines.pop()
+        header = lines[0] if header is None and lines else header
+        # Only the header may hold bytes outside the body's alphabet.
+        if not all(lines) or (header and odd != header.translate(None, _PLAIN_BODY_BYTES)):
+            raise ValueError("not a plain CSV file")
+        count += len(lines)
+        yield from lines
+    if count + bool(tail) < 2:
+        raise ValueError("not a plain CSV file")
+    yield tail  # ``np.loadtxt`` skips it where it is empty
+
+
+def _load_plain_csv(fh, path) -> Optional[tuple]:
+    """Parse the binary file ``fh`` in one pass, through one ``np.loadtxt``
+    call, if its body is plain numeric ASCII and passes every check
+    ``_load_csv_checked`` makes: return the dataset and the SHA-256 (hex)
+    of the bytes read, or None, so that parser can accept or reject it."""
+    digest = hashlib.sha256()
+    lines = _csv_lines(fh, digest)
     try:
-        table = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-        labels = np.fromiter((int(line[line.rfind(b",") + 1:]) for line in body),
-                             dtype=np.int64, count=len(body))
-    except (ValueError, OverflowError):
+        header = next(lines)
+        n_features = header.count(b",")
+        expected = ",".join([f"f{i}" for i in range(n_features)] + ["label"]).encode()
+        if n_features < 1 or header != expected:
+            return None
+        table = np.loadtxt(lines, dtype=[("x", "f8", (n_features,)), ("y", "i8")],
+                           delimiter=",", comments=None, ndmin=1)
+        # ``_take`` rejects negative labels and non-finite features.
+        return (Dataset._take(np.ascontiguousarray(table["x"]), table["y"].copy(),
+                              int(table["y"].max()) + 1, str(path)), digest.hexdigest())
+    except ValueError:
         return None
-    if table.shape != (len(body), n_features + 1) or labels.min() < 0:
-        return None
-    inputs = table[:, :-1].copy()
-    if not np.isfinite(inputs).all():
-        return None
-    return Dataset._take(inputs, labels, int(labels.max()) + 1, str(path))
 
 
 # The largest label ``_load_csv_checked`` can store as int64.

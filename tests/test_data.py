@@ -169,7 +169,7 @@ class TestSplitCache:
 
     @staticmethod
     def forbid_parsing(monkeypatch):
-        def parse(raw, path):
+        def parse(path):
             raise AssertionError(f"{path} was parsed")
         monkeypatch.setattr(data, "_parse_csv", parse)
 

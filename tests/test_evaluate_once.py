@@ -112,7 +112,7 @@ def test_warm_split_cache_writes_the_same_outputs(csv_doc, monkeypatch):
     cold = pipeline()
     assert len(list((cfg.output_dir / harness.SPLIT_CACHE_DIR).iterdir())) == 2
 
-    def parse(raw, csv_path):
+    def parse(csv_path):
         raise AssertionError(f"{csv_path} was parsed again")
 
     monkeypatch.setattr(data, "_parse_csv", parse)

@@ -1,9 +1,12 @@
 """The input path: the CSV fast path against the validating parser, the
-parsed-split cache against both, and who owns the arrays of a dataset."""
+parsed-split cache against both, what a CSV load holds in memory, and who
+owns the arrays of a dataset."""
 
 import hashlib
+import io
 import shutil
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pfge import harness
+from pfge import data, harness
 from pfge.config import config_from_dict
 from pfge.errors import DataFormatError
 from pfge.data import (
@@ -45,10 +48,10 @@ ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @st.composite
-def csv_texts(draw) -> bytes:
+def csv_texts(draw, modes=("plain", "quirky", "broken")) -> bytes:
     """CSV files that are plain numeric ASCII, quirky but valid, or broken in
     one of the ways the two parsers could disagree on."""
-    mode = draw(st.sampled_from(["plain", "quirky", "broken"]))
+    mode = draw(st.sampled_from(modes))
     odd = 0.0 if mode == "plain" else draw(st.sampled_from([0.05, 0.3]))
     broken = mode == "broken"
     odd_features = st.one_of(QUIRKY_FEATURES, BAD_FEATURES) if broken else QUIRKY_FEATURES
@@ -93,6 +96,11 @@ def load_checked(path):
     return _load_csv_checked(raw, path)
 
 
+def load_plain(raw: bytes):
+    """The fast path alone, on ``raw`` as the bytes of a file."""
+    return _load_plain_csv(io.BytesIO(raw), "x.csv")
+
+
 def outcome(parse, path):
     try:
         ds = parse(path)
@@ -101,11 +109,31 @@ def outcome(parse, path):
     return ds.inputs.shape, ds.inputs.tobytes(), ds.labels.tobytes(), ds.classes, ds.name
 
 
+# Chunk sizes that cut a file of a few dozen bytes into many pieces: a
+# ``\r\n`` split across two chunks, a ``\r`` that ends the file, a header
+# longer than a chunk and a last line without a line end all occur.
+TINY_CHUNKS = st.integers(1, 7)
+
+
 class TestCsvFastPath:
     @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(raw=csv_texts())
     @example(raw=f"f0,label\n1.5,0\n2.5,{OVERSIZED_LABEL}\n".encode())
     def test_agrees_with_validating_parser(self, tmp_path, raw):
+        self.check_agreement(tmp_path, raw)
+
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=csv_texts(), chunk=TINY_CHUNKS)
+    @example(raw=f"f0,label\n1.5,0\n2.5,{OVERSIZED_LABEL}\n".encode(), chunk=3)
+    @example(raw=b"f0,label\r\n1.5,0\r\n2.5,1\r\n", chunk=9)
+    @example(raw=b"f0,label\r1.5,0\r2.5,1\r", chunk=4)
+    def test_agrees_with_validating_parser_in_tiny_chunks(self, tmp_path, monkeypatch, raw,
+                                                          chunk):
+        monkeypatch.setattr(data, "_CHUNK_BYTES", chunk)
+        self.check_agreement(tmp_path, raw)
+
+    @staticmethod
+    def check_agreement(tmp_path, raw):
         path = tmp_path / "data.csv"
         path.write_bytes(raw)
         got = outcome(load_csv, path)
@@ -140,8 +168,9 @@ class TestCsvFastPath:
         original = Dataset(np.array(inputs), np.array(labels), classes=10)
         path = tmp_path / "saved.csv"
         save_csv(original, path)
-        fast = _load_plain_csv(path.read_bytes(), path)
-        assert fast is not None
+        with open(path, "rb") as fh:
+            fast, digest = _load_plain_csv(fh, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         assert fast.inputs.tobytes() == original.inputs.tobytes()
         assert fast.labels.tobytes() == original.labels.tobytes()
         assert fast.classes == max(labels) + 1
@@ -151,15 +180,63 @@ class TestCsvFastPath:
         b" 1,0\n", b'"1",0\n', b"1,0\n\n", b"1,0,0\n", b"1\n",
     ])
     def test_declines_what_validating_parser_must_judge(self, body):
-        assert _load_plain_csv(b"f0,label\n" + body, "x.csv") is None
+        assert load_plain(b"f0,label\n" + body) is None
 
     def test_accepts_every_line_ending(self):
         for ending in (b"\n", b"\r\n", b"\r"):
             raw = ending.join([b"f0,f1,label", b"1.5,-2,0", b"+.25,3e1,1"]) + ending
-            ds = _load_plain_csv(raw, "x.csv")
-            assert ds is not None
+            ds, digest = load_plain(raw)
             assert np.array_equal(ds.inputs, [[1.5, -2.0], [0.25, 30.0]])
             assert ds.labels.tolist() == [0, 1]
+            assert digest == hashlib.sha256(raw).hexdigest()
+
+    @settings(max_examples=200)
+    @given(raw=csv_texts(modes=("plain",)), chunk=st.one_of(TINY_CHUNKS, st.just(1 << 20)))
+    @example(raw=b"f0,label\r1.5,0\r2.5,1\r", chunk=2)
+    @example(raw=b"f0,label\r\n1.5,0\r\n", chunk=9)
+    def test_plain_files_take_the_fast_path_in_any_chunks(self, raw, chunk):
+        # The oracle above cannot see a plain file declined to the validating
+        # parser, which gives the same dataset; this property can.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_CHUNK_BYTES", chunk)
+            ds, digest = load_plain(raw)
+        want = _load_csv_checked(raw, "x.csv")
+        assert ds.inputs.tobytes() == want.inputs.tobytes()
+        assert ds.labels.tobytes() == want.labels.tobytes()
+        assert (ds.inputs.shape, ds.classes, ds.name) == (want.inputs.shape, want.classes, "x.csv")
+        assert digest == hashlib.sha256(raw).hexdigest()
+
+
+class TestCsvMemory:
+    def test_a_load_holds_a_chunk_of_the_file_not_the_file(self, tmp_path, monkeypatch):
+        # About 5 MB: 8,000 rows of 32 features, written at repr precision.
+        centers = np.random.default_rng(0).normal(0.0, 3.0, size=(8, 32))
+        path = tmp_path / "big.csv"
+        save_csv(gen_blobs(centers, 1000, 1.0, seed=1), path)
+        size = path.stat().st_size
+        assert 4e6 < size < 6e6
+        cache = tmp_path / "cache"
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                ds = load_csv(path, cache)
+                return tracemalloc.get_traced_memory()[1], ds
+            finally:
+                tracemalloc.stop()
+
+        # A miss parses the file as it reads it: one chunk, the parsed table
+        # and the dataset's own arrays, well under twice the file.
+        miss, cold = traced_peak()
+        assert len(list(cache.iterdir())) == 1
+        assert miss < 2 * size, (miss, size)
+        # A hit hashes the file chunk by chunk and reads the arrays: less
+        # than the file.
+        monkeypatch.setattr(data, "_parse_csv", lambda p: pytest.fail(f"{p} was parsed"))
+        hit, warm = traced_peak()
+        assert hit < size, (hit, size)
+        assert warm.inputs.tobytes() == cold.inputs.tobytes()
+        assert warm.labels.tobytes() == cold.labels.tobytes()
 
 
 class TestOwnership:
