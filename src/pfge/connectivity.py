@@ -134,9 +134,12 @@ def _bezier_sum(anchor: np.ndarray, coeffs, controls, out: np.ndarray,
 
 
 def initial_curve(w: ModelWeights, w_end: ModelWeights, k: int) -> CurveSpec:
-    """Controls spaced evenly on the straight segment from ``w`` to ``w_end``."""
+    """The ``k + 1`` controls spaced evenly on the straight segment from ``w``
+    to ``w_end``; ``k`` must be at least 1."""
     if w.spec != w_end.spec:
         raise ShapeError("curve endpoints must share one layer spec")
+    if k < 1:
+        raise InvalidArgumentError(f"a curve needs k >= 1, got k={k}")
     interior = [
         linear_combine(1.0 - j / k, w, j / k, w_end) for j in range(1, k)
     ]

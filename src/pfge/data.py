@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DataFormatError, InvalidArgumentError
+from .errors import ConfigurationError, DataFormatError, InvalidArgumentError, ShapeError
 from .files import replacing, write_csv
 from .nn import Batch, _as_labels
 from .rng import STREAM_DATA, STREAM_SHUFFLE, stream_rng
@@ -81,7 +81,7 @@ def gen_two_spirals(n_per_class: int, noise_sd: float, seed: int) -> Dataset:
     """
     if n_per_class < 1:
         raise InvalidArgumentError(f"n_per_class must be >= 1, got {n_per_class}")
-    if noise_sd < 0:
+    if not noise_sd >= 0:  # NaN included
         raise InvalidArgumentError("noise_sd must be nonnegative")
     t = np.arange(n_per_class) / n_per_class
     radius = 0.2 + 0.8 * t
@@ -393,7 +393,9 @@ def feature_stats(ds: Dataset):
 
 
 def apply_standardization(ds: Dataset, mean, std) -> Dataset:
-    """``ds`` with features ``(x - mean) / std``, computed into one fresh array."""
+    """``ds`` with features ``(x - mean) / std``, computed into one fresh array.
+    ``mean`` and ``std`` hold one value per feature (else ``ShapeError``), and
+    every std must be finite and positive (else ``InvalidArgumentError``)."""
     return _standardize(ds, mean, std, np.empty_like(ds.inputs))
 
 
@@ -406,8 +408,16 @@ def _standardize_in_place(ds: Dataset, mean, std) -> Dataset:
 
 
 def _standardize(ds: Dataset, mean, std, out: np.ndarray) -> Dataset:
-    np.subtract(ds.inputs, np.asarray(mean, dtype=np.float64), out=out)
-    out /= np.asarray(std, dtype=np.float64)
+    """``(ds.inputs - mean) / std`` into ``out``, as a dataset; ``mean`` and
+    ``std`` hold one value per feature, every std finite and positive."""
+    mean, std = np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
+    if mean.shape != (ds.n_features,) or std.shape != (ds.n_features,):
+        raise ShapeError(f"standardization statistics of shapes {mean.shape} and {std.shape} "
+                         f"do not match {ds.n_features} features")
+    if not np.all((std > 0) & (std < np.inf)):
+        raise InvalidArgumentError("standardization std must be finite and positive")
+    np.subtract(ds.inputs, mean, out=out)
+    out /= std
     return Dataset._take(out, ds.labels, ds.classes, ds.name)
 
 
@@ -418,7 +428,9 @@ class BatchStream:
     final short batch is included. Iterating the stream yields batches
     indefinitely, rolling over epoch boundaries. The permutation sequence is
     a pure function of ``seed``, and each call to ``iter()`` replays it from
-    the start.
+    the start. Each batch holds fresh copies of its rows, built through
+    ``Batch._take``: rows of a checked ``Dataset`` are float64 and int64
+    already, so they are not converted or checked again.
     """
 
     def __init__(self, dataset: Dataset, batch_size: int, seed: int):
@@ -436,12 +448,12 @@ class BatchStream:
 
     def __iter__(self):
         rng = stream_rng(self.seed, STREAM_SHUFFLE)
-        n = len(self.dataset)
+        inputs, labels, n = self.dataset.inputs, self.dataset.labels, len(self.dataset)
         while True:
             perm = rng.permutation(n)
             for start in range(0, n, self.batch_size):
                 idx = perm[start : start + self.batch_size]
-                yield Batch(self.dataset.inputs[idx], self.dataset.labels[idx])
+                yield Batch._take(inputs.take(idx, axis=0), labels[idx])
 
 
 def batches(ds: Dataset, batch_size: int, seed: int) -> BatchStream:

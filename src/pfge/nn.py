@@ -122,6 +122,17 @@ class Batch:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def _take(cls, inputs: np.ndarray, labels: np.ndarray):
+        """Wrap ``inputs`` and ``labels`` without the public constructor's
+        conversions and checks: for float64 and int64 arrays of matching
+        rows, such as the rows a ``Dataset`` hands out, which are checked
+        already. A training step still checks the batch (``_check_batch``)."""
+        batch = cls.__new__(cls)
+        object.__setattr__(batch, "inputs", inputs)
+        object.__setattr__(batch, "labels", labels)
+        return batch
+
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
@@ -222,7 +233,13 @@ class _Workspace:
         buf = self._buffers.get(key)
         if buf is None:
             buf = self._buffers[key] = np.empty(size)
-        return buf[: rows * width].reshape(rows, width)
+        return _rows(buf, rows, width)
+
+
+def _rows(buf: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The first ``rows * width`` elements of the flat ``buf`` as a C-ordered
+    (rows, width) array."""
+    return buf[: rows * width].reshape(rows, width)
 
 
 class _BackgroundThread:
@@ -456,12 +473,13 @@ def _row_argmax(z: np.ndarray, row_max: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray):
+def _cross_entropy(logits: np.ndarray, picks: np.ndarray):
     """Stable mean cross-entropy, overwriting ``logits`` with ``exp_shifted``;
     returns it with ``row_sums`` such that ``softmax(logits) == exp_shifted /
-    row_sums[:, None]``. ``rows`` is ``np.arange(len(labels))``."""
+    row_sums[:, None]``. ``picks`` is the flat index ``arange(rows) *
+    classes + labels`` of each row's true-class logit."""
     logits -= _row_max(logits)[:, None]
-    picked = logits[rows, labels]
+    picked = logits.ravel()[picks]
     np.exp(logits, out=logits)
     row_sums = np.add.reduce(logits, axis=1)
     # The mean as ``np.mean`` computes it (one pairwise sum, then a division),
@@ -542,14 +560,22 @@ def loss_and_grad(w: ModelWeights, batch: Batch, l2_coeff: float = 0.0):
 
 class _GradStep:
     """``loss_and_grad`` for a loop whose flat weight vector ``values`` and
-    gradient vector ``grad`` never move: their layer views, and the row
-    index of each batch size, are built once, not per step. Calling it on a
-    batch checks the batch, writes the gradient into ``grad`` and returns
-    ``(data_loss, l2_penalty)`` as floats. Given a ``helper`` thread, a layer
-    at a ``_split_point`` shares its work with it: the forward's right
-    columns; at the first layer the weight gradient's right columns; at any
-    other layer the whole weight gradient, beside the main thread's
-    ``delta @ W.T``. Every piece is a whole gemm or whole columns of one."""
+    gradient vector ``grad`` never move: their layer views are built once,
+    and so are the step buffers, which hold each layer's output, the delta
+    ``delta @ W.T`` back-propagated into each hidden layer, the hidden
+    activation's derivative (the ReLU mask ``a > 0`` or tanh's ``1 - a²``)
+    and the flat index ``arange(n) * classes + labels`` of each row's
+    true-class logit. They are made for the first batch and again only when
+    a larger one arrives; a smaller batch, such as an epoch's short last
+    one, uses C-contiguous row prefixes of them, as ``_Workspace`` does, so
+    every gemm is the one a fresh array gets. Calling it on a batch checks
+    the batch, writes the gradient into ``grad`` and returns ``(data_loss,
+    l2_penalty)`` as floats. Given a ``helper`` thread, a layer at a
+    ``_split_point`` shares its work with it: the forward's right columns;
+    at the first layer the weight gradient's right columns; at any other
+    layer the whole weight gradient, beside the main thread's ``delta @
+    W.T``. Every piece is a whole gemm or whole columns of one, and the
+    helper is done with each layer before the call moves on to the next."""
 
     def __init__(self, spec: LayerSpec, values: np.ndarray, grad: np.ndarray,
                  l2_coeff: float):
@@ -557,7 +583,35 @@ class _GradStep:
             raise InvalidArgumentError("l2_coeff must be nonnegative")
         self.spec, self.l2_coeff = spec, l2_coeff
         self.layers, self.grad_layers = _layer_views(spec, values), _layer_views(spec, grad)
-        self.rows = {}
+        self.capacity, self._sized = 0, {}
+
+    def _views(self, n: int):
+        """The step buffers' views for a batch of ``n`` rows, made at the
+        first such batch: per layer its output, per hidden layer the delta
+        and its activation's derivative, each (n, width); the first ``n``
+        row offsets ``row * classes``; and the flat label index.
+        A batch larger than any before makes the buffers again."""
+        views = self._sized.get(n)
+        if views is None:
+            sizes, hidden = self.spec.sizes, self.spec.sizes[1:-1]
+            if n > self.capacity:
+                widest = max(hidden, default=0)
+                self.capacity, self._sized = n, {}
+                self._buffers = ([np.empty(n * width) for width in sizes[1:]],
+                                 [np.empty(n * width) for width in hidden],
+                                 np.empty(n * widest), np.arange(n) * sizes[-1],
+                                 np.empty(n, dtype=np.int64))
+            outs, deltas, derivative, offsets, picks = self._buffers
+            views = self._sized[n] = (
+                [_rows(buf, n, width) for buf, width in zip(outs, sizes[1:])],
+                [_rows(buf, n, width) for buf, width in zip(deltas, hidden)],
+                [_rows(derivative, n, width) for width in hidden], offsets[:n], picks[:n])
+        return views
+
+    def out(self, layer: int, rows: int) -> np.ndarray:
+        """Where ``_forward`` writes ``layer``'s output on ``rows`` rows, as
+        into a ``_Workspace``."""
+        return self._sized[rows][0][layer]
 
     def __call__(self, batch: Batch, helper=None):
         # A driver accepts any stream of batches, so each one is checked: a
@@ -565,16 +619,14 @@ class _GradStep:
         _check_batch(self.spec, batch)
         layers, activation, l2_coeff = self.layers, self.spec.activation, self.l2_coeff
         x, labels, n = batch.inputs, batch.labels, len(batch)
-        rows = self.rows.get(n)
-        if rows is None:
-            rows = self.rows[n] = np.arange(n)
+        _, deltas, derivatives, offsets, picks = self._views(n)
         acts = [x]
-        logits = _forward(layers, x, activation, acts, helper=helper)
-        data_loss, delta, row_sums = _cross_entropy(logits, labels, rows)
+        logits = _forward(layers, x, activation, acts, workspace=self, helper=helper)
+        data_loss, delta, row_sums = _cross_entropy(logits, np.add(offsets, labels, out=picks))
 
         # Softmax minus the one-hot labels, over the batch size.
         delta /= row_sums[:, None]
-        delta[rows, labels] -= 1.0
+        delta.ravel()[picks] -= 1.0  # a view: ``delta`` is C-contiguous
         delta /= n
 
         for idx in range(len(layers) - 1, -1, -1):
@@ -589,11 +641,15 @@ class _GradStep:
                 helper.submit(_param_grad, acts[0], delta, W, dW, db, l2_coeff, slice(m, None))
                 _param_grad(acts[0], delta, W, dW, db, l2_coeff, slice(None, m))
             if idx > 0:
-                delta = delta @ W.T
+                delta = np.matmul(delta, W.T, out=deltas[idx - 1])
+                derivative = derivatives[idx - 1]
                 if activation == "relu":
-                    delta *= acts[idx] > 0.0
+                    # Written as float: a bool mask would make the multiply
+                    # cast it in a fresh buffer.
+                    np.greater(acts[idx], 0.0, out=derivative)
                 else:
-                    delta *= 1.0 - acts[idx] ** 2
+                    np.subtract(1.0, np.square(acts[idx], out=derivative), out=derivative)
+                delta *= derivative
             if m:
                 helper.result()
         return data_loss, _l2_penalty(layers, l2_coeff)
@@ -657,7 +713,7 @@ def mean_loss(w: ModelWeights, inputs: np.ndarray, labels: np.ndarray, l2_coeff:
     batch = Batch(inputs, labels)
     _check_batch(w.spec, batch)
     logits = forward(w, batch.inputs, workspace=workspace, helper=helper)
-    data_loss = _cross_entropy(logits, batch.labels, np.arange(len(batch)))[0]
+    data_loss = _cross_entropy(logits, np.arange(len(batch)) * w.spec.n_classes + batch.labels)[0]
     return LossValue(data_loss, _l2_penalty(unpack(w), l2_coeff))
 
 

@@ -122,18 +122,24 @@ class RunTrace:
 _BLOCK = 1 << 15
 
 
-def _sgd_update(w, velocity, grad, alpha, momentum, weight_decay, scratch) -> bool:
+def _update_blocks(w, velocity, grad) -> list:
+    """The views ``_sgd_update`` works on, made once for a loop: per
+    ``_BLOCK`` elements, those of ``w``, ``velocity`` and ``grad``, and the
+    same length of one scratch buffer."""
+    scratch = np.empty(min(w.size, _BLOCK))
+    return [(w[lo:lo + _BLOCK], velocity[lo:lo + _BLOCK], grad[lo:lo + _BLOCK],
+             scratch[:min(_BLOCK, w.size - lo)]) for lo in range(0, w.size, _BLOCK)]
+
+
+def _sgd_update(blocks, alpha, momentum, weight_decay) -> bool:
     """In place: ``velocity <- momentum*velocity + (grad + weight_decay*w)``,
-    then ``w <- w - alpha*velocity``, block by block; ``scratch`` holds at
-    least ``min(w.size, _BLOCK)`` elements. Returns whether every updated
-    weight is finite, checked while each block is still in cache."""
+    then ``w <- w - alpha*velocity``, block by block over ``_update_blocks``.
+    Returns whether every updated weight is finite, checked while each block
+    is still in cache."""
     finite = True
-    for lo in range(0, w.size, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        w_b, v_b = w[blk], velocity[blk]
-        s_b = scratch[: w_b.size]
+    for w_b, v_b, g_b, s_b in blocks:
         np.multiply(w_b, weight_decay, out=s_b)
-        s_b += grad[blk]
+        s_b += g_b
         v_b *= momentum
         v_b += s_b
         np.multiply(v_b, alpha, out=s_b)
@@ -164,8 +170,8 @@ def sgd_step(w: ModelWeights, grad: np.ndarray, alpha: float, state: MomentumSta
         )
     values, velocity = w.values.copy(), state.velocity.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = _sgd_update(values, velocity, grad, alpha, state.momentum,
-                             state.weight_decay, np.empty(min(values.size, _BLOCK)))
+        finite = _sgd_update(_update_blocks(values, velocity, grad), alpha, state.momentum,
+                             state.weight_decay)
     if not finite:
         raise NumericError("non-finite weights after SGD update")
     return (
@@ -209,7 +215,8 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
         raise ShapeError(f"velocity shape {velocity.shape} != weights {w.shape}")
     avg = w0.values.copy() if average else None
     n_models = 1
-    grad, scratch = np.empty_like(w), np.empty(min(w.size, _BLOCK))
+    grad = np.empty_like(w)
+    blocks = _update_blocks(w, velocity, grad)
     step = _grad_step(spec, w, grad, l2_coeff, loss_grad_fn)
     lrs, losses = np.empty(n_iters), np.empty(n_iters)
     cycle_end_iters, members = [], []
@@ -223,8 +230,7 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
                 raise NumericError(f"non-finite loss at iteration {i}")
             lrs[i - 1] = alpha
             losses[i - 1] = loss
-            if not _sgd_update(w, velocity, grad, alpha, opt.momentum,
-                               opt.weight_decay, scratch):
+            if not _sgd_update(blocks, alpha, opt.momentum, opt.weight_decay):
                 raise NumericError(f"non-finite weights after SGD update (iteration {i})")
             if i % cycle_len:
                 continue

@@ -108,6 +108,15 @@ class TestInitialCurve:
         assert np.array_equal(curve.controls[1].values, np.full(2, 1.0))
         assert np.array_equal(curve.controls[2].values, np.full(2, 2.0))
 
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    def test_rejects_k_below_one(self, k):
+        with pytest.raises(InvalidArgumentError, match=f"k={k}"):
+            initial_curve(tiny(0.0), tiny(3.0), k)
+
+    def test_k_of_one_is_the_endpoints(self):
+        a, b = tiny(0.0), tiny(3.0)
+        assert initial_curve(a, b, 1).controls == (a, b)
+
 
 class TestTrainCurve:
     def test_zero_gradient_keeps_initialization(self):

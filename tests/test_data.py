@@ -17,7 +17,9 @@ from pfge.data import (
     load_idx,
     save_csv,
 )
-from pfge.errors import ConfigurationError, DataFormatError, InvalidArgumentError
+from pfge.errors import ConfigurationError, DataFormatError, InvalidArgumentError, ShapeError
+from pfge.nn import Batch
+from pfge.rng import STREAM_SHUFFLE, stream_rng
 
 
 class TestDataset:
@@ -67,6 +69,10 @@ class TestTwoSpirals:
         arm0 = ds.inputs[ds.labels == 0]
         arm1 = ds.inputs[ds.labels == 1]
         assert np.max(np.abs(arm1 + arm0)) < 1e-9
+
+    def test_nan_noise_is_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="noise_sd"):
+            gen_two_spirals(20, noise_sd=float("nan"), seed=5)
 
     def test_noise_changes_points(self):
         clean = gen_two_spirals(20, noise_sd=0.0, seed=5)
@@ -363,6 +369,30 @@ class TestBatches:
         second = next(stream).inputs
         assert not np.array_equal(first, second)
 
+    @pytest.mark.parametrize("rows, batch_size", [(13, 5), (20, 20), (9, 1)])
+    def test_batches_equal_checked_batches_of_the_same_rows(self, rows, batch_size):
+        ds = gen_blobs([[0.0, 1.0], [4.0, -2.0], [1.0, 9.0]], n_per_class=rows, sd=1.0, seed=3)
+        stream = batches(ds, batch_size, seed=8)
+        rng = stream_rng(8, STREAM_SHUFFLE)
+        perms = [rng.permutation(len(ds)) for _ in range(3)]
+        starts = range(0, len(ds), batch_size)
+        wanted = [perm[lo:lo + batch_size] for perm in perms for lo in starts]
+        for batch, idx in zip(iter(stream), wanted):
+            want = Batch(ds.inputs[idx], ds.labels[idx])
+            for got, expected, dtype in ((batch.inputs, want.inputs, np.float64),
+                                         (batch.labels, want.labels, np.int64)):
+                assert got.dtype == dtype and got.flags.c_contiguous
+                assert got.tobytes() == expected.tobytes()
+
+    def test_a_held_batch_keeps_its_values_into_the_next_epochs(self):
+        ds = gen_two_spirals(10, noise_sd=0.05, seed=7)
+        stream = iter(batches(ds, 6, seed=5))
+        held = next(stream)
+        inputs, labels = held.inputs.copy(), held.labels.copy()
+        later = list(itertools.islice(stream, 3 * 4))
+        assert not any(b.inputs is held.inputs for b in later)
+        assert np.array_equal(held.inputs, inputs) and np.array_equal(held.labels, labels)
+
     def test_batch_size_bounds(self):
         ds = gen_blobs([[0.0]], n_per_class=4, sd=0.1, seed=1)
         with pytest.raises(ConfigurationError):
@@ -385,6 +415,24 @@ class TestStandardization:
         ds = Dataset(inputs, np.zeros(2, dtype=int), 1, name="big.csv")
         with pytest.raises(DataFormatError, match="big.csv: feature 1 has a non-finite"):
             feature_stats(ds)
+
+    @pytest.mark.parametrize("mean, std", [([5.0], [1.0, 1.0]), ([0.0, 0.0], [2.0]),
+                                           ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+                                           (0.0, [1.0, 1.0])])
+    def test_statistics_of_the_wrong_length_are_rejected(self, mean, std):
+        ds = Dataset(np.arange(6.0).reshape(3, 2), np.zeros(3, dtype=int), 1)
+        with pytest.raises(ShapeError, match="2 features"):
+            apply_standardization(ds, mean, std)
+        with pytest.raises(ShapeError, match="2 features"):
+            data._standardize_in_place(Dataset(ds.inputs, ds.labels, 1), mean, std)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_std_must_be_finite_and_positive(self, bad):
+        ds = Dataset(np.arange(6.0).reshape(3, 2), np.zeros(3, dtype=int), 1)
+        with pytest.raises(InvalidArgumentError, match="std must be finite and positive"):
+            apply_standardization(ds, [0.0, 0.0], [1.0, bad])
+        with pytest.raises(InvalidArgumentError, match="std must be finite and positive"):
+            data._standardize_in_place(Dataset(ds.inputs, ds.labels, 1), [0.0, 0.0], [bad, 1.0])
 
     def test_constant_feature_guard(self):
         ds = Dataset(np.column_stack([np.ones(5), np.arange(5.0)]), np.zeros(5, dtype=int), 1)

@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import blas_threads
+from pfge import data, nn, training
+from pfge.connectivity import train_curve
 from pfge.errors import ConfigurationError, InvalidArgumentError, ShapeError
 from pfge.nn import (
     Batch,
     LayerSpec,
+    LossValue,
     ModelWeights,
     _cross_entropy,
     _row_argmax,
@@ -108,6 +114,76 @@ def reference_mean_loss(w, inputs, labels, l2_coeff):
     reference_check(w.spec, labels)
     data_loss = reference_cross_entropy(forward(w, inputs), labels)[0]
     return data_loss, reference_l2_penalty(unpack(w), l2_coeff)
+
+
+def parent_cross_entropy(logits, labels, rows):
+    """``nn._cross_entropy`` before the flat label index: the true-class
+    logits picked as ``logits[rows, labels]``, ``rows`` being
+    ``np.arange(len(labels))``."""
+    logits -= nn._row_max(logits)[:, None]
+    picked = logits[rows, labels]
+    np.exp(logits, out=logits)
+    row_sums = np.add.reduce(logits, axis=1)
+    terms = np.log(row_sums)
+    terms -= picked
+    return float(np.add.reduce(terms)) / len(terms), logits, row_sums
+
+
+class ParentStep:
+    """``nn._GradStep`` before its step buffers, kept as the reference the
+    buffered step must match bit for bit: every call makes its activations,
+    deltas and ReLU masks afresh, and picks and subtracts the one-hot by
+    ``[rows, labels]``. The body of ``__call__`` is the former one."""
+
+    def __init__(self, spec, values, grad, l2_coeff):
+        self.spec, self.l2_coeff = spec, l2_coeff
+        self.layers, self.grad_layers = nn._layer_views(spec, values), nn._layer_views(spec, grad)
+        self.rows = {}
+
+    def __call__(self, batch, helper=None):
+        nn._check_batch(self.spec, batch)
+        layers, activation, l2_coeff = self.layers, self.spec.activation, self.l2_coeff
+        x, labels, n = batch.inputs, batch.labels, len(batch)
+        rows = self.rows.get(n)
+        if rows is None:
+            rows = self.rows[n] = np.arange(n)
+        acts = [x]
+        logits = nn._forward(layers, x, activation, acts, helper=helper)
+        data_loss, delta, row_sums = parent_cross_entropy(logits, labels, rows)
+
+        delta /= row_sums[:, None]
+        delta[rows, labels] -= 1.0
+        delta /= n
+
+        for idx in range(len(layers) - 1, -1, -1):
+            W, _ = layers[idx]
+            dW, db = self.grad_layers[idx]
+            m = helper and nn._split_point(n, *W.shape)
+            if not m:
+                nn._param_grad(acts[idx], delta, W, dW, db, l2_coeff)
+            elif idx:
+                helper.submit(nn._param_grad, acts[idx], delta, W, dW, db, l2_coeff)
+            else:
+                helper.submit(nn._param_grad, acts[0], delta, W, dW, db, l2_coeff,
+                              slice(m, None))
+                nn._param_grad(acts[0], delta, W, dW, db, l2_coeff, slice(None, m))
+            if idx > 0:
+                delta = delta @ W.T
+                if activation == "relu":
+                    delta *= acts[idx] > 0.0
+                else:
+                    delta *= 1.0 - acts[idx] ** 2
+            if m:
+                helper.result()
+        return data_loss, nn._l2_penalty(layers, l2_coeff)
+
+
+def parent_loss_and_grad(l2_coeff):
+    """A ``loss_grad_fn`` for the training loops that runs ``ParentStep``."""
+    def loss_grad(w, batch):
+        grad = np.empty(w.spec.param_count)
+        return LossValue(*ParentStep(w.spec, w.values, grad, l2_coeff)(batch)), grad
+    return loss_grad
 
 
 class TestLayerSpec:
@@ -286,7 +362,8 @@ class TestRowReductions:
     def test_cross_entropy_matches_the_former_code(self, z, seed):
         labels = np.random.default_rng(seed).integers(0, z.shape[1], size=len(z))
         with np.errstate(all="ignore"):
-            loss, exp_shifted, row_sums = _cross_entropy(z.copy(), labels, np.arange(len(z)))
+            picks = np.arange(len(z)) * z.shape[1] + labels
+            loss, exp_shifted, row_sums = _cross_entropy(z.copy(), picks)
             want = reference_cross_entropy(z.copy(), labels)
         assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes()
         assert exp_shifted.tobytes() == want[1].tobytes()
@@ -561,3 +638,105 @@ class TestWorkspace:
             forward(w, np.zeros((5, 2)), workspace=_Workspace(w.spec, 4))
         with pytest.raises(InvalidArgumentError, match="workspace"):
             forward(w, np.zeros((3, 2)), workspace=_Workspace(LayerSpec((2, 5, 2)), 4))
+
+
+# A batch-size sequence that grows, shrinks to one row, grows back and ends
+# on a short batch: buffers made again, prefixes of one and of most rows.
+GROWING_AND_SHORT = [7, 32, 1, 32, 5]
+
+
+class TestStepBuffers:
+    """``_GradStep`` keeps its layer outputs, deltas, activation derivatives
+    and flat label index from one call to the next; each call gives the
+    bits of the former step, which made them afresh."""
+
+    @given(data=st.data(), n_hidden=st.integers(1, 3),
+           activation=st.sampled_from(["relu", "tanh"]), l2_coeff=st.sampled_from([0.0, 1e-3]),
+           batch_sizes=st.one_of(st.just(GROWING_AND_SHORT),
+                                 st.lists(st.integers(1, 40), min_size=2, max_size=6)))
+    def test_each_call_matches_the_parent_step_bit_for_bit(self, data, n_hidden, activation,
+                                                          l2_coeff, batch_sizes):
+        # Three hidden layers catch a scheme that alternates two buffers.
+        widths = data.draw(st.lists(st.integers(1, 9), min_size=n_hidden + 2,
+                                    max_size=n_hidden + 2))
+        spec = LayerSpec(tuple(widths), activation)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        values = np.empty(spec.param_count)
+        grad, parent_grad = np.empty(spec.param_count), np.empty(spec.param_count)
+        step = _GradStep(spec, values, grad, l2_coeff)
+        parent = ParentStep(spec, values, parent_grad, l2_coeff)
+        for n in batch_sizes:
+            # The weights move between calls, as in a training loop.
+            values[...] = rng.normal(scale=1.5, size=spec.param_count)
+            x = rng.normal(scale=3.0, size=(n, spec.sizes[0]))
+            y = rng.integers(0, spec.n_classes, size=n)
+            batch = Batch(x, y)
+            assert step(batch) == parent(batch)
+            assert grad.tobytes() == parent_grad.tobytes()
+            w = ModelWeights(spec, values)
+            value = mean_loss(w, x, y, l2_coeff)
+            want = parent_cross_entropy(forward(w, x).copy(), y, np.arange(n))[0]
+            assert (value.data_loss, value.l2_penalty) == (want, nn._l2_penalty(unpack(w), l2_coeff))
+
+    @pytest.mark.parametrize("average", [False, True])
+    @pytest.mark.parametrize("activation, l2_coeff", [("relu", 0.0), ("tanh", 1e-3)])
+    def test_loops_match_the_parent_step_on_a_stream_with_a_short_batch(
+            self, average, activation, l2_coeff):
+        spec = LayerSpec((3, 9, 7, 4), activation)
+        rng = np.random.default_rng(11)
+        split = data.Dataset(rng.normal(size=(45, 3)), rng.integers(0, 4, 45), 4)
+        stream = data.batches(split, 16, seed=2)  # batches of 16, 16 and 13 rows
+        w0, w1 = init_model(spec, 1), init_model(spec, 2)
+        opt = training.MomentumState.initial(w0)
+        runs = [training._drive(w0, opt, stream, 12, lambda i: 0.05, 3, 6, average,
+                                loss_grad_fn=fn, l2_coeff=l2_coeff)
+                for fn in (None, parent_loss_and_grad(l2_coeff))]
+        (members, trace), (parent_members, parent_trace) = runs
+        assert [m.values.tobytes() for m in members.members] == \
+            [m.values.tobytes() for m in parent_members.members]
+        assert trace.losses.tobytes() == parent_trace.losses.tobytes()
+        curves = [train_curve(w0, w1, 3, 12, stream, 0.05, seed=4, loss_grad_fn=fn,
+                              l2_coeff=l2_coeff)
+                  for fn in (None, parent_loss_and_grad(l2_coeff))]
+        assert [c.values.tobytes() for c in curves[0].controls] == \
+            [c.values.tobytes() for c in curves[1].controls]
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_a_wide_step_with_a_helper_matches_the_parent_step(self, activation):
+        # Both hidden layers split with the helper at 128 rows; at 112, on
+        # row prefixes of the buffers, only the first does; at 44 and 7 none.
+        spec = LayerSpec((300, 256, 264, 10), activation)
+        rng = np.random.default_rng(5)
+        values = rng.normal(0.0, 0.05, spec.param_count)
+        grad, parent_grad = np.empty(spec.param_count), np.empty(spec.param_count)
+        step = _GradStep(spec, values, grad, 1e-3)
+        parent = ParentStep(spec, values, parent_grad, 1e-3)
+        with blas_threads(1), nn._BackgroundThread("pfge-layer-half") as helper:
+            for n in (128, 112, 44, 128, 7):
+                values += rng.normal(0.0, 0.01, spec.param_count)
+                batch = Batch(rng.normal(size=(n, 300)), rng.integers(0, 10, n))
+                assert step(batch, helper) == parent(batch)
+                assert grad.tobytes() == parent_grad.tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("sizes", [(2, 64, 64, 2), (2, 64, 64, 64, 2)])
+    def test_a_step_makes_no_layer_arrays(self, sizes, activation):
+        spec = LayerSpec(sizes, activation)
+        rng = np.random.default_rng(0)
+        values, grad = rng.normal(scale=0.3, size=spec.param_count), np.empty(spec.param_count)
+        step = _GradStep(spec, values, grad, 0.0)
+        batches = [Batch(rng.normal(size=(32, 2)), rng.integers(0, 2, 32)) for _ in range(27)]
+        step(batches[0])
+        step(batches[1])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for batch in batches[2:]:
+                step(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One (32, 64) float64 array is 16 KiB; the former step made six or
+        # more per call and peaked at 68.7 KiB (84.8 KiB with three hidden
+        # layers) above the start.
+        assert peak - start < 24 * 1024
