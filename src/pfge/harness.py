@@ -10,11 +10,11 @@ returned, so no verb holds a raw split next to its standardized copy.
 The verbs are the only code that starts a thread, and each has at most one
 background thread alive at a time: ``run`` its member scorer,
 ``connectivity_run`` its endpoint scorer and then a helper for the curve's
-interior points, ``pretrain`` a helper for a wide model's training steps and
-its train-accuracy forward, and ``evaluate`` a helper for its forwards (see
-``nn._split_helper``). A forward over enough rows runs in row tiles, half of
-them on the verb's helper, or all on the scorer's own thread (see
-``nn.forward``).
+interior points, ``pretrain`` a helper for its train-accuracy forward after
+training, and ``evaluate`` a helper for its forwards (see
+``nn._split_helper``). Every training loop runs on the main thread. A
+forward over enough rows runs in row tiles, half of them on the verb's
+helper, or all on the scorer's own thread (see ``nn.forward``).
 
 Directory layout per run: ``{output_dir}/{run_id}/member-{idx}.ckpt`` plus
 ``report.json`` and CSV side-files; parsed CSV splits are cached in
@@ -152,9 +152,10 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
 
     Feature standardization statistics are computed on the training split
     here and stored in the checkpoint; every later phase reuses them. The
-    training loop and the train-accuracy forward share one helper thread.
-    Weights whose train-accuracy forward is not finite raise
-    ``NumericError``, and no checkpoint is written.
+    training loop runs on the main thread; the train-accuracy forward after
+    it shares its row tiles with a helper thread where they tile. Weights
+    whose train-accuracy forward is not finite raise ``NumericError``, and
+    no checkpoint is written.
     """
     train = load_split(cfg, "train")
     mean, std = feature_stats(train)
@@ -164,13 +165,12 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
     total = cfg.resolve_pretrain(e)
     w_init = init_model(cfg.model_spec, cfg.seed)
     opt = MomentumState.initial(w_init, settings["momentum"], settings["weight_decay"])
-    with nn._split_helper(cfg.model_spec, len(train)) as helper:
-        final, _ = _drive(w_init, opt, batches(train, cfg.batch_size, cfg.seed), total,
-                          lambda i: settings["lr"] * _pretrain_lr_factor((i - 1) / total),
-                          total, total, l2_coeff=settings["l2_coeff"], helper=helper)
-        # Finite weights can still overflow in a forward over the whole split.
-        with np.errstate(all="ignore"):
-            train_probs, train_preds = ensemble_predict(final, train.inputs, helper=helper)
+    final, _ = _drive(w_init, opt, batches(train, cfg.batch_size, cfg.seed), total,
+                      lambda i: settings["lr"] * _pretrain_lr_factor((i - 1) / total),
+                      total, total, l2_coeff=settings["l2_coeff"])
+    # Finite weights can still overflow in a forward over the whole split.
+    with np.errstate(all="ignore"), nn._split_helper(cfg.model_spec, len(train)) as helper:
+        train_probs, train_preds = ensemble_predict(final, train.inputs, helper=helper)
     if not np.all(np.isfinite(train_probs)):
         raise NumericError("the pretrained weights give non-finite outputs on the train split")
     ckpt = Checkpoint(
@@ -387,7 +387,7 @@ def evaluate(cfg: ExperimentConfig) -> dict:
     ensemble = EnsembleSet(
         tuple(c.weights for c in members), tuple(range(1, len(members) + 1))
     )
-    with nn._split_helper(cfg.model_spec, len(test), steps=False) as helper:
+    with nn._split_helper(cfg.model_spec, len(test)) as helper:
         probs, _ = ensemble_predict(ensemble, test.inputs, cfg.last_k, helper=helper)
     reliability_csv = run_dir / EVALUATION_RELIABILITY_CSV
     record = {
@@ -491,7 +491,7 @@ def connectivity_run(cfg: ExperimentConfig) -> dict:
             for j, control in enumerate(curve.controls)
         ))
         first, last = endpoints.result(), endpoints.result()
-    with nn._split_helper(cfg.model_spec, workspace.rows, steps=False) as helper:
+    with nn._split_helper(cfg.model_spec, workspace.rows) as helper:
         interior = _sweep(curve, grid[1:-1], train, test, l2_coeff, workspace, helper)
     profile = CurveProfile._of(grid, [first, *interior, last])
     mc, t_star = profile.mc

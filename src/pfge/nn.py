@@ -7,11 +7,10 @@ vector arithmetic. The flat layout is, per layer ``l``: the weight matrix
 bias ``b_l`` of length sizes[l+1]. Hidden layers apply the configured
 activation; the output layer is linear and produces logits.
 
-Where OpenBLAS runs one thread on a kernel checked for it
-(``_splits_exactly``), work is split only into parts with the bits of the
-whole: a training step shares the columns of its wide layers with a helper
-thread (``_split_point``), and a forward over many rows runs in row tiles,
-half of them on a helper if it has one (``forward``).
+A training step runs whole on its caller's thread. Where OpenBLAS runs one
+thread on a kernel checked for it (``_splits_exactly``), a forward over many
+rows runs in row tiles, which have the bits of the whole gemm, half of them
+on a helper thread if it has one (``forward``).
 """
 
 import ctypes
@@ -298,23 +297,13 @@ class _BackgroundThread:
                 raise error
 
 
-# Each output column of a gemm is its own dot products, so a layer computed
-# as two gemms over its left and right columns can have the bits of one gemm.
-# With OpenBLAS's SkylakeX kernel that holds when both the width and the
-# split point are multiples of 8 (the last ``width % 8`` columns of a gemm
-# come out differently) and when each half stays off the small-matrix path,
-# which halves of 5-9 rows x 784 x 256 took. A training step handed a helper
-# thread splits the work of a layer at least this wide and this large with
-# it; smaller layers lose more to the handoff than they gain.
-_SPLIT_COLUMNS = 256
-_SPLIT_MULTIPLY_ADDS = 2**23
-# The OpenBLAS kernels under which such halves, and the row tiles below, were
-# checked to have the bits of the whole gemm, all with one BLAS thread. With
-# more, OpenBLAS gives each thread a share of the rows or of the columns,
-# whichever is longer, and Haswell computes a share's last rows in another
-# order, so a layer and its parts can differ. Elsewhere nothing splits.
-_EXACT_SPLIT_CORES = ("SkylakeX", "Haswell", "Sandybridge")
-# Each row of a gemm is its own dot products too, and under these kernels at
+# The OpenBLAS kernels under which the row tiles below were checked to have
+# the bits of the whole gemm, all with one BLAS thread. With more, OpenBLAS
+# gives each thread a share of the rows or of the columns, whichever is
+# longer, and Haswell computes a share's last rows in another order, so a
+# layer and its parts can differ. Elsewhere nothing tiles.
+_EXACT_TILE_CORES = ("SkylakeX", "Haswell", "Sandybridge")
+# Each row of a gemm is its own dot products, and under these kernels at
 # one thread a tile of at least this many rows has the bits of the whole gemm
 # where the width is a multiple of 8: 0 of 450 random shapes differed, tiles
 # of 128-1,024 rows. Other widths (2 and 10 among them), tiles of 8-16 rows
@@ -340,19 +329,10 @@ def _openblas(name: str, restype=ctypes.c_int):
 
 
 def _splits_exactly() -> bool:
-    """Whether column halves and row tiles of a gemm have its bits under
-    numpy's BLAS as it is set now: OpenBLAS on one thread with a kernel
-    checked for it."""
+    """Whether row tiles of a gemm have its bits under numpy's BLAS as it
+    is set now: OpenBLAS on one thread with a kernel checked for it."""
     core, threads = _openblas("get_corename", ctypes.c_char_p), _openblas("get_num_threads")
-    return core is not None and threads() == 1 and core().decode() in _EXACT_SPLIT_CORES
-
-
-def _split_point(rows, fan_in: int, fan_out: int) -> int:
-    """The output column at which a ``fan_in`` x ``fan_out`` layer of a
-    training step on ``rows`` rows splits between two threads, or 0 if it
-    stays whole."""
-    wide = fan_out >= _SPLIT_COLUMNS and fan_out % 8 == 0
-    return fan_out // 16 * 8 if wide and rows * fan_in * fan_out >= _SPLIT_MULTIPLY_ADDS else 0
+    return core is not None and threads() == 1 and core().decode() in _EXACT_TILE_CORES
 
 
 def _tiled_layers(spec: LayerSpec, rows) -> int:
@@ -365,17 +345,11 @@ def _tiled_layers(spec: LayerSpec, rows) -> int:
     return next((idx for idx, width in enumerate(widths) if width % 8), len(widths))
 
 
-def _split_helper(spec: LayerSpec, rows=0, steps=True):
-    """A ``_BackgroundThread`` to share ``spec``'s work with: with ``steps``,
-    a training step's wide layers (see ``_split_point``, on enough rows);
-    and a forward's row tiles on ``rows`` rows. Where it would get none of
-    that work, or the BLAS in effect does not split exactly, a context that
-    gives None."""
-    split = steps and any(_split_point(float("inf"), *shape)
-                          for shape in zip(spec.sizes[:-1], spec.sizes[1:]))
-    if (split and _splits_exactly()) or _tiled_layers(spec, rows):
-        return _BackgroundThread("pfge-layer-half")
-    return nullcontext()
+def _split_helper(spec: LayerSpec, rows: int):
+    """A ``_BackgroundThread`` to share the row tiles of ``spec``'s forwards
+    on ``rows`` rows with, or, where they do not tile (see
+    ``_tiled_layers``), a context that gives None."""
+    return _BackgroundThread("pfge-layer-half") if _tiled_layers(spec, rows) else nullcontext()
 
 
 def _dense(h: np.ndarray, W: np.ndarray, b: np.ndarray, activation, out=None) -> np.ndarray:
@@ -391,25 +365,16 @@ def _dense(h: np.ndarray, W: np.ndarray, b: np.ndarray, activation, out=None) ->
 
 
 def _forward(layers, x: np.ndarray, activation: str, acts=None, workspace=None,
-             helper=None, first=0) -> np.ndarray:
+             first=0) -> np.ndarray:
     """Logits of ``x``, the input of ``layers[first]``, through
     ``layers[first:]``; each hidden layer's output is appended to ``acts`` if
-    given, and written into ``workspace`` if given instead of fresh arrays.
-    Given a ``helper`` thread, a layer at a ``_split_point`` computes its
-    right columns on it."""
+    given, and written into ``workspace`` if given instead of fresh arrays."""
     h = x
     rows, last = x.shape[0], len(layers) - 1
     for idx in range(first, last + 1):
         W, b = layers[idx]
-        act = activation if idx < last else None
         out = None if workspace is None else workspace.out(idx, rows)
-        m = 0 if helper is None else _split_point(rows, *W.shape)
-        if m:
-            out = np.empty((rows, W.shape[1])) if out is None else out
-            helper.submit(_dense, h, W[:, m:], b[m:], act, out[:, m:])
-            _dense(h, W[:, :m], b[:m], act, out[:, :m])
-            helper.result()
-        h = out if m else _dense(h, W, b, act, out)
+        h = _dense(h, W, b, activation if idx < last else None, out)
         if acts is not None and idx < last:
             acts.append(h)
     return h
@@ -570,12 +535,7 @@ class _GradStep:
     one, uses C-contiguous row prefixes of them, as ``_Workspace`` does, so
     every gemm is the one a fresh array gets. Calling it on a batch checks
     the batch, writes the gradient into ``grad`` and returns ``(data_loss,
-    l2_penalty)`` as floats. Given a ``helper`` thread, a layer at a
-    ``_split_point`` shares its work with it: the forward's right columns;
-    at the first layer the weight gradient's right columns; at any other
-    layer the whole weight gradient, beside the main thread's ``delta @
-    W.T``. Every piece is a whole gemm or whole columns of one, and the
-    helper is done with each layer before the call moves on to the next."""
+    l2_penalty)`` as floats, all on the caller's thread."""
 
     def __init__(self, spec: LayerSpec, values: np.ndarray, grad: np.ndarray,
                  l2_coeff: float):
@@ -613,7 +573,7 @@ class _GradStep:
         into a ``_Workspace``."""
         return self._sized[rows][0][layer]
 
-    def __call__(self, batch: Batch, helper=None):
+    def __call__(self, batch: Batch):
         # A driver accepts any stream of batches, so each one is checked: a
         # negative label would otherwise wrap around silently.
         _check_batch(self.spec, batch)
@@ -621,7 +581,7 @@ class _GradStep:
         x, labels, n = batch.inputs, batch.labels, len(batch)
         _, deltas, derivatives, offsets, picks = self._views(n)
         acts = [x]
-        logits = _forward(layers, x, activation, acts, workspace=self, helper=helper)
+        logits = _forward(layers, x, activation, acts, workspace=self)
         data_loss, delta, row_sums = _cross_entropy(logits, np.add(offsets, labels, out=picks))
 
         # Softmax minus the one-hot labels, over the batch size.
@@ -632,14 +592,7 @@ class _GradStep:
         for idx in range(len(layers) - 1, -1, -1):
             W, _ = layers[idx]
             dW, db = self.grad_layers[idx]
-            m = helper and _split_point(n, *W.shape)
-            if not m:
-                _param_grad(acts[idx], delta, W, dW, db, l2_coeff)
-            elif idx:  # the whole gradient, beside ``delta @ W.T`` below
-                helper.submit(_param_grad, acts[idx], delta, W, dW, db, l2_coeff)
-            else:  # the right columns on the helper, the left ones here
-                helper.submit(_param_grad, acts[0], delta, W, dW, db, l2_coeff, slice(m, None))
-                _param_grad(acts[0], delta, W, dW, db, l2_coeff, slice(None, m))
+            _param_grad(acts[idx], delta, W, dW, db, l2_coeff)
             if idx > 0:
                 delta = np.matmul(delta, W.T, out=deltas[idx - 1])
                 derivative = derivatives[idx - 1]
@@ -650,16 +603,12 @@ class _GradStep:
                 else:
                     np.subtract(1.0, np.square(acts[idx], out=derivative), out=derivative)
                 delta *= derivative
-            if m:
-                helper.result()
         return data_loss, _l2_penalty(layers, l2_coeff)
 
 
-def _param_grad(acts, delta, W, dW, db, l2_coeff: float, cols=None) -> None:
-    """Write a layer's gradient, only its columns ``cols`` if given: ``dW =
-    acts.T @ delta + l2_coeff * W`` and ``db`` the column sums of ``delta``."""
-    if cols is not None:
-        delta, W, dW, db = delta[:, cols], W[:, cols], dW[:, cols], db[cols]
+def _param_grad(acts, delta, W, dW, db, l2_coeff: float) -> None:
+    """Write a layer's gradient: ``dW = acts.T @ delta + l2_coeff * W`` and
+    ``db`` the column sums of ``delta``."""
     np.matmul(acts.T, delta, out=dW)
     np.add.reduce(delta, axis=0, out=db)
     if l2_coeff > 0.0:
@@ -675,7 +624,7 @@ def _grad_step(spec: LayerSpec, values: np.ndarray, grad: np.ndarray, l2_coeff: 
     if loss_grad_fn is None:
         return _GradStep(spec, values, grad, l2_coeff)
 
-    def step(batch: Batch, helper=None):
+    def step(batch: Batch):
         value, step_grad = loss_grad_fn(ModelWeights(spec, values), batch)
         step_grad = np.asarray(step_grad, dtype=np.float64)
         if step_grad.shape != grad.shape:

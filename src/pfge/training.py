@@ -23,13 +23,12 @@ Drivers are deterministic given (initial weights, schedule, batch stream,
 optimizer state): rerunning with the same inputs reproduces every iterate
 bit-for-bit.
 
-``_drive`` and ``ensemble_predict`` start no thread. Handed a helper thread
-(which only the harness verbs open, see ``nn._split_helper``), they share
-work with it and wait for it before moving on: a training step the right
-columns or the weight gradient of each wide layer (see ``nn._split_point``),
-a forward over enough rows half of its row tiles (see ``nn.forward``). Every
-part is a whole gemm, or whole columns or rows of one, so the results have
-the bits of a one-thread call.
+``_drive`` runs every step on its caller's thread. ``ensemble_predict``
+starts no thread either; handed a helper thread (which only the harness
+verbs open, see ``nn._split_helper``), it gives it half of each forward's
+row tiles (see ``nn.forward``) and waits for it before moving on. Every
+tile is whole rows of a gemm, so the results have the bits of a one-thread
+call.
 """
 
 import math
@@ -194,8 +193,7 @@ def running_average_update(w_avg: ModelWeights, n_models: int, w: ModelWeights) 
 def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iters: int,
            lr: Callable[[int], float], cycle_len: int, period: int, average: bool = False,
            loss_grad_fn: Optional[LossGradFn] = None, l2_coeff: float = 0.0,
-           on_member: Optional[Callable[[ModelWeights, int], None]] = None,
-           helper=None):
+           on_member: Optional[Callable[[ModelWeights, int], None]] = None):
     """Run ``n_iters`` SGD steps from ``w0`` with step size ``lr(i)`` under the
     ``(average, period)`` rule of the module docstring; ``period`` is a
     multiple of ``cycle_len``, and every multiple of ``cycle_len`` is a cycle
@@ -205,9 +203,8 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
     non-finite loss or weight raises ``NumericError`` naming the iteration.
     ``on_member(weights, recorded_at)``, if given, is called with each member
     (a frozen copy) as it is collected; what it raises stops the loop. A
-    stream that runs out first raises ``InvalidArgumentError``. Given a
-    ``helper`` thread, the built-in step splits its wide layers with it; a
-    ``loss_grad_fn`` step ignores it. Returns ``(EnsembleSet, trace)``.
+    stream that runs out first raises ``InvalidArgumentError``. Returns
+    ``(EnsembleSet, trace)``.
     """
     spec = w0.spec
     w, velocity = w0.values.copy(), opt.velocity.copy()
@@ -224,7 +221,7 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
     with np.errstate(all="ignore"):
         for i, batch in zip(range(1, n_iters + 1), stream):
             alpha = lr(i)
-            data_loss, l2_penalty = step(batch, helper)
+            data_loss, l2_penalty = step(batch)
             loss = data_loss + l2_penalty
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at iteration {i}")

@@ -18,10 +18,11 @@ settings.load_profile("pfge")
 @contextmanager
 def blas_threads(threads: int):
     """Run the block with OpenBLAS on ``threads`` threads, then restore the
-    count in effect before. One thread is where a loop splits wide layers
-    (see ``nn._splits_exactly``), so with one the block must split where
-    OpenBLAS's kernel is one checked for it; a test skips only where numpy's
-    BLAS is not OpenBLAS or its kernel was not checked."""
+    count in effect before. One thread is where a forward over enough rows
+    runs in row tiles (see ``nn._splits_exactly``), so with one the block
+    must tile where OpenBLAS's kernel is one checked for it; a test skips
+    only where numpy's BLAS is not OpenBLAS or its kernel was not
+    checked."""
     get, set_threads = nn._openblas("get_num_threads"), nn._openblas("set_num_threads", None)
     if get is None:
         assert "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"][
@@ -32,8 +33,8 @@ def blas_threads(threads: int):
     try:
         if threads == 1:
             core = nn._openblas("get_corename", ctypes.c_char_p)().decode()
-            if core not in nn._EXACT_SPLIT_CORES:
-                pytest.skip(f"OpenBLAS's {core} kernel was not checked for exact column halves")
+            if core not in nn._EXACT_TILE_CORES:
+                pytest.skip(f"OpenBLAS's {core} kernel was not checked for exact row tiles")
             assert nn._splits_exactly()
         yield
     finally:

@@ -3,16 +3,11 @@
 The pins of ``tests/test_golden.py`` do not depend on OpenBLAS's thread
 count: the whole file passes with two BLAS threads. The two tiny variants'
 pins do not depend on the width of the FMA kernel either: they pass with the
-Haswell kernel forced. The "wide" variant's do, whether or not a layer is
-split, because a 256-wide gemm rounds differently under Haswell than under
-SkylakeX; so under Haswell, and under Sandybridge, whose kernel has no FMA,
-``tests/test_layer_split.py`` and ``tests/test_row_tiles.py`` check instead
-that split training steps and loops and row-tiled forwards have the bits of
-whole ones. The first also runs at the default thread count, two on a
-two-core machine, at which nothing may split: OpenBLAS then gives each
-thread a share of a gemm's rows or of its columns, whichever is longer, and
-Haswell computes the last rows of a share in another order, so a layer and
-its column halves can differ. Where a pin fails, its message names
+Haswell kernel forced. The "wide" variant's do, whether or not a forward
+runs in row tiles, because a 256-wide gemm rounds differently under Haswell
+than under SkylakeX; so under Haswell, and under Sandybridge, whose kernel
+has no FMA, ``tests/test_row_tiles.py`` checks instead that row-tiled
+forwards have the bits of whole ones. Where a pin fails, its message names
 OpenBLAS's kernel and numpy's CPU features."""
 
 import os
@@ -38,13 +33,12 @@ WIDE_PINS = [f"--deselect=tests/test_golden.py::{test}[wide]" for test in (
 
 
 @pytest.mark.parametrize("variables, core, tests", [
-    ({"OPENBLAS_NUM_THREADS": "2"}, None, ["tests/test_golden.py", "tests/test_layer_split.py"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, None, ["tests/test_golden.py"]),
     ({"OPENBLAS_CORETYPE": "Haswell"}, "Haswell",
-     ["tests/test_golden.py", *WIDE_PINS, "tests/test_layer_split.py", "tests/test_row_tiles.py"]),
-    ({"OPENBLAS_CORETYPE": "Sandybridge"}, "Sandybridge",
-     ["tests/test_layer_split.py", "tests/test_row_tiles.py"]),
+     ["tests/test_golden.py", *WIDE_PINS, "tests/test_row_tiles.py"]),
+    ({"OPENBLAS_CORETYPE": "Sandybridge"}, "Sandybridge", ["tests/test_row_tiles.py"]),
 ])
-def test_pins_and_split_hold(tmp_path, variables, core, tests):
+def test_pins_and_row_tiles_hold(tmp_path, variables, core, tests):
     src = str(ROOT / "src")
     env = {**os.environ, **variables,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

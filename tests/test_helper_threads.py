@@ -1,11 +1,10 @@
 """Only the harness verbs start threads, and each verb has at most one
-background thread alive at a time. A training loop handed a helper thread
-splits a wide model's steps with it; however the loop ends, the helper's
-owner joins it, and an error in the helper's half reaches the caller with
-its type and message. A loop handed no helper, on a narrower model, or
-under a BLAS setting whose column halves may differ from the whole gemm,
-starts no thread at all, and ``run`` trains whole beside its member scorer
-whatever the scorer's timing. ``nn._BackgroundThread`` replies in
+background thread alive at a time. Every training loop runs on the main
+thread, however it ends, and starts no thread: ``pretrain`` opens a helper
+only after its loop, for the row tiles of its train-accuracy forward, and
+only where that forward tiles; an error in the helper's tiles reaches the
+caller with its type and message. ``run`` trains whole beside its member
+scorer whatever the scorer's timing. ``nn._BackgroundThread`` replies in
 submission order, keeps each caller's numpy error state, and passes a
 failed call's error to its successors and to a clean exit."""
 
@@ -13,7 +12,7 @@ import itertools
 import json
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -54,12 +53,11 @@ def stream(spec: nn.LayerSpec, rows: int = 128, batches: int = 2):
         for _ in range(batches)])
 
 
-def drive(spec: nn.LayerSpec, lr: float = 0.05, on_member=None, batch_stream=None, split=True):
-    """A four-step loop, handed a ``_split_helper`` for ``spec`` if ``split``."""
+def drive(spec: nn.LayerSpec, lr: float = 0.05, on_member=None, batch_stream=None):
+    """A four-step loop on ``spec`` that collects a member every two steps."""
     w0 = nn.init_model(spec, 1)
-    with nn._split_helper(spec) if split else nullcontext() as helper:
-        return training._drive(w0, MomentumState.initial(w0), batch_stream or stream(spec), 4,
-                               lambda i: lr, 2, 2, on_member=on_member, helper=helper)
+    return training._drive(w0, MomentumState.initial(w0), batch_stream or stream(spec), 4,
+                           lambda i: lr, 2, 2, on_member=on_member)
 
 
 def fail_on_helper(owner, name: str):
@@ -91,93 +89,31 @@ def layer_calls():
         yield calls
 
 
-def test_a_numeric_error_joins_the_helper():
-    threads = threading.active_count()
-    with pytest.raises(NumericError, match="non-finite"):
-        drive(WIDE, lr=1e50)
-    assert threading.active_count() == threads
-
-
-def test_a_raising_on_member_joins_the_helper():
-    threads = threading.active_count()
-
+def test_drive_without_a_helper_starts_no_thread():
+    # On any model, and whether the loop ends, hits a non-finite loss, has
+    # its hook raise or runs out of batches.
     def on_member(member, recorded_at):
         raise Injected("the hook failed")
 
-    with pytest.raises(Injected, match="the hook failed"):
-        drive(WIDE, on_member=on_member)
-    assert threading.active_count() == threads
-
-
-def test_a_stream_that_runs_out_joins_the_helper():
     threads = threading.active_count()
-    with pytest.raises(InvalidArgumentError, match="ran out at iteration 3"):
-        drive(WIDE, batch_stream=iter(list(itertools.islice(stream(WIDE), 2))))
-    assert threading.active_count() == threads
-
-
-@pytest.mark.parametrize("owner, name", [(nn, "_dense"), (nn, "_param_grad")])
-def test_a_helper_error_reaches_the_caller(owner, name):
-    threads = threading.active_count()
-    with fail_on_helper(owner, name), pytest.raises(Injected) as caught:
-        drive(WIDE)
-    assert type(caught.value) is Injected
-    assert str(caught.value) == f"{name} failed on the helper"
-    assert threading.active_count() == threads
-
-
-@pytest.mark.parametrize("spec, split, helpers", [
-    (nn.LayerSpec((2, 64, 64, 2)), True, 0), (nn.LayerSpec((32, 128, 128, 8)), True, 0),
-    (WIDE, False, 0), (WIDE, True, 1)])
-def test_only_a_wide_model_trains_with_a_helper(spec, split, helpers):
-    threads, seen = threading.active_count(), []
-    ensemble, _ = drive(spec, split=split,
-                        on_member=lambda member, recorded_at: seen.append(threading.active_count()))
-    assert seen == [threads + helpers] * 2
-    assert threading.active_count() == threads
-    assert [m.values.tobytes() for m in ensemble.members] == [
-        m.values.tobytes() for m in drive(spec, split=not split)[0].members]
-
-
-def test_drive_without_a_helper_starts_no_thread():
-    threads = threading.active_count()
-    w0 = nn.init_model(WIDE, 1)
+    for spec in (nn.LayerSpec((2, 64, 64, 2)), nn.LayerSpec((32, 128, 128, 8)), WIDE):
+        with layer_calls() as calls:
+            drive(spec)
+        assert calls and calls == [("MainThread", threads)] * len(calls)
     with layer_calls() as calls:
-        training._drive(w0, MomentumState.initial(w0), stream(WIDE), 4, lambda i: 0.05, 2, 2)
+        with pytest.raises(NumericError, match="non-finite"):
+            drive(WIDE, lr=1e50)
+        with pytest.raises(Injected, match="the hook failed"):
+            drive(WIDE, on_member=on_member)
+        with pytest.raises(InvalidArgumentError, match="ran out at iteration 3"):
+            drive(WIDE, batch_stream=iter(list(itertools.islice(stream(WIDE), 2))))
     assert calls and calls == [("MainThread", threads)] * len(calls)
 
 
-def test_no_helper_where_column_halves_may_differ():
-    # With two BLAS threads, OpenBLAS's Haswell kernel gives column halves
-    # other bits than the whole gemm; no loop splits under such a setting.
-    threads, seen = threading.active_count(), []
-    with blas_threads(2):
-        assert not nn._splits_exactly()
-        drive(WIDE, on_member=lambda member, recorded_at: seen.append(threading.active_count()))
-        with nn._split_helper(WIDE) as helper:
-            assert helper is None
-    assert seen == [threads] * 2
-
-
-def test_a_caller_gradient_trains_without_a_helper():
-    # Handed a helper, a loop with a caller's ``loss_grad_fn`` puts no work on it.
-    w0 = nn.init_model(WIDE, 1)
-
-    def train(helper):
-        return training._drive(w0, MomentumState.initial(w0), stream(WIDE), 2, lambda i: 0.05,
-                               2, 2, loss_grad_fn=nn.loss_and_grad, helper=helper)[0]
-
-    with layer_calls() as calls, nn._split_helper(WIDE) as helper:
-        assert helper is not None
-        handed = train(helper)
-    assert {name for name, _ in calls} == {"MainThread"}
-    assert handed.members[0].values.tobytes() == train(None).members[0].values.tobytes()
-
-
 def run_doc(outdir, algorithm: str) -> dict:
-    """A (2,256,256,2) model trained on batches of 128 rows, at which its
-    256x256 layer splits, with a 512-row test split: fge collects a member
-    every 2 steps, pfge every 4."""
+    """A (2,256,256,2) model trained on batches of 128 rows, with 256 train
+    and 512 test rows, too few to tile: fge collects a member every 2 steps,
+    pfge every 4."""
     return {
         "seed": 3, "output_dir": str(outdir), "algorithm": algorithm,
         "dataset": {"kind": "two_spirals", "n_per_class": 128, "noise_sd": 0.1,
@@ -192,8 +128,7 @@ def run_doc(outdir, algorithm: str) -> dict:
 
 @pytest.mark.parametrize("algorithm", ["pfge", "fge"])
 def test_run_trains_whole_whatever_its_scorer_takes(tmp_path, algorithm):
-    # Every step's 256x256 layer would split on these batches, but the
-    # second core is the member scorer's alone.
+    # The second core is the member scorer's alone.
     cfg = config_from_dict(run_doc(tmp_path, algorithm))
     w0 = harness.pretrain(cfg)
     score = harness._MemberScorer.score
@@ -214,9 +149,9 @@ def test_run_trains_whole_whatever_its_scorer_takes(tmp_path, algorithm):
 
 
 def tiling_doc(outdir) -> dict:
-    """A (32,128,128,8) model, every width a multiple of 8 and none wide
-    enough to split a training step, on 1,024 train and 1,200 test rows:
-    the forwards over a whole split run in row tiles."""
+    """A (32,128,128,8) model, every width a multiple of 8, on 1,024 train
+    and 1,200 test rows: the forwards over a whole split run in row
+    tiles."""
     centers = (3.0 * np.random.default_rng(0).normal(size=(8, 32))).tolist()
     return {
         "seed": 3, "output_dir": str(outdir), "algorithm": "fge",
@@ -231,8 +166,8 @@ def tiling_doc(outdir) -> dict:
 
 
 def verb_docs(outdir) -> dict:
-    """The golden "wide" variant, whose batches of 10 rows never split,
-    ``run_doc``'s batches of 128 rows, which do, and ``tiling_doc``."""
+    """The golden "wide" variant, of 48 train and 1,024 test rows in batches
+    of 10, ``run_doc``'s batches of 128 rows, and ``tiling_doc``."""
     golden = golden_doc(outdir / "golden", "wide", "fge")
     golden.update(json.loads(json.dumps(CURVE_VARIANTS["wide"])))
     return {"golden-wide": golden, "batches-of-128": run_doc(outdir / "batches", "pfge"),
@@ -241,8 +176,10 @@ def verb_docs(outdir) -> dict:
 
 @pytest.mark.parametrize("name", ["golden-wide", "batches-of-128", "tiling"])
 def test_no_verb_has_more_than_one_background_thread(tmp_path, name, capsys):
+    doc = verb_docs(tmp_path)[name]
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(verb_docs(tmp_path)[name]))
+    path.write_text(json.dumps(doc))
+    cfg = config_from_dict(doc)
     threads = threading.active_count()
 
     def verb(*argv, code=0):
@@ -252,9 +189,11 @@ def test_no_verb_has_more_than_one_background_thread(tmp_path, name, capsys):
         assert threading.active_count() == threads, argv
         return calls
 
-    # Pretraining opens a helper whether or not its batches split, and for
-    # "tiling" its train-accuracy forward alone.
-    assert max(live for _, live in verb("pretrain")) == threads + 1
+    # Pretraining opens a helper exactly where its train-accuracy forward
+    # tiles: for "tiling" alone.
+    tiles = nn._tiled_layers(cfg.model_spec, len(harness.load_split(cfg, "train")))
+    assert max(live for _, live in verb("pretrain")) == threads + bool(tiles)
+    assert bool(tiles) is (name == "tiling")
     verb("pretrain", "pretrain.lr=1e50", "pretrain.epochs=6", code=4)
     verb("pretrain")
     calls = verb("run")
@@ -290,8 +229,52 @@ def test_pretrain_saves_no_weights_whose_train_forward_overflows(tmp_path, capsy
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("name", ["golden-wide", "batches-of-128", "tiling"])
+def test_pretrain_trains_on_the_main_thread_alone(tmp_path, name):
+    # Every layer call of the training loop runs on the main thread with no
+    # other thread alive; the helper, where there is one, is handed only the
+    # row tiles of the train-accuracy forward.
+    cfg = config_from_dict(verb_docs(tmp_path)[name])
+    threads, loop_calls, submitted = threading.active_count(), [], []
+    drive_loop, submit = harness._drive, nn._BackgroundThread.submit
+
+    def recording_drive(*args, **kwargs):
+        with layer_calls() as calls:
+            result = drive_loop(*args, **kwargs)
+        loop_calls.extend(calls)
+        return result
+
+    def recording_submit(self, call, *args):
+        submitted.append((self._thread.name, getattr(call, "func", call)))
+        return submit(self, call, *args)
+
+    with mock.patch.object(harness, "_drive", recording_drive), \
+            mock.patch.object(nn._BackgroundThread, "submit", recording_submit):
+        harness.pretrain(cfg)
+    assert loop_calls and loop_calls == [("MainThread", threads)] * len(loop_calls)
+    assert set(submitted) <= {("pfge-layer-half", nn._forward_tiles)}
+    assert bool(submitted) is (name == "tiling")
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("owner, name", [(nn, "_dense"), (nn, "_forward_tiles")])
+def test_a_helper_error_reaches_the_caller(tmp_path, owner, name):
+    # An error in the helper's tiles of pretraining's train-accuracy forward
+    # reaches the caller unchanged, with no thread left and no checkpoint
+    # written.
+    cfg = config_from_dict(tiling_doc(tmp_path))
+    threads = threading.active_count()
+    with fail_on_helper(owner, name), pytest.raises(Injected) as caught:
+        harness.pretrain(cfg)
+    assert type(caught.value) is Injected
+    assert str(caught.value) == f"{name} failed on the helper"
+    assert not cfg.w0_path.exists()
+    assert threading.active_count() == threads
+
+
 def test_helper_calls_keep_the_callers_numpy_error_state():
-    # A loop ignores numpy warnings; so must its helper's halves.
+    # Pretraining's train-accuracy forward ignores numpy warnings; so must
+    # its helper's tiles.
     with pytest.raises(FloatingPointError), np.errstate(over="raise"), \
             nn._BackgroundThread("pfge-layer-half") as helper:
         helper.submit(np.multiply, np.array([1e308]), 10.0)
@@ -299,9 +282,8 @@ def test_helper_calls_keep_the_callers_numpy_error_state():
 
 
 def test_each_call_runs_under_the_error_state_it_was_submitted_in():
-    # The helper outlives a loop's ``np.errstate``: pretraining opens it
-    # before the loop ignores warnings, and its train-accuracy forward runs
-    # after.
+    # A thread outlives its callers' ``np.errstate`` blocks, so each call
+    # carries the state it was submitted in.
     with nn._BackgroundThread("pfge-layer-half") as helper:
         with np.errstate(over="ignore"):
             helper.submit(np.multiply, np.array([1e308]), 10.0)

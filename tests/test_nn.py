@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import blas_threads
 from pfge import data, nn, training
 from pfge.connectivity import train_curve
 from pfge.errors import ConfigurationError, InvalidArgumentError, ShapeError
@@ -133,14 +132,15 @@ class ParentStep:
     """``nn._GradStep`` before its step buffers, kept as the reference the
     buffered step must match bit for bit: every call makes its activations,
     deltas and ReLU masks afresh, and picks and subtracts the one-hot by
-    ``[rows, labels]``. The body of ``__call__`` is the former one."""
+    ``[rows, labels]``. The body of ``__call__`` is the former one, less
+    the column split the step no longer has."""
 
     def __init__(self, spec, values, grad, l2_coeff):
         self.spec, self.l2_coeff = spec, l2_coeff
         self.layers, self.grad_layers = nn._layer_views(spec, values), nn._layer_views(spec, grad)
         self.rows = {}
 
-    def __call__(self, batch, helper=None):
+    def __call__(self, batch):
         nn._check_batch(self.spec, batch)
         layers, activation, l2_coeff = self.layers, self.spec.activation, self.l2_coeff
         x, labels, n = batch.inputs, batch.labels, len(batch)
@@ -148,7 +148,7 @@ class ParentStep:
         if rows is None:
             rows = self.rows[n] = np.arange(n)
         acts = [x]
-        logits = nn._forward(layers, x, activation, acts, helper=helper)
+        logits = nn._forward(layers, x, activation, acts)
         data_loss, delta, row_sums = parent_cross_entropy(logits, labels, rows)
 
         delta /= row_sums[:, None]
@@ -158,23 +158,13 @@ class ParentStep:
         for idx in range(len(layers) - 1, -1, -1):
             W, _ = layers[idx]
             dW, db = self.grad_layers[idx]
-            m = helper and nn._split_point(n, *W.shape)
-            if not m:
-                nn._param_grad(acts[idx], delta, W, dW, db, l2_coeff)
-            elif idx:
-                helper.submit(nn._param_grad, acts[idx], delta, W, dW, db, l2_coeff)
-            else:
-                helper.submit(nn._param_grad, acts[0], delta, W, dW, db, l2_coeff,
-                              slice(m, None))
-                nn._param_grad(acts[0], delta, W, dW, db, l2_coeff, slice(None, m))
+            nn._param_grad(acts[idx], delta, W, dW, db, l2_coeff)
             if idx > 0:
                 delta = delta @ W.T
                 if activation == "relu":
                     delta *= acts[idx] > 0.0
                 else:
                     delta *= 1.0 - acts[idx] ** 2
-            if m:
-                helper.result()
         return data_loss, nn._l2_penalty(layers, l2_coeff)
 
 
@@ -700,23 +690,6 @@ class TestStepBuffers:
                   for fn in (None, parent_loss_and_grad(l2_coeff))]
         assert [c.values.tobytes() for c in curves[0].controls] == \
             [c.values.tobytes() for c in curves[1].controls]
-
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_a_wide_step_with_a_helper_matches_the_parent_step(self, activation):
-        # Both hidden layers split with the helper at 128 rows; at 112, on
-        # row prefixes of the buffers, only the first does; at 44 and 7 none.
-        spec = LayerSpec((300, 256, 264, 10), activation)
-        rng = np.random.default_rng(5)
-        values = rng.normal(0.0, 0.05, spec.param_count)
-        grad, parent_grad = np.empty(spec.param_count), np.empty(spec.param_count)
-        step = _GradStep(spec, values, grad, 1e-3)
-        parent = ParentStep(spec, values, parent_grad, 1e-3)
-        with blas_threads(1), nn._BackgroundThread("pfge-layer-half") as helper:
-            for n in (128, 112, 44, 128, 7):
-                values += rng.normal(0.0, 0.01, spec.param_count)
-                batch = Batch(rng.normal(size=(n, 300)), rng.integers(0, 10, n))
-                assert step(batch, helper) == parent(batch)
-                assert grad.tobytes() == parent_grad.tobytes()
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("sizes", [(2, 64, 64, 2), (2, 64, 64, 64, 2)])

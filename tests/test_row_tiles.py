@@ -5,10 +5,15 @@ halves and the helper runs the second half's tiles. ``forward``,
 ``mean_loss`` and ``ensemble_predict`` must then give the bytes of the whole
 forward, with a helper and without one, and at two BLAS threads nothing may
 tile. The workspace keeps no full-row hidden buffer a tiled forward does not
-read, and an error in a helper's tile reaches the caller unchanged."""
+read, and an error in a helper's tile reaches the caller unchanged with no
+thread left behind. In the verbs, ``evaluate`` and the curve's interior
+points hand their tiles' second halves to a helper, while forwards that
+already run on a background thread (the run's member scorer, the curve's
+endpoint scorer) tile on that thread alone."""
 
+import json
 import threading
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from unittest import mock
 
@@ -18,8 +23,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import blas_threads
-from pfge import nn
+from pfge import connectivity, harness, nn
+from pfge.config import config_from_dict
 from pfge.training import EnsembleSet, ensemble_predict
+from test_golden import CURVE_VARIANTS, golden_doc
 
 TILE = nn._TILE_ROWS
 
@@ -113,7 +120,7 @@ def test_nothing_tiles_at_two_blas_threads(case):
     members, x, labels = model_and_data(spec, rows, seed)
     with blas_threads(2):
         assert nn._tiled_layers(spec, rows) == 0
-        with nn._split_helper(spec, rows, steps=False) as helper:
+        with nn._split_helper(spec, rows) as helper:
             assert helper is None
         calls, recording = tile_calls()
         with recording:
@@ -188,9 +195,139 @@ def test_a_helper_tile_error_reaches_the_caller_unchanged(call):
     threads = threading.active_count()
     with blas_threads(1), mock.patch.object(nn, "_dense", failing), \
             pytest.raises(Injected) as caught, \
-            nn._split_helper(spec, len(x), steps=False) as helper:
+            nn._split_helper(spec, len(x)) as helper:
         assert helper is not None
         calls[call](helper)
     assert type(caught.value) is Injected
     assert str(caught.value) == "a helper tile failed"
     assert threading.active_count() == threads
+
+
+@contextmanager
+def dense_calls(fail_on_helper=False):
+    """Record ``(thread name, output width, live threads)`` for every
+    ``nn._dense`` call; with ``fail_on_helper``, the helper's tiles raise."""
+    calls, original = [], nn._dense
+
+    def recording(h, W, *args):
+        thread = threading.current_thread()
+        calls.append((thread.name, W.shape[1], threading.active_count()))
+        if fail_on_helper and thread.name == "pfge-layer-half":
+            raise Injected("the second half failed")
+        return original(h, W, *args)
+
+    with mock.patch.object(nn, "_dense", recording):
+        yield calls
+
+
+def splits(calls) -> int:
+    return sum(name == "pfge-layer-half" for name, _, _ in calls)
+
+
+@pytest.fixture(scope="module")
+def wide_run(tmp_path_factory):
+    """An fge run of the "wide" golden model, at one BLAS thread: a 256x256
+    layer on 1,024 test rows, two row tiles of 512, and 48 train rows,
+    which no forward tiles."""
+    doc = golden_doc(tmp_path_factory.mktemp("wide"), "wide", "fge")
+    doc.update(json.loads(json.dumps(CURVE_VARIANTS["wide"])))
+    cfg = config_from_dict(doc)
+    with blas_threads(1):
+        w0 = harness.pretrain(cfg)
+        with dense_calls() as calls:
+            harness.run(cfg, w0)
+    return cfg, calls
+
+
+def by_thread(calls) -> dict:
+    """The output widths of each thread's ``nn._dense`` calls, in order."""
+    widths = {}
+    for name, fan_out, _ in calls:
+        widths.setdefault(name, []).append(fan_out)
+    return widths
+
+
+# A test forward of the "wide" model: the two 256-wide layers tile by tile,
+# then the 2-wide output layer whole. Halved, each half is one tile.
+TWO_TILES = [256, 256, 256, 256, 2]
+
+
+def test_member_scorer_never_splits(wide_run):
+    cfg, calls = wide_run
+    # Beside the main thread's training steps, four members' test forwards,
+    # all on the scorer's thread, in tiles there.
+    assert set(by_thread(calls)) == {"MainThread", "pfge-member-scorer"}
+    assert by_thread(calls)["pfge-member-scorer"] == TWO_TILES * 4
+
+
+def test_evaluate_and_connectivity_split_and_join(wide_run):
+    cfg, _ = wide_run
+    threads = threading.active_count()
+    with blas_threads(1), dense_calls() as calls:
+        harness.evaluate(cfg)
+    # Three members: the helper takes the second tile, the main thread the
+    # first and then the output layer.
+    assert by_thread(calls) == {"MainThread": [256, 256, 2] * 3,
+                                "pfge-layer-half": [256, 256] * 3}
+    assert max(live for _, _, live in calls) == threads + 1
+    assert threading.active_count() == threads
+    with blas_threads(1), dense_calls() as calls:
+        harness.connectivity_run(cfg)
+    # The endpoint thread runs each endpoint's train forward whole and its
+    # test forward in tiles on its own; the helper takes the second tile of
+    # the three interior points' test forwards.
+    assert by_thread(calls)["pfge-endpoint-scorer"] == ([256, 256, 2] + TWO_TILES) * 2
+    assert by_thread(calls)["pfge-layer-half"] == [256, 256] * 3
+    assert max(live for _, _, live in calls) == threads + 1
+    assert threading.active_count() == threads
+
+
+def test_helper_error_reaches_the_caller_unchanged(wide_run):
+    cfg, _ = wide_run
+    test = harness.load_split(cfg, "test", harness.load_checkpoint(cfg.w0_path).standardization)
+    member = harness.load_checkpoint(harness.member_checkpoint_paths(cfg.run_dir)[0]).weights
+    threads = threading.active_count()
+    with blas_threads(1), dense_calls(fail_on_helper=True), pytest.raises(Injected) as caught, \
+            nn._split_helper(member.spec, len(test)) as helper:
+        ensemble_predict(EnsembleSet((member,), (1,)), test.inputs, helper=helper)
+    assert type(caught.value) is Injected
+    assert str(caught.value) == "the second half failed"
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("verb", [harness.evaluate, harness.connectivity_run])
+def test_a_failed_half_leaves_no_thread(wide_run, verb):
+    cfg, _ = wide_run
+    threads = threading.active_count()
+    with blas_threads(1), dense_calls(fail_on_helper=True), pytest.raises(Injected):
+        verb(cfg)
+    assert threading.active_count() == threads
+
+
+def test_public_calls_stay_on_the_callers_thread(wide_run):
+    # ``ensemble_predict`` and ``profile_curve`` share their tiles only with
+    # a helper their caller hands them, and on one thread they give the same
+    # bits.
+    cfg, _ = wide_run
+    stats = harness.load_checkpoint(cfg.w0_path).standardization
+    train, test = harness.load_split(cfg, "train", stats), harness.load_split(cfg, "test", stats)
+    members = tuple(harness.load_checkpoint(p).weights
+                    for p in harness.member_checkpoint_paths(cfg.run_dir))
+    ensemble = EnsembleSet(members, tuple(range(1, len(members) + 1)))
+    curve = connectivity.initial_curve(members[0], members[1], 2)
+    grid = np.linspace(0.0, 1.0, 5)
+    workspace = connectivity._profile_workspace(cfg.model_spec, train, test)
+    threads = threading.active_count()
+    with blas_threads(1):
+        with dense_calls() as calls:
+            probs = ensemble_predict(ensemble, test.inputs)[0]
+            profile = connectivity.profile_curve(curve, len(grid), train, test)
+        assert {(name, live) for name, _, live in calls} == {("MainThread", threads)}
+        with dense_calls() as calls, nn._split_helper(cfg.model_spec, len(test)) as helper:
+            split_probs = ensemble_predict(ensemble, test.inputs, helper=helper)[0]
+            split_scores = connectivity._sweep(curve, grid, train, test, 0.0, workspace, helper)
+    # Each test forward puts its second tile of both hidden layers there.
+    assert splits(calls) == 2 * (len(members) + len(grid))
+    assert probs.tobytes() == split_probs.tobytes()
+    assert profile.train_loss.tobytes() == np.array([s[0] for s in split_scores]).tobytes()
+    assert profile.test_error.tobytes() == np.array([s[1] for s in split_scores]).tobytes()

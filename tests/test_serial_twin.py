@@ -1,8 +1,8 @@
 """Every threaded path writes what a serial one writes: the four verbs on
 the golden "relu" and "wide" variants and on ``tiling_doc``'s model, at one
-BLAS thread, where the wide model's verbs split its layers with a helper and
-the forwards over a whole split of "wide" and "tiling" run in row tiles,
-leave byte-identical files with real threads and with
+BLAS thread, where the forwards over a whole split of "wide" and "tiling"
+run in row tiles, half of them on a helper in ``pretrain``, ``evaluate`` and
+the curve's interior points, leave byte-identical files with real threads and with
 ``conftest.SerialThread`` in their place. Only the checkpoint sidecars'
 ``created_at`` and ``report.json``'s ``timing`` may differ."""
 

@@ -12,11 +12,10 @@ times N steps of each of:
 - ``grad``: ``nn._GradStep`` on one epoch's batches, drawn beforehand;
 - ``update``: ``training._sgd_update``, the heavy-ball update.
 
-Each part runs once per round, the parts in turn, on this thread and with no
-helper thread, BLAS pinned to one thread before numpy is imported. It prints
-one row per workload: the median over R rounds of each part's CPU time per
-step (``time.thread_time``), in microseconds. Standard library plus the
-package.
+Each part runs once per round, the parts in turn, on this thread, BLAS
+pinned to one thread before numpy is imported. It prints one row per
+workload: the median over R rounds of each part's CPU time per step
+(``time.thread_time``), in microseconds. Standard library plus the package.
 """
 
 import os
