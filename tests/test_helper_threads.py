@@ -1,6 +1,8 @@
 """Only the harness verbs start threads, and each verb has at most one
 background thread alive at a time. Every training loop runs on the main
-thread, however it ends, and starts no thread: ``pretrain`` opens a helper
+thread, however it ends, and starts no thread; it puts no work on a helper
+its caller holds open, and its error leaves the helper joined by its
+owner. ``pretrain`` opens a helper
 only after its loop, for the row tiles of its train-accuracy forward, and
 only where that forward tiles; an error in the helper's tiles reaches the
 caller with its type and message. ``run`` trains whole beside its member
@@ -12,7 +14,7 @@ import itertools
 import json
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -53,11 +55,15 @@ def stream(spec: nn.LayerSpec, rows: int = 128, batches: int = 2):
         for _ in range(batches)])
 
 
-def drive(spec: nn.LayerSpec, lr: float = 0.05, on_member=None, batch_stream=None):
-    """A four-step loop on ``spec`` that collects a member every two steps."""
+def drive(spec: nn.LayerSpec, lr: float = 0.05, on_member=None, batch_stream=None,
+          helper_open=True):
+    """A four-step loop on ``spec`` that collects a member every two steps,
+    run, if ``helper_open``, while its caller holds a helper thread open, as
+    ``pretrain`` holds one around its train-accuracy forward."""
     w0 = nn.init_model(spec, 1)
-    return training._drive(w0, MomentumState.initial(w0), batch_stream or stream(spec), 4,
-                           lambda i: lr, 2, 2, on_member=on_member)
+    with nn._BackgroundThread("pfge-layer-half") if helper_open else nullcontext():
+        return training._drive(w0, MomentumState.initial(w0), batch_stream or stream(spec), 4,
+                               lambda i: lr, 2, 2, on_member=on_member)
 
 
 def fail_on_helper(owner, name: str):
@@ -89,25 +95,92 @@ def layer_calls():
         yield calls
 
 
-def test_drive_without_a_helper_starts_no_thread():
-    # On any model, and whether the loop ends, hits a non-finite loss, has
-    # its hook raise or runs out of batches.
+def test_a_numeric_error_joins_the_helper():
+    # The loop puts no work on the helper its caller holds open, and its
+    # error passes through the helper's owner, which joins the helper.
+    threads = threading.active_count()
+    with layer_calls() as calls, pytest.raises(NumericError, match="non-finite"):
+        drive(WIDE, lr=1e50)
+    assert calls and {name for name, _ in calls} == {"MainThread"}
+    assert threading.active_count() == threads
+
+
+def test_a_raising_on_member_joins_the_helper():
+    threads = threading.active_count()
+
     def on_member(member, recorded_at):
         raise Injected("the hook failed")
 
+    with layer_calls() as calls, pytest.raises(Injected, match="the hook failed"):
+        drive(WIDE, on_member=on_member)
+    assert calls and {name for name, _ in calls} == {"MainThread"}
+    assert threading.active_count() == threads
+
+
+def test_a_stream_that_runs_out_joins_the_helper():
+    threads = threading.active_count()
+    with layer_calls() as calls, \
+            pytest.raises(InvalidArgumentError, match="ran out at iteration 3"):
+        drive(WIDE, batch_stream=iter(list(itertools.islice(stream(WIDE), 2))))
+    assert calls and {name for name, _ in calls} == {"MainThread"}
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("spec, helper_open, helper_calls", [
+    (nn.LayerSpec((2, 64, 64, 2)), True, 0), (nn.LayerSpec((32, 128, 128, 8)), True, 0),
+    (WIDE, False, 0)])
+def test_only_a_wide_model_trains_with_a_helper(spec, helper_open, helper_calls):
+    # No model does any more: whether or not its caller holds a helper open,
+    # a loop does all its layer work on the main thread, to the same bits.
+    threads, seen = threading.active_count(), []
+    with layer_calls() as calls:
+        ensemble, _ = drive(spec, helper_open=helper_open, on_member=lambda member, recorded_at:
+                            seen.append(threading.active_count()))
+    assert seen == [threads + helper_open] * 2
+    assert calls and sum(name != "MainThread" for name, _ in calls) == helper_calls
+    assert threading.active_count() == threads
+    assert [m.values.tobytes() for m in ensemble.members] == [
+        m.values.tobytes() for m in drive(spec, helper_open=not helper_open)[0].members]
+
+
+def test_drive_without_a_helper_starts_no_thread():
+    # On any model, every layer call runs on the main thread with no other
+    # thread alive.
     threads = threading.active_count()
     for spec in (nn.LayerSpec((2, 64, 64, 2)), nn.LayerSpec((32, 128, 128, 8)), WIDE):
         with layer_calls() as calls:
-            drive(spec)
+            drive(spec, helper_open=False)
         assert calls and calls == [("MainThread", threads)] * len(calls)
+
+
+def test_no_helper_where_column_halves_may_differ():
+    # With two BLAS threads, OpenBLAS's Haswell kernel gives column halves
+    # other bits than the whole gemm; under such a setting no forward tiles,
+    # no helper opens and a loop starts no thread.
+    threads, seen = threading.active_count(), []
+    with blas_threads(2):
+        assert not nn._splits_exactly()
+        drive(WIDE, helper_open=False,
+              on_member=lambda member, recorded_at: seen.append(threading.active_count()))
+        with nn._split_helper(WIDE, 4096) as helper:
+            assert helper is None
+    assert seen == [threads] * 2
+
+
+def test_a_caller_gradient_trains_without_a_helper():
+    # With a helper open beside it, a loop with a caller's ``loss_grad_fn``
+    # puts no work on it.
+    w0 = nn.init_model(WIDE, 1)
+
+    def train(helper_open):
+        with nn._BackgroundThread("pfge-layer-half") if helper_open else nullcontext():
+            return training._drive(w0, MomentumState.initial(w0), stream(WIDE), 2,
+                                   lambda i: 0.05, 2, 2, loss_grad_fn=nn.loss_and_grad)[0]
+
     with layer_calls() as calls:
-        with pytest.raises(NumericError, match="non-finite"):
-            drive(WIDE, lr=1e50)
-        with pytest.raises(Injected, match="the hook failed"):
-            drive(WIDE, on_member=on_member)
-        with pytest.raises(InvalidArgumentError, match="ran out at iteration 3"):
-            drive(WIDE, batch_stream=iter(list(itertools.islice(stream(WIDE), 2))))
-    assert calls and calls == [("MainThread", threads)] * len(calls)
+        handed = train(True)
+    assert calls and {name for name, _ in calls} == {"MainThread"}
+    assert handed.members[0].values.tobytes() == train(False).members[0].values.tobytes()
 
 
 def run_doc(outdir, algorithm: str) -> dict:
