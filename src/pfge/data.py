@@ -1,5 +1,6 @@
 """Synthetic dataset generators, CSV/IDX ingestion, and seeded batching."""
 
+import copy
 import csv
 import hashlib
 import io
@@ -433,6 +434,9 @@ class BatchStream:
     already, so they are not converted or checked again.
     """
 
+    # How many leading batches iterating the stream passes over (``_after``).
+    _skipped = 0
+
     def __init__(self, dataset: Dataset, batch_size: int, seed: int):
         if not (1 <= batch_size <= len(dataset)):
             raise ConfigurationError(
@@ -446,14 +450,26 @@ class BatchStream:
     def iterations_per_epoch(self) -> int:
         return math.ceil(len(self.dataset) / self.batch_size)
 
+    def _after(self, skipped: int) -> "BatchStream":
+        """This stream without its first ``skipped`` batches: iterating it
+        draws the permutations of the epochs they cover but gathers none of
+        their rows."""
+        stream = copy.copy(self)
+        stream._skipped = skipped
+        return stream
+
     def __iter__(self):
         rng = stream_rng(self.seed, STREAM_SHUFFLE)
         inputs, labels, n = self.dataset.inputs, self.dataset.labels, len(self.dataset)
+        epochs, first = divmod(self._skipped, self.iterations_per_epoch)
+        for _ in range(epochs):
+            rng.permutation(n)
         while True:
             perm = rng.permutation(n)
-            for start in range(0, n, self.batch_size):
+            for start in range(first * self.batch_size, n, self.batch_size):
                 idx = perm[start : start + self.batch_size]
                 yield Batch._take(inputs.take(idx, axis=0), labels[idx])
+            first = 0
 
 
 def batches(ds: Dataset, batch_size: int, seed: int) -> BatchStream:

@@ -18,10 +18,16 @@ helper, or all on the scorer's own thread (see ``nn.forward``).
 
 Directory layout per run: ``{output_dir}/{run_id}/member-{idx}.ckpt`` plus
 ``report.json`` and CSV side-files; parsed CSV splits are cached in
-``{output_dir}/split-cache/``. Every file is written and read through
-``files``.
+``{output_dir}/split-cache/``, and ``run``'s cyclical trajectories in
+``{output_dir}/trajectory-cache/``: ``{key}.f64`` holds the iterate and the
+velocity of every cycle end as raw float64 rows, and ``{key}.json`` the
+SHA-256 of the standardized train split and of each row (see
+``_trajectory_key``). Every file is written and read through ``files``.
 """
 
+import ctypes
+import hashlib
+import os
 import re
 import shutil
 from datetime import datetime, timezone
@@ -61,7 +67,7 @@ from .data import (  # noqa: F401
     load_idx,
 )
 from .errors import ConfigurationError, DataFormatError, InvalidArgumentError, NumericError
-from .files import read_json, write_csv, write_json
+from .files import json_text, read_json, replacing, write_csv, write_json
 # ``apply_standardization``, ``ece``, ``loss_and_grad``, ``sgd_step``,
 # ``mc_value``, ``profile_curve``, ``run_swa``, ``run_fge`` and ``run_pfge``
 # are not called here, but stay importable from this module for callers (and
@@ -69,13 +75,14 @@ from .files import read_json, write_csv, write_json
 from .metrics import PredictionBatch, accuracy, ece, nll, reliability  # noqa: F401
 from .nn import LayerSpec, ModelWeights, _BackgroundThread, init_model, loss_and_grad  # noqa: F401
 from .rng import STREAM_CURVE, stream_rng
-from .schedule import lr_at
+from .schedule import LrSchedule, lr_at
 from .training import (  # noqa: F401
     EnsembleSet,
     MomentumState,
     _accumulate,
     _collection_rule,
     _drive,
+    _fold,
     ensemble_predict,
     run_fge,
     run_pfge,
@@ -93,6 +100,9 @@ CONNECTIVITY_DIR = "connectivity"
 # IDX and generated splits are not cached: converting IDX bytes costs less
 # than reading back a float64 copy, and the generators take microseconds.
 SPLIT_CACHE_DIR = "split-cache"
+# The cycle ends of ``run``'s trajectories, under ``output_dir``: sgd, swa and
+# fge follow one trajectory, and pfge follows it up to its first period end.
+_TRAJECTORY_CACHE_DIR = "trajectory-cache"
 
 
 def _now() -> str:
@@ -224,9 +234,13 @@ class _MemberScorer:
         self._workspace = nn._Workspace(cfg.model_spec, len(test))
         self.members, self.series = [], []
         self.ensemble_sum = self._prob_sum = None
+        # A helper thread to share each forward's row tiles with, for a
+        # scorer that runs on the main thread.
+        self.helper = None
 
     def score(self, member: ModelWeights) -> None:
-        probs = nn._softmax_inplace(nn.forward(member, self._inputs, workspace=self._workspace))
+        probs = nn._softmax_inplace(nn.forward(member, self._inputs, workspace=self._workspace,
+                                               helper=self.helper))
         self.members.append(self._record(probs))
         self._prob_sum = _accumulate(self._prob_sum, probs)
         self.series.append(self._record(self._prob_sum / len(self.members)))
@@ -236,12 +250,148 @@ class _MemberScorer:
             self.ensemble_sum = _accumulate(self.ensemble_sum, probs)
 
 
+def _trajectory_key(cfg: ExperimentConfig, w0: Checkpoint, sched: LrSchedule,
+                    total_iters: int) -> str:
+    """The SHA-256 (hex) of what ``run``'s trajectory depends on besides its
+    train split: the w0 payload and standardization, the schedule, budget,
+    batch size, seed, optimizer and model, numpy's version and OpenBLAS's
+    kernel and thread count. A recording period is not part of it."""
+    core, threads = nn._openblas("get_corename", ctypes.c_char_p), nn._openblas("get_num_threads")
+    spec = cfg.model_spec
+    digest = hashlib.sha256(json_text({
+        "standardization": w0.standardization,
+        "schedule": [sched.alpha1, sched.alpha2, sched.cycle_len],
+        "total_iters": total_iters,
+        "batch_size": cfg.batch_size,
+        "seed": cfg.seed,
+        "optimizer": cfg.optimizer,
+        "model": [list(spec.sizes), spec.activation],
+        "numpy": np.__version__,
+        "blas": [core and core().decode(), threads and threads()],
+    }).encode())
+    digest.update(w0.weights.values)
+    return digest.hexdigest()
+
+
+def _split_digest(split: Dataset) -> str:
+    """The SHA-256 (hex) of a split's shape, inputs and labels, hashed in place."""
+    digest = hashlib.sha256(repr(split.inputs.shape).encode())
+    digest.update(np.ascontiguousarray(split.inputs))
+    digest.update(np.ascontiguousarray(split.labels))
+    return digest.hexdigest()
+
+
+def _recorded_trajectory(entry: Path, train: Dataset, spec: LayerSpec, n_rows: int,
+                         velocity_row: int):
+    """The ``n_rows`` cycle-end iterates recorded at ``entry`` and the velocity
+    of row ``velocity_row``, or None where the record is missing or
+    unreadable, was trained on another split, or any row differs from its
+    SHA-256. The split is hashed only once the sidecar has been read."""
+    size = spec.param_count
+    row = np.empty(2 * size)
+    iterates, velocity = [], None
+    try:
+        sidecar = read_json(entry.with_suffix(".json"), ValueError, "trajectory record")
+        rows = sidecar["rows"] if isinstance(sidecar, dict) else None
+        if not (isinstance(rows, list) and len(rows) == n_rows and len(sidecar) == 2
+                and sidecar["train"] == _split_digest(train)):
+            return None
+        with open(entry.with_suffix(".f64"), "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != n_rows * row.nbytes:
+                return None
+            for idx, expected in enumerate(rows):
+                if fh.readinto(row) != row.nbytes or hashlib.sha256(row).hexdigest() != expected:
+                    return None
+                iterates.append(ModelWeights(spec, row[:size]))
+                if idx == velocity_row:
+                    velocity = row[size:].copy()
+    except (OSError, ValueError, KeyError):
+        return None
+    return iterates, velocity
+
+
+class _RowWriter:
+    """``_drive``'s ``on_cycle_end`` for a run that records its trajectory:
+    writes each cycle end's iterate and velocity to ``fh`` as one raw float64
+    row and keeps the row's SHA-256, hashing both in place. After a failed
+    write it writes nothing more, and ``failed`` says so."""
+
+    def __init__(self, fh):
+        self.fh, self.rows, self.failed = fh, [], False
+
+    def __call__(self, w: np.ndarray, velocity: np.ndarray) -> None:
+        if self.failed:
+            return
+        try:
+            self.fh.write(w)
+            self.fh.write(velocity)
+        except OSError:
+            self.failed = True
+            return
+        digest = hashlib.sha256(w)
+        digest.update(velocity)
+        self.rows.append(digest.hexdigest())
+
+
+class _Unwritten(Exception):
+    """Raised in a ``replacing`` block to drop the file it writes."""
+
+
+def _recording(entry: Path, train: Dataset, drive):
+    """``drive(on_cycle_end=...)``'s result, with a ``_RowWriter`` streaming
+    the rows of the record at ``entry`` into a ``replacing`` temp file, which
+    becomes the record, and then its sidecar is written, only if the loop
+    ends without error. A record that cannot be written is dropped; the run
+    goes on."""
+    writer = result = None
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        with replacing(entry.with_suffix(".f64")) as fh:
+            writer = _RowWriter(fh)
+            result = drive(on_cycle_end=writer)
+            if writer.failed:
+                raise _Unwritten
+        write_json(entry.with_suffix(".json"),
+                   {"train": _split_digest(train), "rows": writer.rows})
+    except (OSError, _Unwritten):
+        if writer is None:
+            return drive()
+        if result is None:
+            raise
+    return result
+
+
+def _replayed(algo: str, w0: ModelWeights, iterates: list, cycle_len: int, period: int):
+    """``algo``'s members and their iterations, taken from the cycle-end
+    ``iterates`` of the trajectory from ``w0``: sgd's is the last, swa's the
+    average of ``w0`` and all of them, fge's each of them, and pfge's first
+    member the average of ``w0`` and those up to ``period``."""
+    if algo == "fge":
+        return iterates, [cycle_len * (idx + 1) for idx in range(len(iterates))]
+    if algo == "sgd":
+        return iterates[-1:], [cycle_len * len(iterates)]
+    avg = w0.values.copy()
+    for n_models, iterate in enumerate(iterates[:period // cycle_len], start=1):
+        _fold(avg, n_models, iterate.values)
+    return [ModelWeights(w0.spec, avg)], [period]
+
+
 def run(cfg: ExperimentConfig, w0: Checkpoint):
     """Train the configured algorithm, persist members, write the report.
     Each member is scored on the test split by a ``_MemberScorer`` on a
     ``_BackgroundThread`` as soon as it is collected, while training goes on
     whole on the main thread: the second core is the scorer's alone, and the
     scorer's forwards run in row tiles there where they tile.
+
+    sgd, swa and fge follow one cyclical trajectory, which a run of one of
+    them records under ``_TRAJECTORY_CACHE_DIR`` (see ``_recording``). Given
+    such a record of the same trajectory (``_trajectory_key``) and train
+    split, they train nothing: their members come from its iterates and are
+    scored on the main thread, sharing their row tiles with a helper. pfge
+    takes its first member from the record and trains on from there, with
+    the velocity recorded at that iteration. A missing, damaged or
+    mismatched record is retrained; the outputs are the same bytes either
+    way.
 
     Returns ``(EnsembleSet, report dict)``.
     """
@@ -264,11 +414,36 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
             f"last_k must be in [1, {n_members}] for {algo} with this budget, got {last_k}"
         )
     scorer = _MemberScorer(cfg, test, n_members)
-    with _BackgroundThread("pfge-member-scorer") as thread:
-        ensemble, _ = _drive(w0.weights, opt, batches(train, cfg.batch_size, cfg.seed),
-                             budget.total_iters, partial(lr_at, sched), sched.cycle_len, period,
-                             average, l2_coeff=opt_cfg["l2_coeff"],
-                             on_member=lambda member, _: thread.submit(scorer.score, member))
+    n, c = budget.total_iters, sched.cycle_len
+    entry = cfg.output_dir / _TRAJECTORY_CACHE_DIR / _trajectory_key(cfg, w0, sched, n)
+    recorded = _recorded_trajectory(entry, train, cfg.model_spec, n // c, period // c - 1)
+    if recorded is not None and algo != "pfge":
+        ensemble = EnsembleSet(*_replayed(algo, w0.weights, recorded[0], c, period))
+        with nn._split_helper(cfg.model_spec, len(test)) as scorer.helper:
+            for member in ensemble.members:
+                scorer.score(member)
+    else:
+        stream = batches(train, cfg.batch_size, cfg.seed)
+        with _BackgroundThread("pfge-member-scorer") as thread:
+            def score(member, _):
+                thread.submit(scorer.score, member)
+
+            drive = partial(_drive, lr=partial(lr_at, sched), cycle_len=c, period=period,
+                            average=average, l2_coeff=opt_cfg["l2_coeff"], on_member=score)
+            if recorded is None:
+                drive = partial(drive, w0.weights, opt, stream, n)
+                ensemble, _ = drive() if algo == "pfge" else _recording(entry, train, drive)
+            else:
+                (first,), _ = _replayed(algo, w0.weights, recorded[0], c, period)
+                score(first, period)
+                members, recorded_at = [first], [period]
+                if period < n:
+                    resumed, _ = drive(first, MomentumState(recorded[1], opt.momentum,
+                                                            opt.weight_decay),
+                                       stream._after(period), n, start=period)
+                    members += resumed.members
+                    recorded_at += resumed.recorded_at
+                ensemble = EnsembleSet(members, recorded_at)
 
     run_dir = cfg.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)

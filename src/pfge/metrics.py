@@ -13,7 +13,7 @@ import numpy as np
 
 from . import files
 from .errors import InvalidArgumentError
-from .nn import _as_labels, _row_argmax, _row_max
+from .nn import _as_labels, _row_argmax, _row_max, _row_sum
 
 PROB_FLOOR = 1e-12
 ROW_SUM_TOL = 1e-9
@@ -38,7 +38,7 @@ class PredictionBatch:
         # NaN compares false against the row-sum tolerance, so test it first.
         if not (np.isfinite(probs).all() and (probs >= 0).all()):
             raise InvalidArgumentError("probabilities must be finite and nonnegative")
-        if np.any(np.abs(probs.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+        if np.any(np.abs(_row_sum(probs) - 1.0) > ROW_SUM_TOL):
             raise InvalidArgumentError("probability rows must sum to 1")
         if labels.min() < 0 or labels.max() >= probs.shape[1]:
             raise InvalidArgumentError(f"labels must lie in [0, {probs.shape[1]})")

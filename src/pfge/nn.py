@@ -438,6 +438,23 @@ def _row_argmax(z: np.ndarray, row_max: np.ndarray) -> np.ndarray:
     return out
 
 
+# numpy sums a short row from 0.0 left to right, as the loop below does a
+# column at a time; from 8 columns on it adds pairwise, in another order.
+_SUM_COLUMNS = 7
+
+
+def _row_sum(z: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(z, axis=1)`` of a 2-D ``z``, bit for bit, NaN payloads
+    aside: column by column where ``_by_columns`` holds and ``z`` has at most
+    ``_SUM_COLUMNS`` columns, else through numpy."""
+    if not (_by_columns(z) and z.shape[1] <= _SUM_COLUMNS):
+        return np.add.reduce(z, axis=1)
+    out = z[:, 0] + 0.0  # a fresh array, and a -0.0 sum made +0.0 as numpy's is
+    for j in range(1, z.shape[1]):
+        out += z[:, j]
+    return out
+
+
 def _cross_entropy(logits: np.ndarray, picks: np.ndarray):
     """Stable mean cross-entropy, overwriting ``logits`` with ``exp_shifted``;
     returns it with ``row_sums`` such that ``softmax(logits) == exp_shifted /
@@ -508,7 +525,7 @@ def _softmax_inplace(z: np.ndarray) -> np.ndarray:
     of any number of leading axes are taken on ``z`` seen as one 2-D array."""
     z -= _row_max(z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1] + (1,))
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= _row_sum(z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1] + (1,))
     return z
 
 

@@ -193,18 +193,25 @@ def running_average_update(w_avg: ModelWeights, n_models: int, w: ModelWeights) 
 def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iters: int,
            lr: Callable[[int], float], cycle_len: int, period: int, average: bool = False,
            loss_grad_fn: Optional[LossGradFn] = None, l2_coeff: float = 0.0,
-           on_member: Optional[Callable[[ModelWeights, int], None]] = None):
-    """Run ``n_iters`` SGD steps from ``w0`` with step size ``lr(i)`` under the
-    ``(average, period)`` rule of the module docstring; ``period`` is a
-    multiple of ``cycle_len``, and every multiple of ``cycle_len`` is a cycle
-    end, recorded in the trace. The gradient comes from one ``nn._grad_step``
-    built for the run, which hands a supplied ``loss_grad_fn(weights, batch)``
-    a frozen copy of the weights. Numpy warnings are off in the loop: a
-    non-finite loss or weight raises ``NumericError`` naming the iteration.
+           on_member: Optional[Callable[[ModelWeights, int], None]] = None,
+           on_cycle_end: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
+           start: int = 0):
+    """Run SGD steps ``start + 1`` to ``n_iters`` from ``w0`` with step size
+    ``lr(i)`` under the ``(average, period)`` rule of the module docstring;
+    ``period`` is a multiple of ``cycle_len``, and every multiple of
+    ``cycle_len`` is a cycle end, recorded in the trace. A ``start`` above 0
+    resumes a run at the end of a period: ``w0`` and ``opt`` hold the weights
+    and velocity there, and ``stream`` gives the batches from step
+    ``start + 1`` on. The gradient comes from one ``nn._grad_step`` built for
+    the run, which hands a supplied ``loss_grad_fn(weights, batch)`` a frozen
+    copy of the weights. Numpy warnings are off in the loop: a non-finite
+    loss or weight raises ``NumericError`` naming the iteration.
     ``on_member(weights, recorded_at)``, if given, is called with each member
-    (a frozen copy) as it is collected; what it raises stops the loop. A
-    stream that runs out first raises ``InvalidArgumentError``. Returns
-    ``(EnsembleSet, trace)``.
+    (a frozen copy) as it is collected, and ``on_cycle_end(w, velocity)``
+    with the live iterate and velocity at each cycle end, before an average
+    takes it in, which it must neither keep nor change; what either raises
+    stops the loop. A stream that runs out first raises
+    ``InvalidArgumentError``. Returns ``(EnsembleSet, trace)``.
     """
     spec = w0.spec
     w, velocity = w0.values.copy(), opt.velocity.copy()
@@ -215,23 +222,25 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
     grad = np.empty_like(w)
     blocks = _update_blocks(w, velocity, grad)
     step = _grad_step(spec, w, grad, l2_coeff, loss_grad_fn)
-    lrs, losses = np.empty(n_iters), np.empty(n_iters)
+    lrs, losses = np.empty(n_iters - start), np.empty(n_iters - start)
     cycle_end_iters, members = [], []
-    i = 0
+    i = start
     with np.errstate(all="ignore"):
-        for i, batch in zip(range(1, n_iters + 1), stream):
+        for i, batch in zip(range(start + 1, n_iters + 1), stream):
             alpha = lr(i)
             data_loss, l2_penalty = step(batch)
             loss = data_loss + l2_penalty
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at iteration {i}")
-            lrs[i - 1] = alpha
-            losses[i - 1] = loss
+            lrs[i - start - 1] = alpha
+            losses[i - start - 1] = loss
             if not _sgd_update(blocks, alpha, opt.momentum, opt.weight_decay):
                 raise NumericError(f"non-finite weights after SGD update (iteration {i})")
             if i % cycle_len:
                 continue
             cycle_end_iters.append(i)
+            if on_cycle_end is not None:
+                on_cycle_end(w, velocity)
             if average:
                 _fold(avg, n_models, w)
                 n_models += 1
@@ -244,7 +253,7 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
                     n_models = 1
     if i < n_iters:
         raise InvalidArgumentError(f"the batch stream ran out at iteration {i + 1}")
-    trace = RunTrace(np.arange(1, n_iters + 1), lrs, losses, tuple(cycle_end_iters))
+    trace = RunTrace(np.arange(start + 1, n_iters + 1), lrs, losses, tuple(cycle_end_iters))
     return EnsembleSet(*zip(*members)), trace
 
 

@@ -6,12 +6,15 @@ owner. ``pretrain`` opens a helper
 only after its loop, for the row tiles of its train-accuracy forward, and
 only where that forward tiles; an error in the helper's tiles reaches the
 caller with its type and message. ``run`` trains whole beside its member
-scorer whatever the scorer's timing. ``nn._BackgroundThread`` replies in
+scorer whatever the scorer's timing, and a run that takes its trajectory
+from the record of an earlier one scores on the main thread, or beside pfge's
+training. ``nn._BackgroundThread`` replies in
 submission order, keeps each caller's numpy error state, and passes a
 failed call's error to its successors and to a clean exit."""
 
 import itertools
 import json
+import shutil
 import threading
 import time
 from contextlib import contextmanager, nullcontext
@@ -199,26 +202,50 @@ def run_doc(outdir, algorithm: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("algorithm", ["pfge", "fge"])
-def test_run_trains_whole_whatever_its_scorer_takes(tmp_path, algorithm):
-    # The second core is the member scorer's alone.
-    cfg = config_from_dict(run_doc(tmp_path, algorithm))
-    w0 = harness.pretrain(cfg)
+def timed_runs(cfg, w0):
+    """``run(scorer_seconds, cold)``: ``harness.run`` of ``cfg`` from ``w0``
+    with a scorer that sleeps ``scorer_seconds`` before each member, from no
+    trajectory record if ``cold``; returns the names of the threads that
+    ran a layer and the member payloads."""
     score = harness._MemberScorer.score
 
-    def run(scorer_seconds: float):
+    def run(scorer_seconds: float, cold: bool = True):
         def slow_score(self, member):
             time.sleep(scorer_seconds)
             score(self, member)
 
+        if cold:
+            shutil.rmtree(cfg.output_dir / harness._TRAJECTORY_CACHE_DIR, ignore_errors=True)
         with mock.patch.object(harness._MemberScorer, "score", slow_score), \
                 layer_calls() as calls:
             ensemble, _ = harness.run(cfg, w0)
         return {name for name, _ in calls}, [m.values.tobytes() for m in ensemble.members]
+    return run
 
+
+@pytest.mark.parametrize("algorithm", ["pfge", "fge"])
+def test_run_trains_whole_whatever_its_scorer_takes(tmp_path, algorithm):
+    # The second core is the member scorer's alone.
+    cfg = config_from_dict(run_doc(tmp_path, algorithm))
+    run = timed_runs(cfg, harness.pretrain(cfg))
     quick, slow = run(0.0), run(0.2)
     assert quick[0] == {"MainThread", "pfge-member-scorer"}
     assert slow == quick
+
+
+@pytest.mark.parametrize("algorithm", ["pfge", "fge"])
+def test_a_recorded_run_scores_on_the_main_thread(tmp_path, algorithm):
+    # fge's trajectory is recorded by the cold run: the warm one trains
+    # nothing and scores each member on the main thread. pfge takes its
+    # first member from an fge run's record and trains on beside its scorer.
+    cfg = config_from_dict(run_doc(tmp_path, algorithm))
+    w0 = harness.pretrain(cfg)
+    cold = timed_runs(cfg, w0)(0.0)
+    harness.run(config_from_dict(run_doc(tmp_path, "fge")), w0)
+    warm, slow = timed_runs(cfg, w0)(0.0, cold=False), timed_runs(cfg, w0)(0.2, cold=False)
+    assert warm[0] == ({"MainThread"} if algorithm == "fge"
+                       else {"MainThread", "pfge-member-scorer"})
+    assert warm[1] == slow[1] == cold[1]
 
 
 def tiling_doc(outdir) -> dict:

@@ -172,7 +172,8 @@ def test_training_error_wins_over_a_scoring_error(pretrained, monkeypatch):
 
 
 TRACED_RUNS = """
-import json, sys, threading
+import json, shutil, sys, threading
+from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
 import tracing
 import pfge.nn
@@ -195,7 +196,12 @@ tracing.install(tracer)
 config = sys.argv[1]
 assert main(["pretrain", config]) == 0
 counts = []
-for run_id in ("first", "second"):
+# The first two rounds train from no trajectory record; the third reads the
+# one the second wrote.
+for run_id in ("first", "second", "warm"):
+    if run_id != "warm":
+        shutil.rmtree(Path(json.loads(Path(config).read_text())["output_dir"])
+                      / "trajectory-cache", ignore_errors=True)
     before = {name: stat["calls"] for name, stat in tracer.stats.items()}
     assert main(["run", config, "run_id=" + run_id]) == 0
     assert main(["connectivity", config, "run_id=" + run_id, "connectivity.iters=6",
@@ -222,10 +228,10 @@ print(json.dumps({"main_only": threads == {threading.main_thread().ident},
 """
 
 
-def test_tracer_sees_only_the_main_thread(tmp_path):
-    # Each of two identical rounds runs ``run`` and ``connectivity``, both of
-    # which score on a background thread. A third round on a wide model runs
-    # ``evaluate`` and ``connectivity``, which also split a layer's columns.
+@pytest.fixture(scope="module")
+def traced_runs(tmp_path_factory):
+    """The output of ``TRACED_RUNS``: what the tracer saw of each round."""
+    tmp_path = tmp_path_factory.mktemp("traced")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(tiny_doc(tmp_path / "runs")))
     wide = golden_doc(tmp_path / "wide", "wide", "fge")
@@ -237,11 +243,18 @@ def test_tracer_sees_only_the_main_thread(tmp_path):
                             cwd=ROOT, capture_output=True, text=True, timeout=120,
                             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert result.returncode == 0, result.stderr
-    out = json.loads(result.stdout.strip().splitlines()[-1])
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_tracer_sees_only_the_main_thread(traced_runs):
+    # Each of two identical rounds runs ``run`` and ``connectivity``, both of
+    # which score on a background thread. A round on a wide model runs
+    # ``evaluate`` and ``connectivity``, which also split a layer's columns.
+    out = traced_runs
     assert out["main_only"]
     assert out["open_spans"] == 0
     assert out["split"]
-    first, second, wide_counts = out["counts"]
+    first, second, _, wide_counts = out["counts"]
     assert wide_counts["harness.evaluate"] == 1
     assert wide_counts["harness.connectivity_run"] == 1
     assert first == second
@@ -251,3 +264,14 @@ def test_tracer_sees_only_the_main_thread(tmp_path):
     assert first["checkpoint.save"] == 4 + 3
     assert first["connectivity.curve_point"] == 3
     assert first["nn.mean_loss"] == 3
+
+
+def test_tracer_sees_a_recorded_run_train_nothing(traced_runs):
+    # The warm round's ``run`` takes fge's members from the record the
+    # second round wrote and scores them on the main thread: it draws no
+    # batch, and ``connectivity`` draws its six as before.
+    out = traced_runs
+    first, _, warm, _ = out["counts"]
+    assert out["main_only"]
+    assert first["data.batch"] == 8 + 6
+    assert warm == {**first, "data.batch": 6}

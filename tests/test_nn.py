@@ -297,13 +297,15 @@ def former_softmax(logits):
 
 
 @st.composite
-def class_scores(draw, nan_rows=False):
+def class_scores(draw, nan_rows=False, rows=None, cols=None):
     """A (rows, classes) float64 array of 1-3,000 rows and 1-12 columns, tall
-    and short alike. Its values come either from a small pool, which makes
-    ties, zeros of both signs and infinities common, or from a normal
-    distribution; with ``nan_rows``, some rows hold a NaN."""
-    cols = draw(st.integers(1, 12))
-    rows = draw(st.sampled_from([draw(st.integers(1, 3 * cols)), draw(st.integers(1, 3000))]))
+    and short alike, unless ``rows`` or ``cols`` is given. Its values come
+    either from a small pool, which makes ties, zeros of both signs and
+    infinities common, or from a normal distribution; with ``nan_rows``,
+    some rows hold a NaN."""
+    cols = cols or draw(st.integers(1, 12))
+    rows = rows or draw(st.sampled_from([draw(st.integers(1, 3 * cols)),
+                                         draw(st.integers(1, 3000))]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -7.0, np.inf, -np.inf])
@@ -336,6 +338,23 @@ class TestRowReductions:
         got, want = _row_argmax(z, _row_max(z)), np.argmax(z, axis=1)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+    @given(data=st.data())
+    def test_row_sum_is_numpys_sum(self, data):
+        # 1-12 columns, 1-7 of them summed column by column, and row counts on
+        # both sides of the ``_by_columns`` threshold.
+        cols = data.draw(st.integers(1, 12))
+        edge = nn._ROWS_PER_COLUMN * cols
+        rows = data.draw(st.integers(max(1, edge - 2), edge + 2) | st.integers(1, 3000))
+        z = data.draw(class_scores(rows=rows, cols=cols))
+        with np.errstate(invalid="ignore"):
+            got, want = nn._row_sum(z), z.sum(axis=1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # Bit for bit, the sign of a zero sum included; an inf - inf NaN
+        # in the same rows, whatever its payload.
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
     def test_column_path_keeps_the_first_of_tied_maxima(self):
         z = np.tile([[1.0, 3.0, 3.0], [-0.0, 0.0, -1.0], [2.0, 2.0, 2.0]], (20, 1))
