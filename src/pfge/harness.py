@@ -313,47 +313,43 @@ def _recorded_trajectory(entry: Path, train: Dataset, spec: LayerSpec, n_rows: i
 class _RowWriter:
     """``_drive``'s ``on_cycle_end`` for a run that records its trajectory:
     writes each cycle end's iterate and velocity to ``fh`` as one raw float64
-    row and keeps the row's SHA-256, hashing both in place. After a failed
-    write it writes nothing more, and ``failed`` says so."""
+    row and keeps the row's SHA-256, hashing both in place. A failed write
+    is kept in ``error``, and nothing more is written."""
 
     def __init__(self, fh):
-        self.fh, self.rows, self.failed = fh, [], False
+        self.fh, self.rows, self.error = fh, [], None
 
     def __call__(self, w: np.ndarray, velocity: np.ndarray) -> None:
-        if self.failed:
+        if self.error is not None:
             return
         try:
             self.fh.write(w)
             self.fh.write(velocity)
-        except OSError:
-            self.failed = True
+        except OSError as exc:
+            self.error = exc
             return
         digest = hashlib.sha256(w)
         digest.update(velocity)
         self.rows.append(digest.hexdigest())
 
 
-class _Unwritten(Exception):
-    """Raised in a ``replacing`` block to drop the file it writes."""
-
-
 def _recording(entry: Path, train: Dataset, drive):
-    """``drive(on_cycle_end=...)``'s result, with a ``_RowWriter`` streaming
-    the rows of the record at ``entry`` into a ``replacing`` temp file, which
-    becomes the record, and then its sidecar is written, only if the loop
-    ends without error. A record that cannot be written is dropped; the run
-    goes on."""
+    """``drive(on_cycle_end=...)``'s result. A ``_RowWriter`` streams the
+    rows of the record at ``entry`` into a ``replacing`` temp file; only if
+    the loop ends without error is the file renamed into place and its
+    sidecar written. A record that cannot be written is dropped, and the
+    run goes on."""
     writer = result = None
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         with replacing(entry.with_suffix(".f64")) as fh:
             writer = _RowWriter(fh)
             result = drive(on_cycle_end=writer)
-            if writer.failed:
-                raise _Unwritten
+            if writer.error is not None:
+                raise writer.error
         write_json(entry.with_suffix(".json"),
                    {"train": _split_digest(train), "rows": writer.rows})
-    except (OSError, _Unwritten):
+    except OSError:
         if writer is None:
             return drive()
         if result is None:
