@@ -33,11 +33,13 @@ class Checkpoint:
         return self.weights.spec
 
 
-def _payload_bytes(w: ModelWeights) -> bytes:
-    return w.values.astype("<f8").tobytes()
+def _payload(w: ModelWeights) -> np.ndarray:
+    """The payload as one little-endian, C-contiguous float64 vector, which
+    is ``w.values`` itself, uncopied, on a little-endian machine."""
+    return np.ascontiguousarray(w.values, dtype="<f8")
 
 
-def _digest(payload: bytes) -> str:
+def _digest(payload) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
@@ -48,7 +50,7 @@ def header_path(path) -> Path:
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Write ``<path>`` (payload) and ``<path>.json`` (header)."""
     path = Path(path)
-    payload = _payload_bytes(ckpt.weights)
+    payload = _payload(ckpt.weights)
     header = {
         "format_version": FORMAT_VERSION,
         "layer_sizes": list(ckpt.spec.sizes),

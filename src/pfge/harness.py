@@ -8,13 +8,13 @@ standardized there with the checkpoint's statistics, in the array the loader
 returned, so no verb holds a raw split next to its standardized copy.
 
 The verbs are the only code that starts a thread, and each has at most one
-background thread alive at a time: ``run`` its member scorer,
-``connectivity_run`` its endpoint scorer and then a helper for the curve's
-interior points, ``pretrain`` a helper for its train-accuracy forward after
-training, and ``evaluate`` a helper for its forwards (see
-``nn._split_helper``). Every training loop runs on the main thread. A
-forward over enough rows runs in row tiles, half of them on the verb's
-helper, or all on the scorer's own thread (see ``nn.forward``).
+background thread alive at a time: ``connectivity_run`` its endpoint scorer
+and then a helper for the curve's interior points; ``pretrain``, ``run`` and
+``evaluate`` a helper for the forwards over a whole split that follow their
+training, if any (see ``nn._split_helper``). Every training loop runs on the
+main thread, with no other thread alive. A forward over enough rows runs in
+row tiles, half of them on the verb's helper, or all on the endpoint
+scorer's own thread (see ``nn.forward``).
 
 Directory layout per run: ``{output_dir}/{run_id}/member-{idx}.ckpt`` plus
 ``report.json`` and CSV side-files; parsed CSV splits are cached in
@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import metrics, nn
+from . import nn
 from .checkpoint import Checkpoint, header_path, load_checkpoint, save_checkpoint
 from .config import (
     ExperimentConfig,
@@ -80,6 +80,7 @@ from .training import (  # noqa: F401
     EnsembleSet,
     MomentumState,
     _accumulate,
+    _add_member,
     _collection_rule,
     _drive,
     _fold,
@@ -199,18 +200,16 @@ def pretrain(cfg: ExperimentConfig) -> Checkpoint:
 
 
 def _metrics_record(probs: np.ndarray, labels: np.ndarray, ece_bins: int,
-                    reliability_csv=None, metric_fns=None) -> dict:
+                    reliability_csv=None) -> dict:
     """Accuracy, NLL and ECE of ``probs``; the reliability bins behind the ECE
-    are written to ``reliability_csv`` when one is given. ``metric_fns`` is the
-    ``(accuracy, nll, reliability)`` to call, by default this module's."""
-    accuracy_of, nll_of, reliability_of = metric_fns or (accuracy, nll, reliability)
+    are written to ``reliability_csv`` when one is given."""
     p = PredictionBatch(probs, labels)
-    bins = reliability_of(p, ece_bins)
+    bins = reliability(p, ece_bins)
     if reliability_csv is not None:
         bins.write_csv(reliability_csv)
-    raw_nll = nll_of(p)
+    raw_nll = nll(p)
     return {
-        "accuracy": accuracy_of(p),
+        "accuracy": accuracy(p),
         "nll": raw_nll,
         "nll_pct": 100.0 * raw_nll,
         "ece": bins.ece_value(),
@@ -219,30 +218,26 @@ def _metrics_record(probs: np.ndarray, labels: np.ndarray, ece_bins: int,
 
 class _MemberScorer:
     """Scores a run's members on the test split, one ``score`` call per
-    member in collection order. For each member it records the member's
-    metrics and those of the ensemble of the members so far, and it sums the
-    softmax outputs of the last ``cfg.last_k`` members (all, if unset) into
-    ``ensemble_sum``. The sums keep ``ensemble_predict``'s order
-    ``p_a + p_{a+1} + ...`` then ``/ n``, so every number matches it bit for
-    bit. It reads only the frozen members and the test split and calls
-    ``nn`` and ``metrics`` directly, so it may run on a ``_BackgroundThread``."""
+    member in collection order, on the caller's thread; a ``helper`` thread,
+    if given, takes half of each forward's row tiles. For each member it
+    records the member's metrics and those of the ensemble of the members so
+    far, and it sums the softmax outputs of the last ``cfg.last_k`` members
+    (all, if unset) into ``ensemble_sum``. Each member goes through
+    ``ensemble_predict``'s own per-member step (``_add_member``), so the
+    sums keep its order ``p_a + p_{a+1} + ...`` then ``/ n``, and every
+    number matches it bit for bit."""
 
-    def __init__(self, cfg: ExperimentConfig, test: Dataset, n_members: int):
+    def __init__(self, cfg: ExperimentConfig, test: Dataset, n_members: int, helper=None):
         self._inputs, self._first = test.inputs, n_members - (cfg.last_k or n_members)
-        self._record = partial(_metrics_record, labels=test.labels, ece_bins=cfg.ece_bins,
-                               metric_fns=(metrics.accuracy, metrics.nll, metrics.reliability))
-        self._workspace = nn._Workspace(cfg.model_spec, len(test))
+        self._record = partial(_metrics_record, labels=test.labels, ece_bins=cfg.ece_bins)
+        self._workspace, self._helper = nn._Workspace(cfg.model_spec, len(test)), helper
         self.members, self.series = [], []
         self.ensemble_sum = self._prob_sum = None
-        # A helper thread to share each forward's row tiles with, for a
-        # scorer that runs on the main thread.
-        self.helper = None
 
     def score(self, member: ModelWeights) -> None:
-        probs = nn._softmax_inplace(nn.forward(member, self._inputs, workspace=self._workspace,
-                                               helper=self.helper))
+        self._prob_sum, probs = _add_member(self._prob_sum, member, self._inputs,
+                                            self._workspace, self._helper)
         self.members.append(self._record(probs))
-        self._prob_sum = _accumulate(self._prob_sum, probs)
         self.series.append(self._record(self._prob_sum / len(self.members)))
         if self._first == 0:
             self.ensemble_sum = self._prob_sum
@@ -374,16 +369,15 @@ def _replayed(algo: str, w0: ModelWeights, iterates: list, cycle_len: int, perio
 
 def run(cfg: ExperimentConfig, w0: Checkpoint):
     """Train the configured algorithm, persist members, write the report.
-    Each member is scored on the test split by a ``_MemberScorer`` on a
-    ``_BackgroundThread`` as soon as it is collected, while training goes on
-    whole on the main thread: the second core is the scorer's alone, and the
-    scorer's forwards run in row tiles there where they tile.
+    The members are trained on the main thread, with no other thread alive,
+    and then scored on the test split in collection order by a
+    ``_MemberScorer``, on the main thread too, with a helper thread taking
+    half of each forward's row tiles where they tile.
 
     sgd, swa and fge follow one cyclical trajectory, which a run of one of
     them records under ``_TRAJECTORY_CACHE_DIR`` (see ``_recording``). Given
     such a record of the same trajectory (``_trajectory_key``) and train
-    split, they train nothing: their members come from its iterates and are
-    scored on the main thread, sharing their row tiles with a helper. pfge
+    split, they train nothing: their members come from its iterates. pfge
     takes its first member from the record and trains on from there, with
     the velocity recorded at that iteration. A missing, damaged or
     mismatched record is retrained; the outputs are the same bytes either
@@ -409,37 +403,26 @@ def run(cfg: ExperimentConfig, w0: Checkpoint):
         raise ConfigurationError(
             f"last_k must be in [1, {n_members}] for {algo} with this budget, got {last_k}"
         )
-    scorer = _MemberScorer(cfg, test, n_members)
     n, c = budget.total_iters, sched.cycle_len
     entry = cfg.output_dir / _TRAJECTORY_CACHE_DIR / _trajectory_key(cfg, w0, sched, n)
     recorded = _recorded_trajectory(entry, train, cfg.model_spec, n // c, period // c - 1)
-    if recorded is not None and algo != "pfge":
-        ensemble = EnsembleSet(*_replayed(algo, w0.weights, recorded[0], c, period))
-        with nn._split_helper(cfg.model_spec, len(test)) as scorer.helper:
-            for member in ensemble.members:
-                scorer.score(member)
+    drive = partial(_drive, lr=partial(lr_at, sched), cycle_len=c, period=period,
+                    average=average, l2_coeff=opt_cfg["l2_coeff"])
+    if recorded is None:
+        drive = partial(drive, w0.weights, opt, batches(train, cfg.batch_size, cfg.seed), n)
+        ensemble, _ = drive() if algo == "pfge" else _recording(entry, train, drive)
     else:
-        stream = batches(train, cfg.batch_size, cfg.seed)
-        with _BackgroundThread("pfge-member-scorer") as thread:
-            def score(member, _):
-                thread.submit(scorer.score, member)
-
-            drive = partial(_drive, lr=partial(lr_at, sched), cycle_len=c, period=period,
-                            average=average, l2_coeff=opt_cfg["l2_coeff"], on_member=score)
-            if recorded is None:
-                drive = partial(drive, w0.weights, opt, stream, n)
-                ensemble, _ = drive() if algo == "pfge" else _recording(entry, train, drive)
-            else:
-                (first,), _ = _replayed(algo, w0.weights, recorded[0], c, period)
-                score(first, period)
-                members, recorded_at = [first], [period]
-                if period < n:
-                    resumed, _ = drive(first, MomentumState(recorded[1], opt.momentum,
-                                                            opt.weight_decay),
-                                       stream._after(period), n, start=period)
-                    members += resumed.members
-                    recorded_at += resumed.recorded_at
-                ensemble = EnsembleSet(members, recorded_at)
+        ensemble = EnsembleSet(*_replayed(algo, w0.weights, recorded[0], c, period))
+        if algo == "pfge" and period < n:
+            resumed, _ = drive(ensemble.members[0], MomentumState(
+                recorded[1], opt.momentum, opt.weight_decay),
+                batches(train, cfg.batch_size, cfg.seed)._after(period), n, start=period)
+            ensemble = EnsembleSet(ensemble.members + resumed.members,
+                                   ensemble.recorded_at + resumed.recorded_at)
+    with nn._split_helper(cfg.model_spec, len(test)) as helper:
+        scorer = _MemberScorer(cfg, test, n_members, helper)
+        for member in ensemble.members:
+            scorer.score(member)
 
     run_dir = cfg.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)

@@ -193,7 +193,6 @@ def running_average_update(w_avg: ModelWeights, n_models: int, w: ModelWeights) 
 def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iters: int,
            lr: Callable[[int], float], cycle_len: int, period: int, average: bool = False,
            loss_grad_fn: Optional[LossGradFn] = None, l2_coeff: float = 0.0,
-           on_member: Optional[Callable[[ModelWeights, int], None]] = None,
            on_cycle_end: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
            start: int = 0):
     """Run SGD steps ``start + 1`` to ``n_iters`` from ``w0`` with step size
@@ -206,12 +205,11 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
     the run, which hands a supplied ``loss_grad_fn(weights, batch)`` a frozen
     copy of the weights. Numpy warnings are off in the loop: a non-finite
     loss or weight raises ``NumericError`` naming the iteration.
-    ``on_member(weights, recorded_at)``, if given, is called with each member
-    (a frozen copy) as it is collected, and ``on_cycle_end(w, velocity)``
-    with the live iterate and velocity at each cycle end, before an average
-    takes it in, which it must neither keep nor change; what either raises
-    stops the loop. A stream that runs out first raises
-    ``InvalidArgumentError``. Returns ``(EnsembleSet, trace)``.
+    ``on_cycle_end(w, velocity)``, if given, is called with the live iterate
+    and velocity at each cycle end, before an average takes it in, which it
+    must neither keep nor change; what it raises stops the loop. A stream
+    that runs out first raises ``InvalidArgumentError``. Returns
+    ``(EnsembleSet, trace)``.
     """
     spec = w0.spec
     w, velocity = w0.values.copy(), opt.velocity.copy()
@@ -246,8 +244,6 @@ def _drive(w0: ModelWeights, opt: MomentumState, stream: Iterable[Batch], n_iter
                 n_models += 1
             if i % period == 0:
                 members.append((ModelWeights(spec, avg if average else w), i))
-                if on_member is not None:
-                    on_member(*members[-1])
                 if average:
                     w[...] = avg
                     n_models = 1
@@ -349,10 +345,20 @@ def ensemble_predict(ensemble: EnsembleSet, inputs: np.ndarray, last_k: Optional
     workspace = _Workspace(members[0].spec, x.shape[0] if x.ndim == 2 else 0)
     total = None
     for member in members:
-        logits = forward(member, x, workspace=workspace, helper=helper)
-        total = _accumulate(total, _softmax_inplace(logits))
+        total, _ = _add_member(total, member, x, workspace, helper)
     total /= len(members)
     return total, np.argmax(total, axis=1)
+
+
+def _add_member(total: Optional[np.ndarray], member: ModelWeights, x: np.ndarray,
+                workspace: _Workspace, helper=None) -> tuple:
+    """One member's step of an ensemble prediction: its forward of ``x``
+    into ``workspace`` (half the row tiles on ``helper``, if given), softmax
+    in place, added to ``total`` by ``_accumulate``. Returns ``(total,
+    probs)``, ``probs`` being the workspace's buffer, valid until its next
+    use."""
+    probs = _softmax_inplace(forward(member, x, workspace=workspace, helper=helper))
+    return _accumulate(total, probs), probs
 
 
 def _accumulate(total: Optional[np.ndarray], probs: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from pfge import data, harness, nn
+from pfge import data, harness, nn, training
 from pfge.checkpoint import load_checkpoint
 from pfge.cli import main
 from pfge.config import config_from_dict
@@ -135,7 +135,8 @@ def test_run_forwards_each_member_once(csv_doc, monkeypatch):
     doc, _ = csv_doc
     cfg = config_from_dict(doc)
     w0 = harness.pretrain(cfg)
-    forwards = count_calls(monkeypatch, nn, "forward")
+    # ``run`` scores each member through ``ensemble_predict``'s step.
+    forwards = count_calls(monkeypatch, training, "forward")
     ensemble, _ = harness.run(cfg, w0)
     assert len(ensemble) == N_MEMBERS
     test = harness.load_split(cfg, "test")

@@ -5,10 +5,10 @@ its caller holds open, and its error leaves the helper joined by its
 owner. ``pretrain`` opens a helper
 only after its loop, for the row tiles of its train-accuracy forward, and
 only where that forward tiles; an error in the helper's tiles reaches the
-caller with its type and message. ``run`` trains whole beside its member
-scorer whatever the scorer's timing, and a run that takes its trajectory
-from the record of an earlier one scores on the main thread, or beside pfge's
-training. ``nn._BackgroundThread`` replies in
+caller with its type and message. ``run`` trains with no other thread alive,
+however it gets its members, and then scores them on the main thread, with a
+helper only where the test split's forwards tile and whatever the scoring
+takes. ``nn._BackgroundThread`` replies in
 submission order, keeps each caller's numpy error state, and passes a
 failed call's error to its successors and to a clean exit."""
 
@@ -58,15 +58,16 @@ def stream(spec: nn.LayerSpec, rows: int = 128, batches: int = 2):
         for _ in range(batches)])
 
 
-def drive(spec: nn.LayerSpec, lr: float = 0.05, on_member=None, batch_stream=None,
+def drive(spec: nn.LayerSpec, lr: float = 0.05, on_cycle_end=None, batch_stream=None,
           helper_open=True):
-    """A four-step loop on ``spec`` that collects a member every two steps,
-    run, if ``helper_open``, while its caller holds a helper thread open, as
-    ``pretrain`` holds one around its train-accuracy forward."""
+    """A four-step loop on ``spec`` that collects a member at each cycle
+    end, every two steps, run, if ``helper_open``, while its caller holds a
+    helper thread open, as ``pretrain`` holds one around its train-accuracy
+    forward."""
     w0 = nn.init_model(spec, 1)
     with nn._BackgroundThread("pfge-layer-half") if helper_open else nullcontext():
         return training._drive(w0, MomentumState.initial(w0), batch_stream or stream(spec), 4,
-                               lambda i: lr, 2, 2, on_member=on_member)
+                               lambda i: lr, 2, 2, on_cycle_end=on_cycle_end)
 
 
 def fail_on_helper(owner, name: str):
@@ -108,14 +109,14 @@ def test_a_numeric_error_joins_the_helper():
     assert threading.active_count() == threads
 
 
-def test_a_raising_on_member_joins_the_helper():
+def test_a_raising_cycle_end_hook_joins_the_helper():
     threads = threading.active_count()
 
-    def on_member(member, recorded_at):
+    def on_cycle_end(w, velocity):
         raise Injected("the hook failed")
 
     with layer_calls() as calls, pytest.raises(Injected, match="the hook failed"):
-        drive(WIDE, on_member=on_member)
+        drive(WIDE, on_cycle_end=on_cycle_end)
     assert calls and {name for name, _ in calls} == {"MainThread"}
     assert threading.active_count() == threads
 
@@ -137,7 +138,7 @@ def test_only_a_wide_model_trains_with_a_helper(spec, helper_open, helper_calls)
     # a loop does all its layer work on the main thread, to the same bits.
     threads, seen = threading.active_count(), []
     with layer_calls() as calls:
-        ensemble, _ = drive(spec, helper_open=helper_open, on_member=lambda member, recorded_at:
+        ensemble, _ = drive(spec, helper_open=helper_open, on_cycle_end=lambda w, velocity:
                             seen.append(threading.active_count()))
     assert seen == [threads + helper_open] * 2
     assert calls and sum(name != "MainThread" for name, _ in calls) == helper_calls
@@ -164,7 +165,7 @@ def test_no_helper_where_column_halves_may_differ():
     with blas_threads(2):
         assert not nn._splits_exactly()
         drive(WIDE, helper_open=False,
-              on_member=lambda member, recorded_at: seen.append(threading.active_count()))
+              on_cycle_end=lambda w, velocity: seen.append(threading.active_count()))
         with nn._split_helper(WIDE, 4096) as helper:
             assert helper is None
     assert seen == [threads] * 2
@@ -205,8 +206,8 @@ def run_doc(outdir, algorithm: str) -> dict:
 def timed_runs(cfg, w0):
     """``run(scorer_seconds, cold)``: ``harness.run`` of ``cfg`` from ``w0``
     with a scorer that sleeps ``scorer_seconds`` before each member, from no
-    trajectory record if ``cold``; returns the names of the threads that
-    ran a layer and the member payloads."""
+    trajectory record if ``cold``; returns the ``(thread name, live
+    threads)`` of every layer call and the member payloads."""
     score = harness._MemberScorer.score
 
     def run(scorer_seconds: float, cold: bool = True):
@@ -219,17 +220,19 @@ def timed_runs(cfg, w0):
         with mock.patch.object(harness._MemberScorer, "score", slow_score), \
                 layer_calls() as calls:
             ensemble, _ = harness.run(cfg, w0)
-        return {name for name, _ in calls}, [m.values.tobytes() for m in ensemble.members]
+        return set(calls), [m.values.tobytes() for m in ensemble.members]
     return run
 
 
 @pytest.mark.parametrize("algorithm", ["pfge", "fge"])
 def test_run_trains_whole_whatever_its_scorer_takes(tmp_path, algorithm):
-    # The second core is the member scorer's alone.
+    # Training and scoring run on the main thread alone: 512 test rows are
+    # too few to tile, so no helper opens.
     cfg = config_from_dict(run_doc(tmp_path, algorithm))
     run = timed_runs(cfg, harness.pretrain(cfg))
+    threads = threading.active_count()
     quick, slow = run(0.0), run(0.2)
-    assert quick[0] == {"MainThread", "pfge-member-scorer"}
+    assert quick[0] == {("MainThread", threads)}
     assert slow == quick
 
 
@@ -237,14 +240,15 @@ def test_run_trains_whole_whatever_its_scorer_takes(tmp_path, algorithm):
 def test_a_recorded_run_scores_on_the_main_thread(tmp_path, algorithm):
     # fge's trajectory is recorded by the cold run: the warm one trains
     # nothing and scores each member on the main thread. pfge takes its
-    # first member from an fge run's record and trains on beside its scorer.
+    # first member from an fge run's record and trains on, on the main
+    # thread too, before it scores.
     cfg = config_from_dict(run_doc(tmp_path, algorithm))
     w0 = harness.pretrain(cfg)
     cold = timed_runs(cfg, w0)(0.0)
     harness.run(config_from_dict(run_doc(tmp_path, "fge")), w0)
+    threads = threading.active_count()
     warm, slow = timed_runs(cfg, w0)(0.0, cold=False), timed_runs(cfg, w0)(0.2, cold=False)
-    assert warm[0] == ({"MainThread"} if algorithm == "fge"
-                       else {"MainThread", "pfge-member-scorer"})
+    assert warm[0] == {("MainThread", threads)}
     assert warm[1] == slow[1] == cold[1]
 
 
@@ -274,6 +278,50 @@ def verb_docs(outdir) -> dict:
             "tiling": tiling_doc(outdir / "tiling")}
 
 
+@contextmanager
+def cycle_end_threads():
+    """Patch ``harness._drive`` to record ``threading.active_count()`` at
+    every cycle end, before the run's own hook, if any."""
+    seen, drive_loop = [], harness._drive
+
+    def counting(*args, on_cycle_end=None, **kwargs):
+        def hook(w, velocity):
+            seen.append(threading.active_count())
+            if on_cycle_end is not None:
+                on_cycle_end(w, velocity)
+        return drive_loop(*args, on_cycle_end=hook, **kwargs)
+
+    with mock.patch.object(harness, "_drive", counting):
+        yield seen
+
+
+@pytest.mark.parametrize("blas", [1, 2])
+@pytest.mark.parametrize("algorithm, forked", [("fge", False), ("pfge", False), ("pfge", True)])
+@pytest.mark.parametrize("name", ["golden-wide", "tiling"])
+def test_run_trains_alone_then_scores_with_at_most_a_tile_helper(tmp_path, name, algorithm,
+                                                                 forked, blas):
+    # Training, cold or forked from an fge run's record, has no other thread
+    # alive. Scoring follows on the main thread, with a helper exactly where
+    # the test split's forwards tile: at one BLAS thread but not at two.
+    doc = {**verb_docs(tmp_path)[name], "algorithm": algorithm}
+    doc["budget"] = {"record_epochs": 1, **doc["budget"]}
+    doc.pop("last_k", None)
+    cfg = config_from_dict(doc)
+    with blas_threads(blas):
+        w0 = harness.pretrain(cfg)
+        if forked:
+            harness.run(config_from_dict({**doc, "algorithm": "fge"}), w0)
+        threads = threading.active_count()
+        with layer_calls() as calls, cycle_end_threads() as seen:
+            harness.run(cfg, w0)
+        tiles = nn._tiled_layers(cfg.model_spec, len(harness.load_split(cfg, "test")))
+    assert bool(tiles) is (blas == 1)
+    assert seen and seen == [threads] * len(seen)
+    assert set(calls) == ({("MainThread", threads)} if not tiles else {
+        ("MainThread", threads), ("MainThread", threads + 1), ("pfge-layer-half", threads + 1)})
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("name", ["golden-wide", "batches-of-128", "tiling"])
 def test_no_verb_has_more_than_one_background_thread(tmp_path, name, capsys):
     doc = verb_docs(tmp_path)[name]
@@ -296,8 +344,11 @@ def test_no_verb_has_more_than_one_background_thread(tmp_path, name, capsys):
     assert bool(tiles) is (name == "tiling")
     verb("pretrain", "pretrain.lr=1e50", "pretrain.epochs=6", code=4)
     verb("pretrain")
+    # ``run`` scores on the main thread, with a helper where the test
+    # split's forwards tile: for all but "batches-of-128".
     calls = verb("run")
-    assert {name for name, _ in calls} == {"MainThread", "pfge-member-scorer"}
+    assert {name for name, _ in calls} == (
+        {"MainThread"} if name == "batches-of-128" else {"MainThread", "pfge-layer-half"})
     verb("run", "schedule.alpha1=1e50", "schedule.alpha2=1.0", code=4)
 
     def failing_score(self, member):

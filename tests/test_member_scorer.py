@@ -1,9 +1,9 @@
-"""``harness.run`` scores each member on a background thread while training
-goes on. The report must equal a serial scoring of the returned ensemble bit
-for bit, an error on either side must reach the caller unchanged with no
-thread left behind, and a tracer installed around the package must only ever
-see the main thread, in ``run``, ``evaluate`` and ``connectivity``, also where
-a wide layer's columns are split over two threads."""
+"""``harness.run`` scores each member on the main thread once training is
+done. The report must equal a serial scoring of the returned ensemble bit
+for bit, an error in either must reach the caller unchanged with no thread
+left behind, and a tracer installed around the package must only ever see
+the main thread, in ``run``, ``evaluate`` and ``connectivity``, also where
+a forward's row tiles are split over two threads."""
 
 import json
 import os
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfge import harness, nn
+from pfge import harness, training
 from pfge.cli import main
 from pfge.config import config_from_dict
 from pfge.errors import NumericError
@@ -90,14 +90,7 @@ def serial_scores(cfg, w0, ensemble):
 def test_report_equals_serial_scoring_bit_for_bit(pretrained, plan):
     outdir, w0 = pretrained
     cfg = config_from_dict(tiny_doc(outdir, run_id="equivalence", **plan))
-    # A short switch interval interleaves the scorer with the training loop
-    # far more often than the default 5 ms does.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        ensemble, report = harness.run(cfg, w0)
-    finally:
-        sys.setswitchinterval(interval)
+    ensemble, report = harness.run(cfg, w0)
     got = {
         "members": [m["metrics"] for m in report["members"]],
         "ensemble_series": [s["metrics"] for s in report["ensemble_series"]],
@@ -113,7 +106,7 @@ def test_report_equals_serial_scoring_bit_for_bit(pretrained, plan):
 
 def test_diverging_training_exits_4_and_leaves_no_thread_or_output(tmp_path, capsys):
     # A step size of 1e50 overflows the loss at iteration 8, after three
-    # members were collected and queued for scoring.
+    # members were collected and before any was scored.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(tiny_doc(tmp_path / "runs", run_id="diverge")))
     assert main(["pretrain", str(path)]) == 0
@@ -136,7 +129,7 @@ def test_scoring_error_reaches_the_caller_unchanged(pretrained, monkeypatch):
     outdir, w0 = pretrained
     cfg = config_from_dict(tiny_doc(outdir, run_id="scoring-error"))
     calls = []
-    original = nn.forward
+    original = training.forward
 
     def failing_forward(*args, **kwargs):
         calls.append(len(calls))
@@ -144,13 +137,13 @@ def test_scoring_error_reaches_the_caller_unchanged(pretrained, monkeypatch):
             raise Injected("member 1 cannot be scored")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(nn, "forward", failing_forward)
+    monkeypatch.setattr(training, "forward", failing_forward)
     threads = threading.active_count()
     with pytest.raises(Injected) as caught:
         harness.run(cfg, w0)
     assert type(caught.value) is Injected
     assert str(caught.value) == "member 1 cannot be scored"
-    # The two members queued behind the failed one were not scored.
+    # The two members after the failed one were not scored.
     assert calls == [0, 1]
     assert threading.active_count() == threads
     assert not (cfg.run_dir / "report.json").exists()
@@ -164,7 +157,7 @@ def test_training_error_wins_over_a_scoring_error(pretrained, monkeypatch):
     def failing_forward(*args, **kwargs):
         raise Injected("scoring failed too")
 
-    monkeypatch.setattr(nn, "forward", failing_forward)
+    monkeypatch.setattr(training, "forward", failing_forward)
     threads = threading.active_count()
     with pytest.raises(NumericError, match="non-finite loss at iteration 8"):
         harness.run(cfg, w0)
@@ -247,9 +240,9 @@ def traced_runs(tmp_path_factory):
 
 
 def test_tracer_sees_only_the_main_thread(traced_runs):
-    # Each of two identical rounds runs ``run`` and ``connectivity``, both of
-    # which score on a background thread. A round on a wide model runs
-    # ``evaluate`` and ``connectivity``, which also split a layer's columns.
+    # Each of two identical rounds runs ``run`` and ``connectivity``, whose
+    # endpoints are scored on a background thread. A round on a wide model
+    # runs ``evaluate`` and ``connectivity``, which also split row tiles.
     out = traced_runs
     assert out["main_only"]
     assert out["open_spans"] == 0

@@ -6,10 +6,10 @@ halves and the helper runs the second half's tiles. ``forward``,
 forward, with a helper and without one, and at two BLAS threads nothing may
 tile. The workspace keeps no full-row hidden buffer a tiled forward does not
 read, and an error in a helper's tile reaches the caller unchanged with no
-thread left behind. In the verbs, ``evaluate`` and the curve's interior
-points hand their tiles' second halves to a helper, while forwards that
-already run on a background thread (the run's member scorer, the curve's
-endpoint scorer) tile on that thread alone."""
+thread left behind. In the verbs, ``run``'s scoring, ``evaluate`` and the
+curve's interior points hand their tiles' second halves to a helper, while
+forwards that already run on a background thread (the curve's endpoint
+scorer) tile on that thread alone."""
 
 import json
 import threading
@@ -161,12 +161,12 @@ def test_a_whole_layer_after_the_tiles_reads_one_full_row_buffer():
 
 @pytest.mark.parametrize("rows", [TILE, 3 * TILE])
 def test_a_one_thread_forward_writes_only_buffers_made_with_the_workspace(rows):
-    # ``run``'s scorer and the curve's endpoint thread forward in a
-    # workspace made on the main thread, so their buffers are freed where the
-    # main thread's later allocations reuse them.
+    # The curve's endpoint thread forwards in a workspace made on the main
+    # thread, so its buffers are freed where the main thread's later
+    # allocations reuse them.
     spec = nn.LayerSpec((2, 64, 64, 2))
     (member, _), x, _ = model_and_data(spec, rows, 3)
-    with blas_threads(1), nn._BackgroundThread("pfge-member-scorer") as scorer:
+    with blas_threads(1), nn._BackgroundThread("pfge-endpoint-scorer") as scorer:
         workspace = nn._Workspace(spec, rows)
         made = dict(workspace._buffers)
         scorer.submit(partial(nn.forward, workspace=workspace), member, x)
@@ -252,12 +252,17 @@ def by_thread(calls) -> dict:
 TWO_TILES = [256, 256, 256, 256, 2]
 
 
-def test_member_scorer_never_splits(wide_run):
+def test_run_scores_its_members_in_halves(wide_run):
     cfg, calls = wide_run
-    # Beside the main thread's training steps, four members' test forwards,
-    # all on the scorer's thread, in tiles there.
-    assert set(by_thread(calls)) == {"MainThread", "pfge-member-scorer"}
-    assert by_thread(calls)["pfge-member-scorer"] == TWO_TILES * 4
+    # After the main thread's training steps, with no other thread alive,
+    # four members' test forwards: the helper takes the second tile, the
+    # main thread the first and then the output layer.
+    threads = calls[0][2]
+    main = [(width, live) for name, width, live in calls if name == "MainThread"]
+    assert set(by_thread(calls)) == {"MainThread", "pfge-layer-half"}
+    assert by_thread(calls)["pfge-layer-half"] == [256, 256] * 4
+    assert main[-12:] == [(width, threads + 1) for width in [256, 256, 2] * 4]
+    assert {live for _, live in main[:-12]} == {threads}
 
 
 def test_evaluate_and_connectivity_split_and_join(wide_run):

@@ -1,8 +1,9 @@
 """Every threaded path writes what a serial one writes: the four verbs on
 the golden "relu" and "wide" variants and on ``tiling_doc``'s model, at one
 BLAS thread, where the forwards over a whole split of "wide" and "tiling"
-run in row tiles, half of them on a helper in ``pretrain``, ``evaluate`` and
-the curve's interior points, leave byte-identical files with real threads and with
+run in row tiles, half of them on a helper in ``pretrain``, ``run``,
+``evaluate`` and the curve's interior points, leave byte-identical files with
+real threads and with
 ``conftest.SerialThread`` in their place, whether ``run`` trains or takes
 its trajectory from the record of an earlier run. Only the checkpoint
 sidecars' ``created_at`` and ``report.json``'s ``timing`` may differ."""
@@ -65,9 +66,9 @@ def assert_twins(threaded: dict, serial: dict) -> None:
 
 
 @pytest.mark.parametrize("variant, threads", [
-    ("relu", {"MainThread", "pfge-member-scorer", "pfge-endpoint-scorer"}),
-    ("wide", {"MainThread", "pfge-member-scorer", "pfge-endpoint-scorer", "pfge-layer-half"}),
-    ("tiling", {"MainThread", "pfge-member-scorer", "pfge-endpoint-scorer", "pfge-layer-half"})])
+    ("relu", {"MainThread", "pfge-endpoint-scorer"}),
+    ("wide", {"MainThread", "pfge-endpoint-scorer", "pfge-layer-half"}),
+    ("tiling", {"MainThread", "pfge-endpoint-scorer", "pfge-layer-half"})])
 def test_threads_write_what_the_serial_twin_writes(tmp_path, serial_threads, variant, threads):
     cfg = variant_config(tmp_path, variant)
     with blas_threads(1):
