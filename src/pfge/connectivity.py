@@ -233,16 +233,13 @@ def _sweep(curve: CurveSpec, ts, train: Dataset, test: Dataset, l2_coeff: float,
 
 
 def _point_scores(point: ModelWeights, train: Dataset, test: Dataset, l2_coeff: float,
-                  workspace: _Workspace, fns=None, helper=None) -> tuple:
+                  workspace: _Workspace, helper=None) -> tuple:
     """``(train_loss, test_error)`` of ``point`` over the whole of both
     splits, forwarded in ``workspace``, sharing row tiles with ``helper`` if
-    given.
-    ``fns`` is the ``(mean_loss, forward)`` to call, by default this
-    module's."""
-    mean_loss_of, forward_of = fns or (mean_loss, forward)
-    train_loss = mean_loss_of(point, train.inputs, train.labels, l2_coeff,
-                              workspace=workspace, helper=helper).total
-    preds = np.argmax(forward_of(point, test.inputs, workspace=workspace, helper=helper), axis=1)
+    given."""
+    train_loss = mean_loss(point, train.inputs, train.labels, l2_coeff,
+                           workspace=workspace, helper=helper).total
+    preds = np.argmax(forward(point, test.inputs, workspace=workspace, helper=helper), axis=1)
     return train_loss, float(np.mean(preds != test.labels))
 
 

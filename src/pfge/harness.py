@@ -7,14 +7,14 @@ data from ``load_split``, one split at a time, checked against the model and
 standardized there with the checkpoint's statistics, in the array the loader
 returned, so no verb holds a raw split next to its standardized copy.
 
-The verbs are the only code that starts a thread, and each has at most one
-background thread alive at a time: ``connectivity_run`` its endpoint scorer
-and then a helper for the curve's interior points; ``pretrain``, ``run`` and
-``evaluate`` a helper for the forwards over a whole split that follow their
-training, if any (see ``nn._split_helper``). Every training loop runs on the
-main thread, with no other thread alive. A forward over enough rows runs in
-row tiles, half of them on the verb's helper, or all on the endpoint
-scorer's own thread (see ``nn.forward``).
+The verbs are the only code that starts a thread, and the only thread any
+of them starts is a helper for the forwards over a whole split that follow
+its training, if any, opened only where those forwards run in row tiles
+(see ``nn._split_helper``): ``pretrain``'s train-accuracy forward, ``run``'s
+member scoring, ``evaluate``'s ensemble and every grid point of
+``connectivity_run``'s curve. Every training loop runs on the main thread,
+with no other thread alive, and so does every forward, but for the half of
+its row tiles that the helper takes (see ``nn.forward``).
 
 Directory layout per run: ``{output_dir}/{run_id}/member-{idx}.ckpt`` plus
 ``report.json`` and CSV side-files; parsed CSV splits are cached in
@@ -47,7 +47,6 @@ from .config import (
 )
 from .connectivity import (  # noqa: F401
     CurveProfile,
-    _point_scores,
     _profile_workspace,
     _sweep,
     initial_curve,
@@ -73,7 +72,7 @@ from .files import json_text, read_json, replacing, write_csv, write_json
 # are not called here, but stay importable from this module for callers (and
 # perfbench's tracer) that look them up here.
 from .metrics import PredictionBatch, accuracy, ece, nll, reliability  # noqa: F401
-from .nn import LayerSpec, ModelWeights, _BackgroundThread, init_model, loss_and_grad  # noqa: F401
+from .nn import LayerSpec, ModelWeights, init_model, loss_and_grad  # noqa: F401
 from .rng import STREAM_CURVE, stream_rng
 from .schedule import LrSchedule, lr_at
 from .training import (  # noqa: F401
@@ -596,12 +595,11 @@ def connectivity_run(cfg: ExperimentConfig) -> dict:
     ``member_b``, or, with neither given, the pair ``connectivity.pair``
     picks. Artifacts land in ``{run_dir}/connectivity/``.
 
-    The profile's endpoints are the two checkpoints themselves, so a
-    ``_BackgroundThread`` scores them while the curve trains and its controls
-    are saved, each forward in row tiles on that thread where it tiles; the
-    interior points are scored after it, in the same workspace, with a helper
-    thread that takes half of each forward's tiles. The numbers are
-    ``profile_curve``'s."""
+    The curve trains and its controls are saved on the main thread, with no
+    other thread alive. Then every grid point, the two endpoints (the
+    checkpoints themselves) included, is scored in one workspace, on the
+    main thread too, with a helper thread taking half of each forward's row
+    tiles where they tile. The numbers are ``profile_curve``'s."""
     settings = cfg.connectivity
     member_a, member_b = settings.get("member_a"), settings.get("member_b")
     if (member_a is None) != (member_b is None):
@@ -619,35 +617,30 @@ def connectivity_run(cfg: ExperimentConfig) -> dict:
     iters = settings["iters"]
     l2_coeff = cfg.optimizer["l2_coeff"]
     grid = np.linspace(0.0, 1.0, settings["grid_size"])
-    workspace = _profile_workspace(cfg.model_spec, train, test)
+    if iters == 0:
+        curve = initial_curve(ckpt_a.weights, ckpt_b.weights, k)
+    else:
+        stream = batches(train, cfg.batch_size, cfg.seed)
+        curve = train_curve(ckpt_a.weights, ckpt_b.weights, k, iters, stream,
+                            settings["lr"], cfg.seed, l2_coeff=l2_coeff)
     outdir = cfg.run_dir / CONNECTIVITY_DIR
-    with _BackgroundThread("pfge-endpoint-scorer") as endpoints:
-        for weights in (ckpt_a.weights, ckpt_b.weights):
-            endpoints.submit(_point_scores, weights, train, test, l2_coeff, workspace,
-                             (nn.mean_loss, nn.forward))
-        if iters == 0:
-            curve = initial_curve(ckpt_a.weights, ckpt_b.weights, k)
-        else:
-            stream = batches(train, cfg.batch_size, cfg.seed)
-            curve = train_curve(ckpt_a.weights, ckpt_b.weights, k, iters, stream,
-                                settings["lr"], cfg.seed, l2_coeff=l2_coeff)
-        outdir.mkdir(parents=True, exist_ok=True)
-        # The record and profile describe the controls, so they go first:
-        # a failure from here on leaves neither beside other controls.
-        for name in ("connectivity.json", "curve_profile.csv"):
-            (outdir / name).unlink(missing_ok=True)
-        _save_indexed(outdir, "curve-control", (
-            Checkpoint(
-                weights=control,
-                standardization=stats,
-                meta={"role": "curve-control", "index": j, "created_at": _now()},
-            )
-            for j, control in enumerate(curve.controls)
-        ))
-        first, last = endpoints.result(), endpoints.result()
+    outdir.mkdir(parents=True, exist_ok=True)
+    # The record and profile describe the controls, so they go first: a
+    # failure from here on leaves neither beside other controls.
+    for name in ("connectivity.json", "curve_profile.csv"):
+        (outdir / name).unlink(missing_ok=True)
+    _save_indexed(outdir, "curve-control", (
+        Checkpoint(
+            weights=control,
+            standardization=stats,
+            meta={"role": "curve-control", "index": j, "created_at": _now()},
+        )
+        for j, control in enumerate(curve.controls)
+    ))
+    workspace = _profile_workspace(cfg.model_spec, train, test)
     with nn._split_helper(cfg.model_spec, workspace.rows) as helper:
-        interior = _sweep(curve, grid[1:-1], train, test, l2_coeff, workspace, helper)
-    profile = CurveProfile._of(grid, [first, *interior, last])
+        profile = CurveProfile._of(grid, _sweep(curve, grid, train, test, l2_coeff, workspace,
+                                                helper))
     mc, t_star = profile.mc
     profile.write_csv(outdir / "curve_profile.csv")
     record = {

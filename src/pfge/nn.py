@@ -200,11 +200,8 @@ class _Workspace:
 
     The buffers that a forward of ``rows`` rows writes on one thread are
     made here, on the thread that makes the workspace; any other, such as a
-    helper's tile buffers, when a forward first asks for it. So the endpoint
-    scorer of ``connectivity_run`` forwards in buffers the main thread made:
-    made on its own thread, they would be freed into that thread's malloc
-    arena, which the main thread's later verbs do not reuse, and the
-    process's peak RSS would grow."""
+    helper's tile buffers, when a forward first asks for it, on the thread
+    that asks."""
 
     def __init__(self, spec: LayerSpec, rows: int):
         self.spec, self.rows = spec, rows
@@ -247,11 +244,11 @@ class _BackgroundThread:
     on one background thread; ``result`` returns what the oldest call whose
     result was not yet taken returned, waiting for it if need be.
 
-    A verb opens at most one at a time: a helper for row tiles (see
-    ``_split_helper``) or ``connectivity_run``'s endpoint scorer. The calls
-    must enter no name that a tracer wraps in ``harness``, ``training`` or
-    ``connectivity``: such a tracer keeps one span stack, for the main
-    thread alone. So they call ``nn`` directly. As a context manager it
+    The only one a verb opens is a helper for row tiles (see
+    ``_split_helper``). The calls must enter no name that a tracer wraps in
+    ``harness``, ``training`` or ``connectivity``: such a tracer keeps one
+    span stack, for the main thread alone. So they call ``nn`` directly,
+    as a helper's ``_forward_tiles`` does. As a context manager it
     starts the thread on entry and joins it on exit. Each call runs under
     numpy's error state as it was where it was submitted.
     Once a call raises, the calls queued after it do not run, and ``result``

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pfge import harness, nn
+from pfge import nn
 
 # Every run draws the same examples, so a property test that fails fails the
 # same way each time; example timings on a loaded machine are not a
@@ -80,11 +80,10 @@ class SerialThread:
 @pytest.fixture
 def serial_threads(monkeypatch):
     """A context manager under which every ``_BackgroundThread`` the package
-    opens, in ``nn`` and in ``harness``, is a ``SerialThread``."""
+    opens, all of them through ``nn``, is a ``SerialThread``."""
     @contextmanager
     def swapped():
         with monkeypatch.context() as patch:
             patch.setattr(nn, "_BackgroundThread", SerialThread)
-            patch.setattr(harness, "_BackgroundThread", SerialThread)
             yield
     return swapped

@@ -69,21 +69,47 @@ def test_bound_is_a_share_of_the_parents_median():
     assert not bench_pairs.exceeds_bound(PARENT, slower, "higher", 0.1)
 
 
-def test_parent_tree_is_extracted_from_the_commit(tmp_path):
-    # The parent copy comes from ``git archive``, so it needs no worktree
-    # entry in the repository and holds what the benchmark runs. The
-    # repository is built here, so the test runs in a copy without ``.git``.
+def committed_repo(tmp_path, names=("src/pfge/harness.py", "perfbench/run.py")):
+    """A repository at ``tmp_path / "repo"`` with one commit of ``names``.
+    It is built here, so the tests run in a copy without ``.git``."""
     repo = tmp_path / "repo"
-    for name in ("src/pfge/harness.py", "perfbench/run.py"):
+    for name in names:
         (repo / name).parent.mkdir(parents=True, exist_ok=True)
         (repo / name).write_text("# committed\n")
     git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
     for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
         subprocess.run([*git, *args], cwd=repo, check=True, capture_output=True)
+    return repo
+
+
+def test_parent_tree_is_extracted_from_the_commit(tmp_path):
+    # The parent copy comes from ``git archive``, so it needs no worktree
+    # entry in the repository and holds what the benchmark runs.
+    repo = committed_repo(tmp_path)
     bench_pairs.extract_tree(repo, "HEAD", tmp_path / "parent")
     assert (tmp_path / "parent" / "src" / "pfge" / "harness.py").is_file()
     assert (tmp_path / "parent" / "perfbench" / "run.py").is_file()
     assert not (tmp_path / "parent" / ".git").exists()
+
+
+def test_working_tree_is_extracted_as_it_is_on_disk(tmp_path):
+    # The change runs from a copy extracted as the parent's is: tracked
+    # files with their edits, untracked files git does not ignore, and
+    # neither ignored files, deleted ones nor ``.git``.
+    repo = committed_repo(tmp_path, ("src/pfge/harness.py", "perfbench/run.py",
+                                     "src/pfge/gone.py", ".gitignore"))
+    (repo / ".gitignore").write_text("__pycache__/\n*.out\n")
+    (repo / "src/pfge/harness.py").write_text("# edited\n")
+    (repo / "src/pfge/gone.py").unlink()
+    (repo / "src/pfge/new.py").write_text("# untracked\n")
+    (repo / "src/pfge/__pycache__").mkdir()
+    (repo / "src/pfge/__pycache__/harness.pyc").write_bytes(b"ignored")
+    (repo / "run.out").write_text("ignored\n")
+    bench_pairs.extract_working_tree(repo, tmp_path / "change")
+    files = {path.relative_to(tmp_path / "change").as_posix(): path.read_text()
+             for path in (tmp_path / "change").rglob("*") if path.is_file()}
+    assert files == {".gitignore": "__pycache__/\n*.out\n", "src/pfge/harness.py": "# edited\n",
+                     "perfbench/run.py": "# committed\n", "src/pfge/new.py": "# untracked\n"}
 
 
 def test_a_spread_wider_than_the_bound_is_unresolved():

@@ -1,11 +1,11 @@
-"""``harness.connectivity_run`` scores the curve's two endpoints on a
-background thread while the curve trains and its controls are saved. Its
-outputs must equal a serial ``profile_curve`` of the same curve, an error on
-either side must reach the caller unchanged with no thread left behind, and a
-failure must never leave a record or profile beside other controls."""
+"""``harness.connectivity_run`` trains the curve and saves its controls on
+the main thread, then scores every grid point, the two endpoints included,
+in one sweep. Its outputs must equal a serial ``profile_curve`` of the same
+curve, an error in scoring or in training must reach the caller unchanged
+with no thread left behind, and a failure must never leave a record or
+profile beside other controls."""
 
 import json
-import sys
 import threading
 
 import pytest
@@ -19,6 +19,8 @@ from pfge.data import batches
 from pfge.errors import NumericError
 from pfge.files import json_text
 
+from conftest import blas_threads
+from test_helper_threads import Injected, fail_on_helper, tiling_doc
 from test_member_scorer import tiny_doc
 
 
@@ -68,14 +70,7 @@ def serial_outputs(cfg):
 @pytest.mark.parametrize("grid_size", [3, 5])
 def test_outputs_equal_a_serial_profile(members, tmp_path, k, iters, grid_size):
     cfg = config_from_dict(connectivity_doc(members, k=k, iters=iters, grid_size=grid_size))
-    # A short switch interval interleaves the endpoint thread with curve
-    # training far more often than the default 5 ms does.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        result = harness.connectivity_run(cfg)
-    finally:
-        sys.setswitchinterval(interval)
+    result = harness.connectivity_run(cfg)
     record, profile, payloads = serial_outputs(cfg)
     outdir = cfg.run_dir / harness.CONNECTIVITY_DIR
     # JSON text tells -0.0 from 0.0 and prints every float exactly.
@@ -119,7 +114,7 @@ def test_failure_after_the_controls_are_saved_leaves_no_record(tmp_path, monkeyp
     def failing_forward(*args, **kwargs):
         raise NumericError("endpoint cannot be scored")
 
-    # The endpoint thread fails; its error is raised once the new controls
+    # Scoring the first grid point, an endpoint, fails once the new controls
     # are on disk, so the previous record and profile must be gone.
     monkeypatch.setattr(nn, "forward", failing_forward)
     threads = threading.active_count()
@@ -132,39 +127,29 @@ def test_failure_after_the_controls_are_saved_leaves_no_record(tmp_path, monkeyp
     assert after != {name: before[name] for name in after}
 
 
-class Injected(Exception):
-    pass
-
-
-def fail_off_the_main_thread(monkeypatch, message):
-    """Make ``nn.forward`` raise ``Injected(message)`` on any thread but the
-    main one, where it stays the real function."""
-    original = nn.forward
-
-    def forward(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise Injected(message)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(nn, "forward", forward)
-
-
-def test_endpoint_error_reaches_the_caller_unchanged(members, monkeypatch):
-    cfg = config_from_dict(connectivity_doc(members))
-    fail_off_the_main_thread(monkeypatch, "endpoint 0 cannot be scored")
-    threads = threading.active_count()
-    with pytest.raises(Injected) as caught:
-        harness.connectivity_run(cfg)
+def test_endpoint_error_reaches_the_caller_unchanged(tmp_path):
+    # On the "tiling" model both splits' forwards tile, so the helper's
+    # first tiles are those of the first grid point, an endpoint, and fail.
+    cfg = config_from_dict({**tiling_doc(tmp_path), "run_id": "curve"})
+    with blas_threads(1):
+        harness.run(cfg, harness.pretrain(cfg))
+        threads = threading.active_count()
+        with fail_on_helper(nn, "_forward_tiles"), pytest.raises(Injected) as caught:
+            harness.connectivity_run(cfg)
     assert type(caught.value) is Injected
-    assert str(caught.value) == "endpoint 0 cannot be scored"
+    assert str(caught.value) == "_forward_tiles failed on the helper"
     assert threading.active_count() == threads
-    assert not (cfg.run_dir / harness.CONNECTIVITY_DIR / "connectivity.json").exists()
+    outdir = cfg.run_dir / harness.CONNECTIVITY_DIR
+    assert not (outdir / "connectivity.json").exists()
+    assert not (outdir / "curve_profile.csv").exists()
 
 
-def test_training_error_wins_over_an_endpoint_error(members, monkeypatch):
+def test_a_training_error_comes_before_any_scoring(members, monkeypatch):
     cfg = config_from_dict(connectivity_doc(members, lr=1e50))
-    fail_off_the_main_thread(monkeypatch, "endpoint failed too")
+    swept = []
+    monkeypatch.setattr(harness, "_sweep", lambda *args: swept.append(args))
     threads = threading.active_count()
     with pytest.raises(NumericError, match="non-finite"):
         harness.connectivity_run(cfg)
+    assert swept == []
     assert threading.active_count() == threads

@@ -8,7 +8,9 @@ only where that forward tiles; an error in the helper's tiles reaches the
 caller with its type and message. ``run`` trains with no other thread alive,
 however it gets its members, and then scores them on the main thread, with a
 helper only where the test split's forwards tile and whatever the scoring
-takes. ``nn._BackgroundThread`` replies in
+takes. ``connectivity_run`` trains its curve the same way and then scores
+every grid point on the main thread, with a helper only where the profile
+workspace's forwards tile. ``nn._BackgroundThread`` replies in
 submission order, keeps each caller's numpy error state, and passes a
 failed call's error to its successors and to a clean exit."""
 
@@ -269,12 +271,21 @@ def tiling_doc(outdir) -> dict:
     }
 
 
+def curve_doc(outdir, name: str) -> dict:
+    """The golden "relu" or "wide" variant with its curve settings, or
+    ``tiling_doc``."""
+    if name == "tiling":
+        return tiling_doc(outdir)
+    doc = golden_doc(outdir, name, "fge")
+    doc.update(json.loads(json.dumps(CURVE_VARIANTS[name])))
+    return doc
+
+
 def verb_docs(outdir) -> dict:
     """The golden "wide" variant, of 48 train and 1,024 test rows in batches
     of 10, ``run_doc``'s batches of 128 rows, and ``tiling_doc``."""
-    golden = golden_doc(outdir / "golden", "wide", "fge")
-    golden.update(json.loads(json.dumps(CURVE_VARIANTS["wide"])))
-    return {"golden-wide": golden, "batches-of-128": run_doc(outdir / "batches", "pfge"),
+    return {"golden-wide": curve_doc(outdir / "golden", "wide"),
+            "batches-of-128": run_doc(outdir / "batches", "pfge"),
             "tiling": tiling_doc(outdir / "tiling")}
 
 
@@ -317,6 +328,36 @@ def test_run_trains_alone_then_scores_with_at_most_a_tile_helper(tmp_path, name,
         tiles = nn._tiled_layers(cfg.model_spec, len(harness.load_split(cfg, "test")))
     assert bool(tiles) is (blas == 1)
     assert seen and seen == [threads] * len(seen)
+    assert set(calls) == ({("MainThread", threads)} if not tiles else {
+        ("MainThread", threads), ("MainThread", threads + 1), ("pfge-layer-half", threads + 1)})
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("blas", [1, 2])
+@pytest.mark.parametrize("name", ["relu", "wide", "tiling"])
+def test_connectivity_trains_alone_then_scores_with_at_most_a_tile_helper(tmp_path, name, blas):
+    # The curve trains with no other thread alive. Every grid point, the
+    # endpoints included, is scored on the main thread, with a helper
+    # exactly where the profile workspace's forwards tile.
+    cfg = config_from_dict(curve_doc(tmp_path, name))
+    seen, train_curve = [], harness.train_curve
+
+    def counting(w, w_end, k, iters, stream, *args, **kwargs):
+        def counted():
+            for batch in stream:
+                seen.append(threading.active_count())
+                yield batch
+        return train_curve(w, w_end, k, iters, counted(), *args, **kwargs)
+
+    with blas_threads(blas):
+        harness.run(cfg, harness.pretrain(cfg))
+        threads = threading.active_count()
+        with layer_calls() as calls, mock.patch.object(harness, "train_curve", counting):
+            harness.connectivity_run(cfg)
+        rows = max(len(harness.load_split(cfg, split)) for split in ("train", "test"))
+        tiles = nn._tiled_layers(cfg.model_spec, rows)
+    assert bool(tiles) is (blas == 1 and name != "relu")
+    assert seen == [threads] * cfg.connectivity["iters"]
     assert set(calls) == ({("MainThread", threads)} if not tiles else {
         ("MainThread", threads), ("MainThread", threads + 1), ("pfge-layer-half", threads + 1)})
     assert threading.active_count() == threads

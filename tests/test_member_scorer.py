@@ -240,9 +240,9 @@ def traced_runs(tmp_path_factory):
 
 
 def test_tracer_sees_only_the_main_thread(traced_runs):
-    # Each of two identical rounds runs ``run`` and ``connectivity``, whose
-    # endpoints are scored on a background thread. A round on a wide model
-    # runs ``evaluate`` and ``connectivity``, which also split row tiles.
+    # Each of two identical rounds runs ``run`` and ``connectivity``, which
+    # score on the main thread. A round on a wide model runs ``evaluate``
+    # and ``connectivity``, which also split row tiles.
     out = traced_runs
     assert out["main_only"]
     assert out["open_spans"] == 0
@@ -252,11 +252,11 @@ def test_tracer_sees_only_the_main_thread(traced_runs):
     assert wide_counts["harness.connectivity_run"] == 1
     assert first == second
     assert first["harness.run"] == 1 and first["harness.connectivity_run"] == 1
-    # Four members and three curve controls; the endpoint thread scores
-    # grid points 0 and 4, the main thread the three between them.
+    # Four members and three curve controls; the main thread scores all
+    # five grid points, the endpoints included.
     assert first["checkpoint.save"] == 4 + 3
-    assert first["connectivity.curve_point"] == 3
-    assert first["nn.mean_loss"] == 3
+    assert first["connectivity.curve_point"] == 5
+    assert first["nn.mean_loss"] == 5
 
 
 def test_tracer_sees_a_recorded_run_train_nothing(traced_runs):

@@ -6,10 +6,8 @@ halves and the helper runs the second half's tiles. ``forward``,
 forward, with a helper and without one, and at two BLAS threads nothing may
 tile. The workspace keeps no full-row hidden buffer a tiled forward does not
 read, and an error in a helper's tile reaches the caller unchanged with no
-thread left behind. In the verbs, ``run``'s scoring, ``evaluate`` and the
-curve's interior points hand their tiles' second halves to a helper, while
-forwards that already run on a background thread (the curve's endpoint
-scorer) tile on that thread alone."""
+thread left behind. In the verbs, ``run``'s scoring, ``evaluate`` and every
+point of the curve's grid hand their tiles' second halves to a helper."""
 
 import json
 import threading
@@ -161,12 +159,11 @@ def test_a_whole_layer_after_the_tiles_reads_one_full_row_buffer():
 
 @pytest.mark.parametrize("rows", [TILE, 3 * TILE])
 def test_a_one_thread_forward_writes_only_buffers_made_with_the_workspace(rows):
-    # The curve's endpoint thread forwards in a workspace made on the main
-    # thread, so its buffers are freed where the main thread's later
-    # allocations reuse them.
+    # A forward without a helper, on whatever thread, writes only the
+    # buffers made with the workspace, on the thread that made it.
     spec = nn.LayerSpec((2, 64, 64, 2))
     (member, _), x, _ = model_and_data(spec, rows, 3)
-    with blas_threads(1), nn._BackgroundThread("pfge-endpoint-scorer") as scorer:
+    with blas_threads(1), nn._BackgroundThread("pfge-test") as scorer:
         workspace = nn._Workspace(spec, rows)
         made = dict(workspace._buffers)
         scorer.submit(partial(nn.forward, workspace=workspace), member, x)
@@ -278,11 +275,12 @@ def test_evaluate_and_connectivity_split_and_join(wide_run):
     assert threading.active_count() == threads
     with blas_threads(1), dense_calls() as calls:
         harness.connectivity_run(cfg)
-    # The endpoint thread runs each endpoint's train forward whole and its
-    # test forward in tiles on its own; the helper takes the second tile of
-    # the three interior points' test forwards.
-    assert by_thread(calls)["pfge-endpoint-scorer"] == ([256, 256, 2] + TWO_TILES) * 2
-    assert by_thread(calls)["pfge-layer-half"] == [256, 256] * 3
+    # After the main thread's curve training, each of the five grid points,
+    # the endpoints included, runs its 48-row train forward whole and its
+    # test forward in halves: the helper takes the second tile.
+    assert set(by_thread(calls)) == {"MainThread", "pfge-layer-half"}
+    assert by_thread(calls)["pfge-layer-half"] == [256, 256] * 5
+    assert by_thread(calls)["MainThread"][-30:] == [256, 256, 2] * 2 * 5
     assert max(live for _, _, live in calls) == threads + 1
     assert threading.active_count() == threads
 

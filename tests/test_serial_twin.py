@@ -2,13 +2,12 @@
 the golden "relu" and "wide" variants and on ``tiling_doc``'s model, at one
 BLAS thread, where the forwards over a whole split of "wide" and "tiling"
 run in row tiles, half of them on a helper in ``pretrain``, ``run``,
-``evaluate`` and the curve's interior points, leave byte-identical files with
-real threads and with
+``evaluate`` and at every point of the curve's grid, leave byte-identical
+files with real threads and with
 ``conftest.SerialThread`` in their place, whether ``run`` trains or takes
 its trajectory from the record of an earlier run. Only the checkpoint
 sidecars' ``created_at`` and ``report.json``'s ``timing`` may differ."""
 
-import json
 import re
 import shutil
 import threading
@@ -19,8 +18,7 @@ import pytest
 from conftest import blas_threads
 from pfge import harness, nn
 from pfge.config import config_from_dict
-from test_golden import CURVE_VARIANTS, golden_doc
-from test_helper_threads import tiling_doc
+from test_helper_threads import curve_doc
 
 # The two values a rerun may change, blanked before comparing.
 TIMESTAMPS = re.compile(rb'"created_at": "[^"]*"|"timing": \{[^}]*\}')
@@ -51,11 +49,7 @@ def pipeline(cfg, warm: bool = False) -> tuple:
 
 
 def variant_config(tmp_path, variant: str):
-    if variant == "tiling":
-        return config_from_dict(tiling_doc(tmp_path))
-    doc = golden_doc(tmp_path, variant, "fge")
-    doc.update(json.loads(json.dumps(CURVE_VARIANTS[variant])))
-    return config_from_dict(doc)
+    return config_from_dict(curve_doc(tmp_path, variant))
 
 
 def assert_twins(threaded: dict, serial: dict) -> None:
@@ -66,9 +60,9 @@ def assert_twins(threaded: dict, serial: dict) -> None:
 
 
 @pytest.mark.parametrize("variant, threads", [
-    ("relu", {"MainThread", "pfge-endpoint-scorer"}),
-    ("wide", {"MainThread", "pfge-endpoint-scorer", "pfge-layer-half"}),
-    ("tiling", {"MainThread", "pfge-endpoint-scorer", "pfge-layer-half"})])
+    ("relu", {"MainThread"}),
+    ("wide", {"MainThread", "pfge-layer-half"}),
+    ("tiling", {"MainThread", "pfge-layer-half"})])
 def test_threads_write_what_the_serial_twin_writes(tmp_path, serial_threads, variant, threads):
     cfg = variant_config(tmp_path, variant)
     with blas_threads(1):
@@ -81,9 +75,9 @@ def test_threads_write_what_the_serial_twin_writes(tmp_path, serial_threads, var
 
 
 @pytest.mark.parametrize("variant, threads", [
-    ("relu", {"MainThread", "pfge-endpoint-scorer"}),
-    ("wide", {"MainThread", "pfge-endpoint-scorer", "pfge-layer-half"}),
-    ("tiling", {"MainThread", "pfge-endpoint-scorer", "pfge-layer-half"})])
+    ("relu", {"MainThread"}),
+    ("wide", {"MainThread", "pfge-layer-half"}),
+    ("tiling", {"MainThread", "pfge-layer-half"})])
 def test_a_recorded_run_writes_what_the_serial_twin_writes(tmp_path, serial_threads, variant,
                                                             threads):
     # fge's ``run`` reads the record and scores on the main thread, with a

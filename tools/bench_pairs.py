@@ -4,12 +4,15 @@ alternating pairs, and compare the two sides metric by metric.
     python tools/bench_pairs.py --parent HEAD --workload spirals-sweep \\
         --pairs 10 --seed 23 --seconds 35 --claim run_s
 
-Run it from the root of a checkout. It writes the files of ``--parent`` into
-a temporary directory, which it removes at exit, through ``git archive`` and
-``tarfile``, and refuses to run if ``perfbench/`` or ``BENCHMARK.json``
-differ between that tree and the working tree. Each pair runs
-``perfbench/run.py --trace 0`` once in each tree, the parent first in even
-pairs and the working tree first in odd ones.
+Run it from the root of a checkout. It writes two trees side by side into
+one temporary directory, which it removes at exit, both extracted from a tar
+archive by ``tarfile``: the files of ``--parent``, as ``git archive`` lists
+them, and the working tree's, that is, its tracked files as they are on disk
+and its untracked files that git does not ignore. So neither side runs in
+the checkout. It refuses to run if ``perfbench/`` or ``BENCHMARK.json``
+differ between the two. Each pair runs ``perfbench/run.py --trace 0`` once
+in each tree, the parent first in even pairs and the working tree first in
+odd ones.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints both sides'
 median and quartiles, the working tree's change of the median, how many
@@ -106,13 +109,30 @@ def _benchmark_differs(root: Path, parent: str) -> bool:
     return changed.returncode != 0 or bool(untracked.strip())
 
 
+def _extract(archive: bytes, dest: Path) -> None:
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def extract_tree(root: Path, ref: str, dest: Path) -> None:
     """Write the files of commit ``ref`` of the repository at ``root`` into
     ``dest``, as ``git archive`` lists them."""
-    archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=root, check=True,
-                             capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+    _extract(subprocess.run(["git", "archive", "--format=tar", ref], cwd=root, check=True,
+                            capture_output=True).stdout, dest)
+
+
+def extract_working_tree(root: Path, dest: Path) -> None:
+    """Write the working tree of the repository at ``root`` into ``dest``
+    through a tar archive, as ``extract_tree`` writes a commit: its tracked
+    files with their contents on disk, leaving out those deleted there, and
+    its untracked files that git does not ignore."""
+    names = _git(root, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    archive = io.BytesIO()
+    with tarfile.open(fileobj=archive, mode="w") as tar:
+        for name in dict.fromkeys(filter(None, names.split("\0"))):
+            if (root / name).is_file():
+                tar.add(root / name, arcname=name)
+    _extract(archive.getvalue(), dest)
 
 
 def _run_once(tree: Path, args) -> dict:
@@ -199,9 +219,9 @@ def main(argv=None) -> int:
         return 2
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        parent_tree = Path(tmp) / "parent"
-        extract_tree(root, args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": root}
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        extract_tree(root, args.parent, trees["parent"])
+        extract_working_tree(root, trees["change"])
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
